@@ -2,8 +2,9 @@
 
 Subcommands: gen, colour, verify, search, ramsey. Exit codes partition the
 outcomes: 0 verified/ok, 1 counterexample found, 2 parse error, 3 budget
-exhausted, 4 evaluation error. JSON output is canonical (sorted keys, no
-whitespace) so identical runs are byte-identical; CSV is derived from it
+exhausted, 4 evaluation error. An unexpected internal error also exits 4, so
+1 only ever means a counterexample. JSON output is canonical (sorted keys,
+no whitespace) so identical runs are byte-identical; CSV is derived from it
 with witness sets flattened to semicolon-joined tower-syntax strings.
 """
 
@@ -15,6 +16,7 @@ import io
 import json
 import os
 import sys
+import traceback
 from typing import List, Optional
 
 from .colourings import parse_colouring
@@ -180,6 +182,8 @@ def _cert_csv(cert) -> str:
 
 
 def _run_search(args, eager: bool) -> int:
+    if args.bound < 1:
+        raise ParseError(f"--bound must be at least 1, got {args.bound}")
     colouring = parse_colouring(args.colouring)
     cert = find_monochromatic(
         colouring, args.family, args.bound,
@@ -318,6 +322,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_PARSE
     except ExpRamseyError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_EVALUATION
+    except Exception as exc:
+        # exit 1 is reserved for "counterexample found"; a bug must not look
+        # like one, so report it with its traceback as an evaluation error
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        traceback.print_exc()
         return EXIT_EVALUATION
 
 

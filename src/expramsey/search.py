@@ -986,7 +986,8 @@ def _exp_triples_upto(n: int) -> List[Tuple[int, int, int]]:
 
 def _backtrack_colouring(values: List[int],
                          constraints: List[Tuple[int, ...]],
-                         k: int, node_cap: int = 20_000_000
+                         k: int, node_cap: int = 20_000_000,
+                         *, alternate: bool = False
                          ) -> Optional[Dict[int, int]]:
     """Colouring with no constraint set monochromatic, or None if impossible.
 
@@ -998,6 +999,11 @@ def _backtrack_colouring(values: List[int],
     instead of being rediscovered under every assignment of the sparse ones.
     Colour classes are introduced in first-use order, which fixes the first
     value's colour to 1 and prunes colour permutations.
+
+    ``alternate`` selects a second, independent branching order for
+    cross-checking a refutation: descending degree with ties broken by the
+    largest value first, and no value pinned to the root. The search runs on
+    an explicit stack, so its depth is not bounded by the recursion limit.
     """
     m = len(values)
     if m == 0:
@@ -1014,7 +1020,10 @@ def _backtrack_colouring(values: List[int],
     for pos in cons:
         for p in pos:
             degree[p] += 1
-    order = sorted(range(m), key=lambda p: (p != 0, -degree[p], p))
+    if alternate:
+        order = sorted(range(m), key=lambda p: (-degree[p], -p))
+    else:
+        order = sorted(range(m), key=lambda p: (p != 0, -degree[p], p))
     by_pos: List[List[int]] = [[] for _ in range(m)]
     for ci, pos in enumerate(cons):
         for p in pos:
@@ -1025,7 +1034,6 @@ def _backtrack_colouring(values: List[int],
     forbid = [0] * m  # bitmask, bit c-1 set = colour c impossible
     assign = [0] * m
     full = (1 << k) - 1
-    nodes = 0
 
     def place(p: int, c: int):
         """Apply bookkeeping for assigning colour c at p; returns the undo
@@ -1060,93 +1068,94 @@ def _backtrack_colouring(values: List[int],
             else:
                 forbid[i] = a
 
-    def dfs(r: int, used: int) -> bool:
-        nonlocal nodes
-        if r == m:
-            return True
-        nodes += 1
-        if nodes > node_cap:
-            raise BudgetExceeded("colouring search exceeded the node budget")
+    # Depth-first search over the positions in `order`. Depth r holds the
+    # colour last tried at order[r] (0 on entering the depth, which counts
+    # one node), the undo trail of the colour in place, and the number of
+    # colour classes used at the depths above it.
+    tried = [0] * m
+    trails: List[list] = [[]] * m
+    used = [0] * (m + 1)
+    nodes, r = 0, 0
+    while True:
         p = order[r]
-        for c in range(1, min(k, used + 1) + 1):
-            if forbid[p] >> (c - 1) & 1:
-                continue
-            assign[p] = c
-            trail = place(p, c)
-            if trail is not None:
-                if dfs(r + 1, max(used, c)):
-                    return True
-                undo(trail)
-            assign[p] = 0
-        return False
-
-    if dfs(0, 0):
-        return {v: assign[index[v]] for v in values}
-    return None
-
-
-def _hill_climb_colouring(values: List[int],
-                          constraints: List[Tuple[int, ...]],
-                          k: int, seed: int,
-                          restarts: int = 20,
-                          steps: int = 20000) -> Optional[Dict[int, int]]:
-    """Randomized-restart local search for a constraint-free colouring."""
-    if not values:
-        return {}
-    if k == 1:
-        # nothing to move; feasible only when no constraint is present
-        return {v: 1 for v in values} if not constraints else None
-    rng = random.Random(seed)
-    index = {v: i for i, v in enumerate(values)}
-    cons_pos = [tuple(index[v] for v in set(c)) for c in constraints]
-    touching: List[List[int]] = [[] for _ in values]
-    for ci, pos in enumerate(cons_pos):
-        for p in pos:
-            touching[p].append(ci)
-
-    def violated(assign: List[int], ci: int) -> bool:
-        pos = cons_pos[ci]
-        c = assign[pos[0]]
-        return all(assign[p] == c for p in pos[1:])
-
-    for _ in range(restarts):
-        assign = [rng.randrange(1, k + 1) for _ in values]
-        bad = {ci for ci in range(len(cons_pos)) if violated(assign, ci)}
-        for _ in range(steps):
-            if not bad:
+        if tried[r] == 0:
+            nodes += 1
+            if nodes > node_cap:
+                raise BudgetExceeded("colouring search exceeded the node budget")
+        c = tried[r] + 1
+        top = min(k, used[r] + 1)
+        trail = None
+        while c <= top:
+            if not forbid[p] >> (c - 1) & 1:
+                assign[p] = c
+                trail = place(p, c)
+                if trail is not None:
+                    break
+                assign[p] = 0
+            c += 1
+        if trail is not None:
+            tried[r], trails[r] = c, trail
+            used[r + 1] = max(used[r], c)
+            r += 1
+            if r == m:
                 return {v: assign[index[v]] for v in values}
-            ci = rng.choice(tuple(bad))
-            p = rng.choice(cons_pos[ci])
-            old = assign[p]
-            choices = [c for c in range(1, k + 1) if c != old]
-            assign[p] = rng.choice(choices)
-            for cj in touching[p]:
-                if violated(assign, cj):
-                    bad.add(cj)
-                else:
-                    bad.discard(cj)
-        # restart
-    return None
+            tried[r] = 0
+            continue
+        if r == 0:
+            return None
+        r -= 1
+        undo(trails[r])
+        assign[order[r]] = 0
 
 
 def _witness_array(n: int, assign: Dict[int, int]) -> List[int]:
     return [assign.get(v, 1) for v in range(1, n + 1)]
 
 
+def _colouring_is_free(colours: List[int],
+                       constraints: List[Tuple[int, ...]]) -> bool:
+    """No constraint is monochromatic under ``colours``, the colouring of
+    [1..len(colours)] with value v at index v - 1."""
+    for cons in constraints:
+        cs = {colours[v - 1] for v in cons}
+        if len(cs) == 1:
+            return False
+    return True
+
+
+def _methods_agree(colours: List[int], cons_below: List[Tuple[int, ...]],
+                   values_at: List[int], cons_at: List[Tuple[int, ...]],
+                   k: int) -> bool:
+    """Two exact checks of a threshold: the witness colouring of [value-1]
+    leaves no constraint monochromatic, and the alternate branching order
+    refutes the constraints at value. A second solve that runs out of nodes
+    has not agreed."""
+    if not _colouring_is_free(colours, cons_below):
+        return False
+    try:
+        return _backtrack_colouring(values_at, cons_at, k, alternate=True) is None
+    except BudgetExceeded:
+        return False
+
+
+def _exp_problem(n: int) -> Tuple[List[int], List[Tuple[int, ...]]]:
+    """The values and {a, b, a^b} constraints of the exponential problem on [n]."""
+    triples = _exp_triples_upto(n)
+    return sorted({v for t in triples for v in t}), triples
+
+
 def exp_ramsey_number(k: int, n_max: int = 10**5, *, seed: int = 0) -> RamseyComputation:
     """Least N such that every k-colouring of [N] has a monochromatic
-    {a, b, a^b}; binary search over candidate power values, with the
-    extremal witness cross-checked by an independent randomized searcher."""
+    {a, b, a^b}; binary search over candidate power values. The witness
+    colouring of [N-1] is re-checked and a second branching order must
+    refute [N] for ``methods_agree``. ``seed`` is recorded only."""
     if k < 1:
         raise ValueError("need at least one colour")
     t0 = time.perf_counter()
     candidates = sorted({p for p, _, _ in _exp_pairs(n_max)})
 
     def sat_at(n: int) -> Optional[Dict[int, int]]:
-        triples = _exp_triples_upto(n)
-        relevant = sorted({v for t in triples for v in t})
-        cons = [tuple(t) for t in triples]
-        return _backtrack_colouring(relevant, cons, k)
+        return _backtrack_colouring(*_exp_problem(n), k)
 
     # unsolvability is monotone in N: a valid colouring of [N] restricts to
     # any smaller range, so binary-search the first unsatisfiable candidate
@@ -1167,29 +1176,16 @@ def exp_ramsey_number(k: int, n_max: int = 10**5, *, seed: int = 0) -> RamseyCom
         return comp
     value = candidates[first_unsat]
     below = value - 1
-    assign = sat_at(below) or {}
-    triples_below = _exp_triples_upto(below)
-    relevant = sorted({v for t in triples_below for v in t})
-    climbed = _hill_climb_colouring(
-        relevant, [tuple(t) for t in triples_below], k, seed,
-    )
-    agree = climbed is not None and _colouring_is_free(climbed, triples_below)
-    witness = {"n": below, "colours": _witness_array(below, assign)}
+    colours = _witness_array(below, sat_at(below) or {})
+    agree = _methods_agree(colours, _exp_triples_upto(below),
+                           *_exp_problem(value), k)
     comp = RamseyComputation(
         kind="exptriple", k=k, params={}, value=value, n_max=n_max,
-        witness=witness, methods_agree=agree, seed=seed,
+        witness={"n": below, "colours": colours}, methods_agree=agree,
+        seed=seed,
     )
     comp.wall_time = time.perf_counter() - t0
     return comp
-
-
-def _colouring_is_free(assign: Dict[int, int],
-                       constraints: List[Tuple[int, ...]]) -> bool:
-    for cons in constraints:
-        cs = {assign[v] for v in cons}
-        if len(cs) == 1:
-            return False
-    return True
 
 
 def _ap_constraints(n: int, length: int) -> List[Tuple[int, ...]]:
@@ -1201,7 +1197,10 @@ def _ap_constraints(n: int, length: int) -> List[Tuple[int, ...]]:
 
 
 def vdw_number(k: int, length: int, n_max: int = 64, *, seed: int = 0) -> RamseyComputation:
-    """Exact van der Waerden number W_k(length) by backtracking."""
+    """Exact van der Waerden number W_k(length): one backtracking solve per
+    n from ``length`` up, stopping at the first unsatisfiable n. The witness
+    colouring of [W-1] is re-checked and a second branching order must
+    refute [W] for ``methods_agree``. ``seed`` is recorded only."""
     if k < 1 or length < 2:
         raise ValueError("need k >= 1 and progression length >= 2")
     t0 = time.perf_counter()
@@ -1223,18 +1222,14 @@ def vdw_number(k: int, length: int, n_max: int = 64, *, seed: int = 0) -> Ramsey
         comp.wall_time = time.perf_counter() - t0
         return comp
     below = value - 1
-    cons_below = _ap_constraints(below, length)
-    climbed = _hill_climb_colouring(
-        list(range(1, below + 1)), cons_below, k, seed)
-    agree = (below < length) or (
-        climbed is not None and _colouring_is_free(climbed, cons_below))
-    witness = {
-        "n": below,
-        "colours": _witness_array(below, assign_below or {}),
-    }
+    colours = _witness_array(below, assign_below or {})
+    agree = _methods_agree(colours, _ap_constraints(below, length),
+                           list(range(1, value + 1)),
+                           _ap_constraints(value, length), k)
     comp = RamseyComputation(
         kind="vdw", k=k, params={"len": length}, value=value, n_max=n_max,
-        witness=witness, methods_agree=agree, seed=seed,
+        witness={"n": below, "colours": colours}, methods_agree=agree,
+        seed=seed,
     )
     comp.wall_time = time.perf_counter() - t0
     return comp

@@ -165,6 +165,33 @@ def test_verify_unknown_family_exit(capsys):
     assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize("bound", ["-5", "0"])
+def test_verify_rejects_bound_below_one(capsys, bound):
+    code, out, err = run(capsys, "verify", "logstar:r=1", "exptriple",
+                         "--bound", bound)
+    assert code == EXIT_PARSE and out == ""
+    assert "--bound" in err
+
+
+def test_unexpected_exception_is_not_a_counterexample(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("expramsey.cli.find_monochromatic", broken)
+    code, out, err = run(capsys, "verify", "logstar:r=1", "exptriple",
+                         "--bound", "16")
+    assert code == EXIT_EVALUATION and out == ""
+    assert err.startswith("internal error: RuntimeError: boom")
+
+
+def test_huge_bound_is_not_a_counterexample(capsys):
+    # the float integer root behind exptriple's pair list overflows here
+    code, out, _ = run(capsys, "verify", "logstar:r=1", "exptriple",
+                       "--bound", str(10**400))
+    assert code != EXIT_COUNTEREXAMPLE
+    assert code == EXIT_EVALUATION and out == ""
+
+
 def test_verify_csv_counterexample(capsys):
     code, out, _ = run(capsys, "verify", "const:k=1", "exptriple",
                        "--bound", "16", "--format", "csv")

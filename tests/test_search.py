@@ -25,7 +25,14 @@ from expramsey.search import (
     vdw_number,
     verify_certificate,
 )
-from expramsey.search import _exp_triples_upto
+from expramsey import search
+from expramsey.search import (
+    _ap_constraints,
+    _backtrack_colouring,
+    _colouring_is_free,
+    _exp_triples_upto,
+    _methods_agree,
+)
 from expramsey.tower import parse_term
 
 
@@ -232,12 +239,76 @@ def test_vdw_witness_avoids():
                             colours[a + 2 * d - 1]}) > 1
 
 
+def _avoids_progressions(colours, length):
+    n = len(colours)
+    return all(len({colours[s - 1 + i * d] for i in range(length)}) > 1
+               for d in range(1, n)
+               for s in range(1, n - (length - 1) * d + 1))
+
+
+@pytest.mark.parametrize("k, length, known", [(2, 4, 35), (3, 3, 27)])
+def test_vdw_known_values(k, length, known):
+    # W(2,4) = 35 and W(3,3) = 27 (Chvatal 1970)
+    comp = vdw_number(k, length)
+    assert comp.value == known and comp.methods_agree is True
+    colours = comp.witness["colours"]
+    assert comp.witness["n"] == known - 1 and len(colours) == known - 1
+    assert set(colours) <= set(range(1, k + 1))
+    assert _avoids_progressions(colours, length)
+
+
+def test_backtrack_orders_agree_and_colourings_are_free():
+    for n in range(3, 12):
+        values, cons = list(range(1, n + 1)), _ap_constraints(n, 3)
+        first = _backtrack_colouring(values, cons, 2)
+        second = _backtrack_colouring(values, cons, 2, alternate=True)
+        assert (first is None) == (second is None) == (n >= 9)
+        for assign in (first, second):
+            assert assign is None or _colouring_is_free(
+                [assign[v] for v in values], cons)
+
+
+def test_backtrack_depth_not_bounded_by_recursion_limit():
+    assign = _backtrack_colouring(list(range(1, 3001)), [], 2)
+    assert assign is not None and len(assign) == 3000
+
+
+def test_methods_agree_needs_both_checks():
+    cons8, cons9 = _ap_constraints(8, 3), _ap_constraints(9, 3)
+    good = vdw_number(2, 3).witness["colours"]
+    assert _methods_agree(good, cons8, list(range(1, 10)), cons9, 2)
+    assert not _methods_agree([1] * 8, cons8, list(range(1, 10)), cons9, 2)
+    # [8] is 2-colourable, so the second solve cannot refute it
+    assert not _methods_agree(good, cons8, list(range(1, 9)), cons8, 2)
+
+
+def test_methods_agree_false_when_second_solve_exhausts_budget(monkeypatch):
+    solve = search._backtrack_colouring
+
+    def starved(values, constraints, k, node_cap=20_000_000, *, alternate=False):
+        return solve(values, constraints, k, 1 if alternate else node_cap,
+                     alternate=alternate)
+
+    monkeypatch.setattr(search, "_backtrack_colouring", starved)
+    comp = vdw_number(2, 3)
+    assert comp.value == 9 and comp.methods_agree is False
+
+
 def test_exp_ramsey_one_colour():
     comp = exp_ramsey_number(1)
     assert comp.value == 4
     assert comp.methods_agree
     # below the threshold there are no triples at all
     assert _exp_triples_upto(3) == []
+
+
+def test_exp_ramsey_two_colours():
+    comp = exp_ramsey_number(2)
+    assert comp.value == 65536 and comp.methods_agree is True
+    colours = comp.witness["colours"]
+    assert comp.witness["n"] == 65535 and len(colours) == 65535
+    assert all(len({colours[a - 1], colours[b - 1], colours[p - 1]}) > 1
+               for a, b, p in _exp_triples_upto(65535))
 
 
 def test_exp_ramsey_respects_ceiling():
