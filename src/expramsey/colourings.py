@@ -111,20 +111,26 @@ class LogStarColouring(Colouring):
             return self.colour(bv.exact)
         return self._of_count(log_star(t))
 
-    def colour_power(self, a: int, b: int) -> int:
-        """Colour of a^b for plain integers a, b >= 2, avoiding term objects.
+    def level_power(self, a: int, b: int) -> int:
+        """L(a^b) for plain integers a, b >= 2, without building a^b.
 
         Uses L(a^b) = 1 + L(b * log2 a), which holds for every a^b >= 2; the
         power-of-two track is exact and the rest is certified at 16 bits with
-        a fallback to the full symbolic machinery on the rare straddle.
+        a fallback to the full symbolic machinery on the rare straddle. For
+        fixed b it is non-decreasing in a, and for fixed a in b.
         """
         if a & (a - 1) == 0:
-            return self._of_count(1 + log_star_int((a.bit_length() - 1) * b))
+            return 1 + log_star_int((a.bit_length() - 1) * b)
         lo, hi = log2_scaled_bounds(a, 16)
         j = log_star_scaled(lo * b, hi * b, 16)
         if j is not None:
-            return self._of_count(1 + j)
-        return self._of_count(log_star(power(a, b)))
+            return 1 + j
+        return log_star(power(a, b))
+
+    def colour_power(self, a: int, b: int) -> int:
+        """Colour of a^b for plain integers a, b >= 2: the colour of the
+        level ``level_power(a, b)``, with no term objects."""
+        return self._of_count(self.level_power(a, b))
 
     @property
     def spec(self) -> str:

@@ -185,11 +185,11 @@ def test_unexpected_exception_is_not_a_counterexample(capsys, monkeypatch):
 
 
 def test_huge_bound_is_not_a_counterexample(capsys):
-    # the float integer root behind exptriple's pair list overflows here
+    # about 10^200 power pairs: the cap refuses them before any list is built
     code, out, _ = run(capsys, "verify", "logstar:r=1", "exptriple",
                        "--bound", str(10**400))
     assert code != EXIT_COUNTEREXAMPLE
-    assert code == EXIT_EVALUATION and out == ""
+    assert code == EXIT_BUDGET and out == ""
 
 
 def test_verify_csv_counterexample(capsys):

@@ -5,6 +5,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expramsey.colourings import (
     ConstColouring,
@@ -33,7 +35,7 @@ from expramsey.search import (
     _exp_triples_upto,
     _methods_agree,
 )
-from expramsey.tower import parse_term
+from expramsey.tower import compare_iter_log, eval_exact, parse_term
 
 
 # ---------------------------------------------------------------------------
@@ -79,18 +81,50 @@ def test_logcond_family_defaults_r():
     assert all(p <= 100 for _, p in gens)
 
 
+SMALL_FAMILIES = [
+    ("exptriple", 50), ("exptriple:strict=1", 50), ("exptriple-logcond:r=1", 300),
+    ("exptriple-logcond:r=2", 2**12), ("expquad", 9), ("schur", 11),
+    ("schurplusexp", 12), ("schurplusexp", 50), ("shape:m=2,edges=1-2", 5),
+    ("fep:m=2,w=1", 5), ("diffpair:seq=5^n,nmax=2", 40),
+    ("diffpair:seq=n*2^n,nmax=5", 200), ("grid:len=3", 12), ("grid:len=1", 9),
+]
+
+
 def test_counts_match_enumeration_everywhere():
-    specs = [("exptriple", 50), ("exptriple:strict=1", 50), ("expquad", 9),
-             ("schur", 11), ("schurplusexp", 12), ("shape:m=2,edges=1-2", 5),
-             ("fep:m=2,w=1", 5), ("diffpair:seq=5^n,nmax=2", 40),
-             ("grid:len=3", 12)]
-    for spec, bound in specs:
+    for spec, bound in SMALL_FAMILIES:
         fam = parse_family(spec, bound)
         insts = list(fam.instances())
         assert fam.count() == len(insts), spec
-        # nth agrees with the walk where random access is defined
-        for i in (0, len(insts) // 2, len(insts) - 1):
-            assert fam.nth(i).generators == insts[i].generators, (spec, i)
+        # nth is random access in enumeration order, at every index
+        for i, inst in enumerate(insts):
+            assert fam.nth(i) == inst, (spec, bound, i)
+        for i in (-1, len(insts)):
+            with pytest.raises(IndexError):
+                fam.nth(i)
+
+
+def test_schurplusexp_order_is_max_element_then_sum_triple():
+    fam = parse_family("schurplusexp", 12)
+    gens = [i.generators for i in fam.instances()]
+    # max element 4 comes first: the sum triples with sum below 4, each
+    # joined with 2^2 = 4, then those with sum 4 joined with every power <= 4
+    assert gens[:4] == [(1, 1, 2, 2), (1, 2, 2, 2), (2, 2, 2, 2),
+                        (1, 3, 2, 2)]
+    m = [max(v for v in i.values) for i in fam.instances()]
+    assert m == sorted(m)
+    for si in range(fam.schur.count()):
+        for ei in range(fam.exp.count()):
+            idx = fam.index(si, ei)
+            assert gens[idx] == fam.schur.nth(si).generators + fam.exp.nth(ei).generators
+
+
+def test_logcond_cutoff_matches_filtering_every_pair():
+    for r in (0, 1, 2, 3):
+        for bound in (16, 1000, 2**16):
+            fam = parse_family(f"exptriple-logcond:r={r}", bound)
+            want = [t for t in search._exp_pairs(bound)
+                    if compare_iter_log(t[1], r, t[2])]
+            assert fam._pairs == want, (r, bound)
 
 
 def test_family_descriptor_round_trip():
@@ -102,6 +136,36 @@ def test_family_descriptor_round_trip():
         assert clone.descriptor() == fam.descriptor()
         assert [i.generators for i in clone.instances()] == \
                [i.generators for i in fam.instances()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**4096),
+       st.integers(min_value=1, max_value=5000))
+def test_iroot_is_exact(n, k):
+    r = search._iroot(n, k)
+    assert r**k <= n < (r + 1) ** k
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["exptriple", "exptriple:strict=1", "exptriple-logcond:r=1",
+                        "exptriple-logcond:r=2", "expquad", "schur", "schurplusexp",
+                        "diffpair:seq=3^n,nmax=4", "diffpair:seq=n*2^n,nmax=4",
+                        "grid:len=1", "grid:len=2", "grid:len=4"]),
+       st.integers(min_value=1, max_value=70))
+def test_nth_is_the_enumeration_order(spec, bound):
+    fam = parse_family(spec, bound)
+    insts = list(fam.instances())
+    assert fam.count() == len(insts)
+    assert [fam.nth(i) for i in range(len(insts))] == insts
+
+
+def test_cap_refuses_power_pair_lists_before_building_them():
+    for spec in ("exptriple", "exptriple-logcond:r=1", "schurplusexp"):
+        with pytest.raises(BudgetExceeded):
+            parse_family(spec, 10**400)
+        with pytest.raises(BudgetExceeded):
+            parse_family(spec, 10**8, cap=100)
+    assert parse_family("exptriple", 10**8, cap=10**5).count() > 10**4
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +235,105 @@ def test_threads_do_not_change_the_certificate():
     a = find_monochromatic("const:k=2", "schur", 50, threads=1)
     b = find_monochromatic("const:k=2", "schur", 50, threads=2)
     assert a.to_json() == b.to_json()
+
+
+def _reference_certificate(colouring, family):
+    """The plain walk: _instance_colour over instances(), in order."""
+    checked, result = family.count(), {"type": "AvoidanceVerified"}
+    for i, inst in enumerate(family.instances()):
+        c = search._instance_colour(colouring, inst)
+        if c is not None:
+            checked = i + 1
+            result = {"type": "Counterexample", "witness": inst.witness_json(c)}
+            break
+    return Certificate(family=family.descriptor(), colouring=colouring.spec,
+                       bound=family.bound, instances_checked=checked,
+                       result=result, seed=0)
+
+
+def _assert_scans_match_reference(colouring, family):
+    want = _reference_certificate(colouring, family).to_json()
+    for threads in (1, 2):
+        got = find_monochromatic(colouring, family, threads=threads)
+        assert got.to_json() == want, (family.spec, colouring.spec, threads)
+
+
+@pytest.mark.parametrize("spec, bound", [
+    ("exptriple", 300), ("exptriple-logcond:r=1", 300), ("schur", 40),
+    ("diffpair:seq=3^n,nmax=4", 60), ("grid:len=2", 40),
+])
+def test_scan_matches_plain_walk_under_random_tables(spec, bound):
+    rng = random.Random(spec)
+    outcomes = set()
+    for k in (2, 3, 4):
+        for _ in range(2):
+            f = TableColouring([rng.randint(1, k) for _ in range(bound)], k=k)
+            fam = parse_family(spec, bound)
+            _assert_scans_match_reference(f, fam)
+            outcomes.add(find_monochromatic(f, fam).result["type"])
+    assert "Counterexample" in outcomes
+
+
+class _LevelTableColouring(LogStarColouring):
+    """A log-star colouring whose colour is an arbitrary function of the
+    level L(x), coarser than L mod (r+2), so that the run scan meets
+    counterexamples inside runs that start and end within one b."""
+
+    def __init__(self, colours):
+        super().__init__(1)
+        self.colours = colours
+        self.k = max(colours)
+
+    def _of_count(self, L):
+        return self.colours[min(L, len(self.colours) - 1)]
+
+
+class _BitLengthColouring(LogStarColouring):
+    """Colours by another monotone level than L, the bit length divided by
+    ``width``, through a periodic map. One row of the run scan then spans
+    many levels, and the colour is not monotone along it."""
+
+    def __init__(self, colours, width):
+        super().__init__(1)
+        self.colours = colours
+        self.width = width
+        self.k = max(colours)
+
+    def _of_count(self, L):
+        return self.colours[L % len(self.colours)]
+
+    def colour(self, x):
+        v = x if isinstance(x, int) else eval_exact(x, cutoff=1 << 4096).exact
+        return self._of_count(v.bit_length() // self.width)
+
+    def level_power(self, a, b):
+        return (a**b).bit_length() // self.width
+
+
+def test_expquad_run_scan_matches_plain_walk():
+    fam = parse_family("expquad", 40)
+    for r in (1, 2, 3):
+        _assert_scans_match_reference(LogStarColouring(r), fam)
+    firsts = set()
+    # every two-colour map of the levels 0..6; the levels here reach 5
+    for colours in itertools.product((1, 2), repeat=7):
+        f = _LevelTableColouring(list(colours))
+        _assert_scans_match_reference(f, fam)
+        cert = find_monochromatic(f, fam)
+        if not cert.verified:
+            a, b = cert.result["witness"]["generators"]
+            firsts.add((a == 2, a == b))
+    # witnesses at the start of a row, at its end and strictly inside
+    assert {(True, False), (False, True), (False, False)} <= firsts
+    # bisecting the colour in place of the level merges two runs of one
+    # colour across the levels of another colour between them; at width 3
+    # the first two maps are cases where that changes the result
+    rng = random.Random(11)
+    maps = [[2, 1, 1], [1, 2, 2, 1, 2]] + [
+        [rng.randint(1, 2) for _ in range(rng.randint(2, 5))] for _ in range(6)]
+    for width in (1, 2, 3, 4):
+        for colours in maps:
+            _assert_scans_match_reference(_BitLengthColouring(colours, width), fam)
 
 
 def test_budget_exhaustion_raises():
