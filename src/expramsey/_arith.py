@@ -1,15 +1,17 @@
-"""Budgeted integer factorization and small multiplicative helpers.
+"""Exact integer roots, the maximal-root exponent, and budgeted factorization.
 
-Trial division handles prime factors up to 10**6; whatever remains is split
-by Brent's cycle-finding variant of Pollard's rho. The rho budget counts
-iterations across the whole factorization and exhausting it raises
-FactorizationBudgetExceeded rather than returning a wrong or partial answer.
+l(n) = max{b : n = a^b} comes from exact k-th roots for prime k (Bernstein,
+"Detecting perfect powers in essentially linear time", Math. Comp. 1998).
+Factorization serves only ``totient`` (for ``eval_mod``) and the reference
+``gcd_of_exponents``: trial division up to 10**6, then Brent's variant of
+Pollard's rho under an iteration budget whose exhaustion raises
+FactorizationBudgetExceeded rather than returning a partial answer.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import FactorizationBudgetExceeded
 
@@ -21,30 +23,62 @@ DEFAULT_RHO_BUDGET = 2_000_000
 # probabilistic one, which is adequate for desk-scale cofactors
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_SIEVE_LIMIT = TRIAL_LIMIT
-_spf: list = []
+
+def iroot(n: int, k: int) -> int:
+    """Largest r with r**k <= n, in exact integer arithmetic."""
+    if n < 1:
+        return 0
+    if k == 2:
+        return isqrt(n)
+    # Newton's iteration from above: r**k > n for the start value, and the
+    # integer step decreases strictly until it reaches the floor root
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
-def _sieve() -> list:
-    """Smallest-prime-factor table up to TRIAL_LIMIT, built lazily once."""
-    global _spf
-    if not _spf:
-        n = _SIEVE_LIMIT + 1
-        spf = list(range(n))
-        for p in range(2, int(n**0.5) + 1):
-            if spf[p] == p:
-                step = p
-                for q in range(p * p, n, step):
-                    if spf[q] == q:
-                        spf[q] = p
-        _spf = spf
-    return _spf
+@lru_cache(maxsize=256)
+def _root_tests(n: int) -> tuple:
+    """(k, q, (q - 1) // k) for each prime k < n, q the least prime = 1 mod k."""
+    out = []
+    for k in range(2, n):
+        if is_probable_prime(k):
+            q = k + 1
+            while not is_probable_prime(q):
+                q += k
+            out.append((k, q, (q - 1) // k))
+    return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def small_primes() -> tuple:
-    spf = _sieve()
-    return tuple(p for p in range(2, _SIEVE_LIMIT + 1) if spf[p] == p)
+def root_exponent(n: int) -> int:
+    """l(n) = max{b : n = a^b} for n >= 1; l(1) = 0.
+
+    n = r**k gives l(n) = k * l(r), and a perfect power n > 1 is an exact
+    k-th power for some prime k with 2**k <= n, so testing the primes below
+    the bit length, from the smallest, finds every step. A root r of n that
+    failed a smaller prime fails it too, so the test resumes at k. For a
+    prime q = 1 mod k, n = r**k forces n**((q-1)/k) = 0 or 1 mod q (Fermat),
+    which rules out most k before any root is taken.
+    """
+    if n < 1:
+        raise ValueError("l is defined for positive integers")
+    if n == 1:
+        return 0
+    out, i = 1, 0
+    tests = _root_tests(n.bit_length())
+    while i < len(tests):
+        k, q, e = tests[i]
+        if pow(n, e, q) <= 1:
+            r = iroot(n, k)
+            if r**k == n:
+                n, out = r, out * k
+                tests = _root_tests(n.bit_length())
+                continue
+        i += 1
+    return out
 
 
 def is_probable_prime(n: int) -> bool:
@@ -121,16 +155,6 @@ def factorint(n: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> dict:
         raise ValueError("factorint is defined for positive integers")
     out: dict = {}
     if n == 1:
-        return out
-    if n <= _SIEVE_LIMIT:
-        spf = _sieve()
-        while n > 1:
-            p = spf[n]
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out[p] = e
         return out
     for p in (2, 3, 5):
         if n % p == 0:

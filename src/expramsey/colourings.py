@@ -634,30 +634,6 @@ class ProductColouring(Colouring):
 # ---------------------------------------------------------------------------
 # spec-op factories and the mini-language
 
-def logstar_colouring(r: int) -> LogStarColouring:
-    return LogStarColouring(r)
-
-
-def schur_exp_colouring() -> SchurExpColouring:
-    return SchurExpColouring()
-
-
-def lacunary_colouring(seq, n_max: int) -> LacunaryColouring:
-    return LacunaryColouring(seq, n_max)
-
-
-def pow2_abb_colouring(seq_range: int = 10) -> Pow2AbbColouring:
-    return Pow2AbbColouring(seq_range)
-
-
-def abbb_colouring(seq_range: int = 8) -> AbbbColouring:
-    return AbbbColouring(seq_range)
-
-
-def table_colouring(assignments, k: Optional[int] = None) -> TableColouring:
-    return TableColouring(assignments, k=k)
-
-
 def product_colouring(parts: Sequence[Colouring]) -> Colouring:
     parts = list(parts)
     if len(parts) == 1:

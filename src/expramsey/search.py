@@ -24,6 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+from ._arith import iroot
 from .colourings import (
     Colouring,
     DifferenceSequence,
@@ -38,6 +39,7 @@ from .tower import (
     as_term,
     compare_iter_log,
     dedup_key,
+    equal_value,
     eval_exact,
     parse_term,
     power,
@@ -84,24 +86,6 @@ class Instance:
             ],
             "colour": colour,
         }
-
-
-def _iroot(n: int, k: int) -> int:
-    """Largest r with r**k <= n, in exact integer arithmetic."""
-    if n < 1:
-        return 0
-    if k == 1:
-        return n
-    if k == 2:
-        return math.isqrt(n)
-    # Newton's iteration from above: r**k > n for the start value, and the
-    # integer step decreases strictly until it reaches the floor root
-    r = 1 << -(-n.bit_length() // k)
-    while True:
-        s = ((k - 1) * r + n // r ** (k - 1)) // k
-        if s >= r:
-            return r
-        r = s
 
 
 def _first_above(cum: Callable[[int], int], i: int, lo: int, hi: int) -> int:
@@ -182,7 +166,7 @@ def _exp_pairs(bound: int, *, cap: Optional[int] = None,
     tops = []
     total = 0
     for b in range(2, bound.bit_length()):
-        top = _iroot(bound, b)
+        top = iroot(bound, b)
         if last_a is not None:
             top = last_a(b, top)
         tops.append((b, top))
@@ -726,12 +710,23 @@ def _parse_shape_edges(raw: str, m: int, bound: int, cap: int, spec: str) -> Sha
 
 
 def family_from_descriptor(desc: dict, *, cap: int = 10**6) -> InstanceFamily:
+    """The family a certificate's descriptor names; a missing key or a
+    value of the wrong type raises ParseError."""
+    if not isinstance(desc, dict):
+        raise ParseError(f"family descriptor must be an object, not {desc!r}")
+
+    def need(key: str, typ: type = int, default=None):
+        val = desc.get(key, default)
+        if not isinstance(val, typ) or (typ is int and isinstance(val, bool)):
+            raise ParseError(f"family descriptor {desc!r} needs {typ.__name__} {key}")
+        return val
+
     kind = desc.get("kind")
-    bound = desc.get("bound")
+    bound = need("bound")
     if kind == "exptriple":
-        return ExpTripleFamily(bound, strict=bool(desc.get("strict", False)), cap=cap)
+        return ExpTripleFamily(bound, strict=need("strict", bool, False), cap=cap)
     if kind == "exptriple-logcond":
-        return ExpTripleLogCondFamily(bound, r=desc.get("r", 1), cap=cap)
+        return ExpTripleLogCondFamily(bound, r=need("r", int, 1), cap=cap)
     if kind == "expquad":
         return ExpQuadrupleFamily(bound)
     if kind == "schur":
@@ -739,14 +734,22 @@ def family_from_descriptor(desc: dict, *, cap: int = 10**6) -> InstanceFamily:
     if kind == "schurplusexp":
         return SchurPlusExpFamily(bound, cap=cap)
     if kind == "shape":
-        rel = ShapeRelation(desc["m"], tuple(tuple(e) for e in desc["edges"]))
+        edges = need("edges", list)
+        if not all(isinstance(e, list) and len(e) == 2
+                   and all(type(v) is int for v in e) for e in edges):
+            raise ParseError(f"bad edges in family descriptor {desc!r}")
+        rel = ShapeRelation(need("m"), tuple(tuple(e) for e in edges))
         return ShapeFamily(rel, bound, cap=cap)
     if kind == "fep":
-        return FepFamily(WeightFn.from_json(desc["weight"]), desc["m"], bound, cap=cap)
+        try:
+            weight = WeightFn.from_json(need("weight", dict))
+        except (AttributeError, KeyError, TypeError, ValueError):
+            raise ParseError(f"bad weight in family descriptor {desc!r}") from None
+        return FepFamily(weight, need("m"), bound, cap=cap)
     if kind == "diffpair":
-        return DifferencePairFamily(desc["seq"], desc["nmax"], bound)
+        return DifferencePairFamily(need("seq", str), need("nmax"), bound)
     if kind == "grid":
-        return GridFamily(desc["len"], bound)
+        return GridFamily(need("len"), bound)
     raise ParseError(f"unknown family descriptor {desc!r}")
 
 
@@ -1008,9 +1011,10 @@ def find_monochromatic(colouring: Union[Colouring, str],
 
 def verify_certificate(cert: Certificate, *, sample_rate: float = 0.01,
                        sample_cap: int = 10000) -> bool:
-    """Re-evaluate a certificate: witnesses are recoloured directly;
-    avoidance claims are re-checked on a seeded random sample of indices,
-    each instance found through ``nth``."""
+    """Re-evaluate a certificate. A witness must be the instance at index
+    ``instances_checked - 1``, rebuilt through ``nth``, and that instance is
+    recoloured; avoidance claims are re-checked on a seeded random sample of
+    indices, each instance found through ``nth``."""
     try:
         colouring = parse_colouring(cert.colouring)
         family = family_from_descriptor(cert.family)
@@ -1018,19 +1022,25 @@ def verify_certificate(cert: Certificate, *, sample_rate: float = 0.01,
         return False
     result = cert.result
     if result.get("type") == "Counterexample":
-        wit = result.get("witness", {})
-        claimed = wit.get("colour")
-        elements = wit.get("elements", [])
-        if not elements:
+        i = cert.instances_checked
+        wit = result.get("witness")
+        if (type(i) is not int or not 1 <= i <= family.count()
+                or not isinstance(wit, dict)):
+            return False
+        inst = family.nth(i - 1)
+        elements = wit.get("elements")
+        if (wit.get("generators") != list(inst.generators)
+                or not isinstance(elements, list)
+                or len(elements) != len(inst.values)):
             return False
         try:
-            for el in elements:
-                v = parse_term(el["value"])
-                if colouring(v) != claimed:
+            for el, role, v in zip(elements, inst.roles, inst.values):
+                if el.get("role") != role or not equal_value(parse_term(el["value"]), v):
                     return False
+            c = _instance_colour(colouring, inst)
         except Exception:
             return False
-        return True
+        return c is not None and c == wit.get("colour")
     if result.get("type") == "AvoidanceVerified":
         total = family.count()
         if cert.instances_checked != total:

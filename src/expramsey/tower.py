@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from math import gcd
 from typing import Optional, Tuple, Union
 
-from ._arith import factorint, gcd_of_exponents, nu, totient
+# factorint is not called here; bench/spans.py traces it through this binding
+from ._arith import factorint, nu, root_exponent, totient  # noqa: F401
 from ._intlog import (
     PREC_SCHEDULE,
     _log2_interval_step,
@@ -506,33 +506,29 @@ def log_star(t: ExpTerm) -> int:
 # ---------------------------------------------------------------------------
 # maximal-root exponent l
 
-def _factored_exponent_gcd(t: ExpTerm) -> int:
-    """gcd of prime exponents of a product of literal factors."""
-    exps: dict = {}
+def _literal_product(t: Product) -> int:
+    """The value of a product whose factors are all literals."""
+    out = 1
     for f in t.factors:
         if not isinstance(f, Literal):
             raise UnsupportedShape(
                 "maximal-root exponent of a huge product needs literal factors"
             )
-        for p, e in factorint(f.value).items():
-            exps[p] = exps.get(p, 0) + e
-    g = 0
-    for e in exps.values():
-        g = gcd(g, e)
-    return g
+        out *= f.value
+    return out
 
 
 def max_root_exponent(t: ExpTerm) -> int:
-    """l(t) = max{b : value = a^b} = gcd of prime-factorization exponents.
+    """l(t) = max{b : value = a^b}, computed from exact integer roots.
 
-    l(1) = 0 by convention. Huge powers use l(a^b) = l(a)*b, which needs the
-    exponent exactly; huge products are combined factorwise when every factor
-    is a literal.
+    l(1) = 0 by convention. Exact values and huge products of literals go
+    through :func:`root_exponent` on the integer; huge powers use
+    l(a^b) = l(a)*b, which needs the exponent exactly.
     """
     t = as_term(t)
     bv = eval_exact(t)
     if bv.is_exact:
-        return gcd_of_exponents(bv.exact)
+        return root_exponent(bv.exact)
     if isinstance(t, Power):
         la = max_root_exponent(t.base)
         if la == 0:
@@ -544,7 +540,7 @@ def max_root_exponent(t: ExpTerm) -> int:
             )
         return la * ev.exact
     if isinstance(t, Product):
-        return _factored_exponent_gcd(t)
+        return root_exponent(_literal_product(t))
     raise UnsupportedShape("huge literal exceeded the evaluation cutoff")
 
 
@@ -555,12 +551,12 @@ def max_root_exponent_mod(t: ExpTerm, n: int) -> int:
     t = as_term(t)
     bv = eval_exact(t)
     if bv.is_exact:
-        return gcd_of_exponents(bv.exact) % n
+        return root_exponent(bv.exact) % n
     if isinstance(t, Power):
         la = max_root_exponent_mod(t.base, n)
         return la * eval_mod(t.exponent, n) % n
     if isinstance(t, Product):
-        return _factored_exponent_gcd(t) % n
+        return root_exponent(_literal_product(t)) % n
     raise UnsupportedShape("huge literal exceeded the evaluation cutoff")
 
 

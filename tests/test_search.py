@@ -14,7 +14,7 @@ from expramsey.colourings import (
     TableColouring,
     parse_colouring,
 )
-from expramsey.errors import BudgetExceeded, ParseError
+from expramsey.errors import BudgetExceeded, ExpRamseyError, ParseError
 from expramsey.search import (
     Certificate,
     export_dimacs,
@@ -28,6 +28,7 @@ from expramsey.search import (
     verify_certificate,
 )
 from expramsey import search
+from expramsey._arith import iroot
 from expramsey.search import (
     _ap_constraints,
     _backtrack_colouring,
@@ -142,7 +143,7 @@ def test_family_descriptor_round_trip():
 @given(st.integers(min_value=0, max_value=2**4096),
        st.integers(min_value=1, max_value=5000))
 def test_iroot_is_exact(n, k):
-    r = search._iroot(n, k)
+    r = iroot(n, k)
     assert r**k <= n < (r + 1) ** k
 
 
@@ -379,6 +380,80 @@ def test_verify_recolours_witness_elements():
     cert = find_monochromatic("const:k=1", "exptriple", 16)
     cert.colouring = "logstar:r=1"
     assert not verify_certificate(cert)
+
+
+def test_verify_rejects_forged_counterexample():
+    cert = find_monochromatic("logstar:r=1", "exptriple", 10**5)
+    assert not cert.verified and verify_certificate(cert)
+    forged = Certificate.from_json_obj(json.loads(cert.to_json()))
+    forged.result["witness"] = {
+        "generators": [9, 9],
+        "elements": [{"role": "a", "value": "17"}, {"role": "b", "value": "17"}],
+        "colour": 1,
+    }
+    forged.instances_checked = 1
+    assert not verify_certificate(forged)
+    # the true elements under other generators or roles
+    for key, val in (("generators", [2, 17]), ("elements", [
+            {"role": "b", "value": "17"}, {"role": "a", "value": "2"},
+            {"role": "a^b", "value": "289"}])):
+        forged = Certificate.from_json_obj(json.loads(cert.to_json()))
+        forged.result["witness"][key] = val
+        assert not verify_certificate(forged), key
+    # the true witness at a wrong index, and an index out of range
+    for checked in (cert.instances_checked - 1, cert.instances_checked + 1, 0,
+                    parse_family("exptriple", 10**5).count() + 1):
+        moved = Certificate.from_json_obj(json.loads(cert.to_json()))
+        moved.instances_checked = checked
+        assert not verify_certificate(moved), checked
+
+
+def _counterexamples():
+    """Counterexample certificates over every family kind and colouring."""
+    specs = [("exptriple", 300), ("exptriple:strict=1", 300),
+             ("exptriple-logcond:r=1", 300), ("expquad", 12), ("schur", 40),
+             ("schurplusexp", 30), ("diffpair:seq=3^n,nmax=4", 60),
+             ("grid:len=2", 40), ("shape:m=2,edges=1-2", 6), ("fep:m=2,w=1", 5)]
+    colourings = ["const:k=1", "logstar:r=1", "logstar:r=2", "schurexp",
+                  "lacunary:seq=n*2^n,nmax=8", "pow2abb:nmax=6", "abbb:nmax=6",
+                  "product:logstar:r=1+const:k=2"]
+    for spec, bound in specs:
+        for col in colourings:
+            try:
+                cert = find_monochromatic(col, spec, bound)
+            except ExpRamseyError:
+                continue
+            if not cert.verified:
+                yield cert
+
+
+def test_every_counterexample_verifies():
+    certs = list(_counterexamples())
+    kinds = {c.family["kind"] for c in certs}
+    assert len(kinds) == 9, kinds
+    assert any(c.instances_checked > 1 for c in certs)
+    for cert in certs:
+        clone = Certificate.from_json_obj(json.loads(cert.to_json()))
+        assert verify_certificate(clone), cert.to_json()
+        if cert.instances_checked > 1:
+            clone.instances_checked -= 1
+            assert not verify_certificate(clone), cert.to_json()
+
+
+@pytest.mark.parametrize("desc", [
+    {"kind": "shape", "bound": 5},
+    {"kind": "exptriple"},
+    {"kind": "grid", "bound": 10},
+    {"kind": "diffpair", "bound": 10, "seq": "n*2^n"},
+    {"kind": "fep", "bound": 5, "m": 2, "weight": "x"},
+    {"kind": "expquad", "bound": "7"},
+])
+def test_verify_rejects_malformed_descriptors(desc):
+    cert = find_monochromatic("const:k=1", "exptriple", 16)
+    cert.family = desc
+    with pytest.raises(ParseError):
+        family_from_descriptor(desc)
+    assert verify_certificate(cert) is False
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from expramsey._arith import factorint, gcd_of_exponents
+from expramsey import _arith, tower
+from expramsey._arith import factorint, gcd_of_exponents, root_exponent
 from expramsey._intlog import TOWERS, iter_log_le, log2_scaled_bounds, log_star_int
 from expramsey.errors import (
     FactorizationBudgetExceeded,
@@ -217,7 +220,8 @@ def test_log_star_shift_law_symbolic():
 # max root exponent l(x) and valuations
 
 def test_max_root_exponent_values():
-    cases = {1: 0, 2: 1, 4: 2, 8: 3, 36: 2, 64: 6, 72: 1, 65536: 16}
+    cases = {1: 0, 2: 1, 4: 2, 8: 3, 36: 2, 64: 6, 72: 1, 65536: 16,
+             2**64 - 59: 1, (2**32 - 5) ** 2: 2}
     for x, l in cases.items():
         assert max_root_exponent(literal(x)) == l, x
 
@@ -235,6 +239,48 @@ def test_max_root_exponent_mod_agrees():
         y = rng.randint(1, 30)
         t = power(x, y) if x > 1 else literal(1)
         assert max_root_exponent_mod(t, 4) == max_root_exponent(t) % 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=2, max_value=2**64))
+def test_root_exponent_matches_factorization(n):
+    assert root_exponent(n) == gcd_of_exponents(n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=2, max_value=2**40),
+       st.integers(min_value=2, max_value=64))
+def test_root_exponent_of_constructed_powers(r, k):
+    assert root_exponent(r**k) == k * gcd_of_exponents(r)
+
+
+def test_max_root_exponent_of_huge_literal_products():
+    t = Product((Literal(3**80), Literal(3**40)))
+    assert eval_exact(t).is_huge
+    assert max_root_exponent(t) == 120
+    assert max_root_exponent_mod(t, 7) == 120 % 7
+    assert max_root_exponent(Product((Literal(2**70), Literal(3)))) == 1
+
+
+def test_max_root_exponent_never_factorizes(monkeypatch):
+    rng = random.Random(23)
+    ints = [1, 2, 2**64, 2**64 - 59, (2**32 - 5) ** 2, 3**40, 6**24]
+    ints += [rng.randint(2, 2**64) for _ in range(40)]
+    pows = [(rng.randint(2, 10**6), rng.randint(2, 40)) for _ in range(200)]
+    want_ints = [gcd_of_exponents(x) if x > 1 else 0 for x in ints]
+    want_pows = [gcd_of_exponents(x) * y for x, y in pows]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("l must not factorize")
+
+    monkeypatch.setattr(_arith, "factorint", refuse)
+    monkeypatch.setattr(tower, "factorint", refuse)
+    for x, lx in zip(ints, want_ints):
+        assert max_root_exponent(literal(x)) == lx, x
+        assert max_root_exponent_mod(literal(x), 4) == lx % 4, x
+    for (x, y), lx in zip(pows, want_pows):
+        assert max_root_exponent(power(x, y)) == lx, (x, y)
+        assert max_root_exponent_mod(power(x, y), 4) == lx % 4, (x, y)
 
 
 def test_nu_p_values():
