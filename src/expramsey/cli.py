@@ -28,11 +28,13 @@ from .errors import (
     SequenceNotSufficientlyLacunary,
 )
 from .patterns import (
+    ShapeRelation,
     WeightFn,
     fep,
     finite_exponentials,
     finite_products,
     finite_sums,
+    parse_edges,
     shape_pattern,
     weighted_products,
 )
@@ -71,22 +73,6 @@ def _csv_rows(rows: List[List[str]]) -> str:
     return buf.getvalue()
 
 
-def _parse_edges(text: str) -> List[tuple]:
-    edges = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        bits = part.split("-")
-        if len(bits) != 2:
-            raise ParseError(f"bad edge {part!r}; expected i-j")
-        try:
-            edges.append((int(bits[0]), int(bits[1])))
-        except ValueError:
-            raise ParseError(f"bad edge {part!r}; expected i-j") from None
-    return edges
-
-
 def _weight_from_args(args) -> WeightFn:
     if getattr(args, "weights", None):
         try:
@@ -121,12 +107,8 @@ def cmd_gen(args) -> int:
     elif kind == "fep":
         ps = fep(_weight_from_args(args), gens, cap=args.cap)
     elif kind == "shape":
-        from .patterns import ShapeRelation
-
-        try:
-            rel = ShapeRelation(len(gens), tuple(_parse_edges(args.edges or "")))
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
+        # an edge outside [m]x[m] raises ValueError: a parse error in main
+        rel = ShapeRelation(len(gens), tuple(parse_edges(args.edges, ",")))
         ps = shape_pattern(rel, gens)
     else:
         raise ParseError(f"unknown pattern kind {args.pattern!r}")

@@ -20,6 +20,7 @@ from .errors import (
     ArityMismatch,
     BudgetExceeded,
     ExactnessRequired,
+    ParseError,
     SymbolicUnsupported,
     WeightUndefined,
 )
@@ -328,10 +329,23 @@ class ShapeRelation:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("relation needs m >= 1")
-        object.__setattr__(self, "edges", frozenset(self.edges))
+        # sorted, so the iteration order descriptors record is the set's own
+        object.__setattr__(self, "edges", frozenset(sorted(self.edges)))
         for (i, j) in self.edges:
             if not (1 <= i <= self.m and 1 <= j <= self.m):
                 raise ValueError(f"edge ({i},{j}) outside [{self.m}]x[{self.m}]")
+
+
+def parse_edges(text: str, sep: str) -> List[Tuple[int, int]]:
+    """Edges written ``i-j`` and joined by ``sep``; empty parts are skipped."""
+    edges = []
+    for part in filter(None, map(str.strip, text.split(sep))):
+        try:
+            i, j = map(int, part.split("-"))
+        except ValueError:
+            raise ParseError(f"bad edge {part!r}; expected i-j") from None
+        edges.append((i, j))
+    return edges
 
 
 def shape_pattern(R: ShapeRelation, xs) -> PatternSet:

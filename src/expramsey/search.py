@@ -22,18 +22,14 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 from ._arith import iroot
-from .colourings import (
-    Colouring,
-    DifferenceSequence,
-    LogStarColouring,
-    parse_colouring,
-    parse_seq,
-)
-from .errors import BudgetExceeded, ParseError
-from .patterns import ShapeRelation, WeightFn, fep, shape_pattern
+from .colourings import Colouring, LogStarColouring, parse_colouring, parse_seq
+from .errors import BudgetError, BudgetExceeded, ParseError
+from .patterns import ShapeRelation, WeightFn, fep, parse_edges, shape_pattern
 from .tower import (
     ExpTerm,
     as_term,
@@ -102,6 +98,50 @@ def _first_above(cum: Callable[[int], int], i: int, lo: int, hi: int) -> int:
 Row = Tuple[Tuple[Value, ...], Tuple[int, ...]]
 
 
+class ParamType(NamedTuple):
+    """How a family parameter is checked in a descriptor, read from spec
+    text (a ValueError marks bad text) and written back to spec text."""
+
+    name: str
+    check: Callable[[object], bool]
+    parse: Callable[[str], object]
+    text: Callable[[object], str]
+
+
+def _weight_from_text(text: str) -> dict:
+    if text == "table":
+        raise ParseError("inline weight tables are not supported here")
+    return {"const": int(text)}
+
+
+INT = ParamType("integer", lambda v: type(v) is int, int, str)
+BOOL = ParamType("boolean", lambda v: type(v) is bool,
+                 lambda t: bool(int(t)), lambda v: str(int(v)))
+STR = ParamType("string", lambda v: type(v) is str, str, str)
+# shape edges [[i, j], ...], ';'-joined in spec text since ',' separates keys
+EDGES = ParamType(
+    "edge list",
+    lambda v: type(v) is list and all(
+        type(e) is list and list(map(type, e)) == [int, int] for e in v),
+    lambda t: [list(e) for e in parse_edges(t, ";")],
+    lambda v: ";".join(f"{i}-{j}" for i, j in v),
+)
+# spec text names a constant weight; a table comes only from a descriptor
+WEIGHT = ParamType("weight object", lambda v: type(v) is dict, _weight_from_text,
+                   lambda v: str(v["const"]) if "const" in v else "table")
+
+
+class Param(NamedTuple):
+    """A family parameter besides the bound: its descriptor key, its type
+    and the value spec text that leaves it out gets (None: the key is
+    required). ``spec_key`` names it in spec text when that differs."""
+
+    key: str
+    type: ParamType
+    default: object = None
+    spec_key: Optional[str] = None
+
+
 class InstanceFamily:
     """A bounded family of instances in a fixed enumeration order.
 
@@ -110,11 +150,18 @@ class InstanceFamily:
     cumulative count, and may override ``rows()`` with a cheaper walk in
     the same order. ``instances()`` and ``nth`` add the role labels; scans
     read rows and build an Instance only for a witness.
+
+    ``params`` declares the parameters besides the bound, in constructor
+    order; each is kept as the attribute of its descriptor key, from which
+    ``descriptor()`` and ``spec`` are written. ``capped`` families take the
+    element cap as the keyword ``cap``.
     """
 
     kind: str
     bound: int
     roles: Tuple[str, ...]
+    params: Tuple[Param, ...] = ()
+    capped = False
 
     def count(self) -> int:
         raise NotImplementedError
@@ -145,11 +192,18 @@ class InstanceFamily:
         return self._instance(*self._row(i))
 
     def descriptor(self) -> dict:
-        raise NotImplementedError
+        desc = {"kind": self.kind, "bound": self.bound}
+        for p in self.params:
+            desc[p.key] = getattr(self, p.key)
+        return desc
 
     @property
     def spec(self) -> str:
-        raise NotImplementedError
+        """Spec text that ``parse_family`` reads back to this descriptor
+        (at the same bound)."""
+        parts = [f"{p.spec_key or p.key}={p.type.text(getattr(self, p.key))}"
+                 for p in self.params]
+        return f"{self.kind}:{','.join(parts)}" if parts else self.kind
 
 
 def _exp_pairs(bound: int, *, cap: Optional[int] = None,
@@ -185,8 +239,10 @@ class ExpTripleFamily(InstanceFamily):
 
     kind = "exptriple"
     roles = ("a", "b", "a^b")
+    params = (Param("strict", BOOL, False),)
+    capped = True
 
-    def __init__(self, bound: int, strict: bool = False, cap: int = 10**6):
+    def __init__(self, bound: int, strict: bool, *, cap: int = 10**6):
         self.bound = bound
         self.strict = strict
         self._pairs = [
@@ -197,20 +253,9 @@ class ExpTripleFamily(InstanceFamily):
     def count(self) -> int:
         return len(self._pairs)
 
-    def rows(self) -> Iterator[Row]:
-        for p, a, b in self._pairs:
-            yield (a, b, p), (a, b)
-
     def _row(self, i: int) -> Row:
         p, a, b = self._pairs[i]
         return (a, b, p), (a, b)
-
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, "bound": self.bound, "strict": self.strict}
-
-    @property
-    def spec(self) -> str:
-        return "exptriple:strict=1" if self.strict else "exptriple"
 
 
 class ExpTripleLogCondFamily(InstanceFamily):
@@ -219,8 +264,10 @@ class ExpTripleLogCondFamily(InstanceFamily):
 
     kind = "exptriple-logcond"
     roles = ("b", "a^b")
+    params = (Param("r", INT, 1),)
+    capped = True
 
-    def __init__(self, bound: int, r: int = 1, cap: int = 10**6):
+    def __init__(self, bound: int, r: int, *, cap: int = 10**6):
         self.bound = bound
         self.r = r
         self._pairs = _exp_pairs(bound, cap=cap, last_a=self._last_a)
@@ -228,33 +275,16 @@ class ExpTripleLogCondFamily(InstanceFamily):
     def _last_a(self, b: int, top: int) -> int:
         """Largest a in [1, top] with log_(r) a <= b. log_(r) is
         non-decreasing, so the condition holds on a prefix of a and one
-        bisection finds where that prefix ends."""
-        lo, hi = 1, top
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if compare_iter_log(mid, self.r, b):
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        bisection finds the first a past it."""
+        return _first_above(lambda a: not compare_iter_log(a, self.r, b),
+                            0, 2, top + 1) - 1
 
     def count(self) -> int:
         return len(self._pairs)
 
-    def rows(self) -> Iterator[Row]:
-        for p, a, b in self._pairs:
-            yield (b, p), (a, b)
-
     def _row(self, i: int) -> Row:
         p, a, b = self._pairs[i]
         return (b, p), (a, b)
-
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, "bound": self.bound, "r": self.r}
-
-    @property
-    def spec(self) -> str:
-        return f"exptriple-logcond:r={self.r}"
 
 
 class ExpQuadrupleFamily(InstanceFamily):
@@ -289,13 +319,6 @@ class ExpQuadrupleFamily(InstanceFamily):
         b = (1 + math.isqrt(8 * i + 1)) // 2 + 1
         a = 2 + i - (b - 1) * (b - 2) // 2
         return self._values(a, b), (a, b)
-
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, "bound": self.bound}
-
-    @property
-    def spec(self) -> str:
-        return "expquad"
 
 
 def _schur_upto(s: int) -> int:
@@ -332,13 +355,6 @@ class SchurFamily(InstanceFamily):
         s = x + y
         return _schur_upto(s - 1) + y - (s + 1) // 2
 
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, "bound": self.bound}
-
-    @property
-    def spec(self) -> str:
-        return "schur"
-
 
 class SchurPlusExpFamily(InstanceFamily):
     """Joint instances {x, y, x+y} u {a, b, a^b}, all six elements coloured.
@@ -351,11 +367,12 @@ class SchurPlusExpFamily(InstanceFamily):
     """
 
     kind = "schurplusexp"
+    capped = True
 
-    def __init__(self, bound: int, cap: int = 10**6):
+    def __init__(self, bound: int, *, cap: int = 10**6):
         self.bound = bound
         self.schur = SchurFamily(bound)
-        self.exp = ExpTripleFamily(bound, cap=cap)
+        self.exp = ExpTripleFamily(bound, False, cap=cap)
         self.roles = self.schur.roles + self.exp.roles
         self._powers = [p for p, _, _ in self.exp._pairs]
         # The number of power triples of power <= m is constant from one
@@ -419,13 +436,6 @@ class SchurPlusExpFamily(InstanceFamily):
             return before + si * e_eq + ei - e_lt
         return before + s_lt * e_eq + (si - s_lt) * e_le + ei
 
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, "bound": self.bound}
-
-    @property
-    def spec(self) -> str:
-        return "schurplusexp"
-
 
 def _tuples_by_max(bound: int, m: int, cap: int) -> List[Tuple[int, ...]]:
     n = max(0, bound - 1)
@@ -446,11 +456,17 @@ class ShapeFamily(InstanceFamily):
     """
 
     kind = "shape"
+    params = (Param("m", INT), Param("edges", EDGES, []))
+    capped = True
 
-    def __init__(self, relation: ShapeRelation, bound: int, cap: int = 10**6):
-        self.relation = relation
+    def __init__(self, bound: int, m: int, edges: List[List[int]], *,
+                 cap: int = 10**6):
         self.bound = bound
-        self._tuples = _tuples_by_max(bound, relation.m, cap)
+        self.m = m
+        self.relation = ShapeRelation(m, tuple(map(tuple, edges)))
+        # the descriptor lists the edges in the relation's order
+        self.edges = [list(e) for e in self.relation.edges]
+        self._tuples = _tuples_by_max(bound, m, cap)
 
     def count(self) -> int:
         return len(self._tuples)
@@ -470,19 +486,6 @@ class ShapeFamily(InstanceFamily):
         xs = self._tuples[i]
         return tuple(shape_pattern(self.relation, xs).elements), xs
 
-    def descriptor(self) -> dict:
-        return {
-            "kind": self.kind,
-            "bound": self.bound,
-            "m": self.relation.m,
-            "edges": [list(e) for e in self.relation.edges],
-        }
-
-    @property
-    def spec(self) -> str:
-        edges = ",".join(f"{i}-{j}" for i, j in self.relation.edges)
-        return f"shape:m={self.relation.m},edges={edges}"
-
 
 class FepFamily(InstanceFamily):
     """Weighted exponential-product pattern instances; every pattern element
@@ -490,9 +493,15 @@ class FepFamily(InstanceFamily):
     Each element is labelled with its own tower text."""
 
     kind = "fep"
+    params = (Param("m", INT), Param("weight", WEIGHT, spec_key="w"))
+    capped = True
 
-    def __init__(self, weight: WeightFn, m: int, bound: int, cap: int = 10**6):
-        self.weight = weight
+    def __init__(self, bound: int, m: int, weight: dict, *, cap: int = 10**6):
+        try:
+            self._weight = WeightFn.from_json(weight)
+        except (AttributeError, KeyError, TypeError):
+            raise ParseError(f"bad fep weight {weight!r}") from None
+        self.weight = self._weight.to_json()
         self.m = m
         self.bound = bound
         self.cap = cap
@@ -507,22 +516,7 @@ class FepFamily(InstanceFamily):
 
     def _row(self, i: int) -> Row:
         xs = self._tuples[i]
-        return tuple(fep(self.weight, xs, cap=self.cap).elements), xs
-
-    def descriptor(self) -> dict:
-        return {
-            "kind": self.kind,
-            "bound": self.bound,
-            "m": self.m,
-            "weight": self.weight.to_json(),
-        }
-
-    @property
-    def spec(self) -> str:
-        w = self.weight
-        if w.const is not None:
-            return f"fep:m={self.m},w={w.const}"
-        return f"fep:m={self.m},w=table"
+        return tuple(fep(self._weight, xs, cap=self.cap).elements), xs
 
 
 class DifferencePairFamily(InstanceFamily):
@@ -531,20 +525,20 @@ class DifferencePairFamily(InstanceFamily):
 
     kind = "diffpair"
     roles = ("x", "x+b_n")
+    params = (Param("seq", STR), Param("nmax", INT, 12))
 
-    def __init__(self, seq: Union[str, DifferenceSequence], n_max: int, bound: int):
-        if isinstance(seq, str):
-            seq = parse_seq(seq)
-        self.seq = seq
-        self.n_max = n_max
+    def __init__(self, bound: int, seq: str, nmax: int):
         self.bound = bound
+        self.nmax = nmax
+        parsed = parse_seq(seq)
+        self.seq = parsed.name
         diffs = []
-        for n in range(seq.start, n_max + 1):
-            v = seq.exact(n)
+        for n in range(parsed.start, nmax + 1):
+            v = parsed.exact(n)
             if v is None:
                 raise ParseError(
                     f"difference-pair family needs an integer sequence, "
-                    f"not {seq.name}"
+                    f"not {parsed.name}"
                 )
             if v < bound:
                 diffs.append((n, v))
@@ -573,36 +567,25 @@ class DifferencePairFamily(InstanceFamily):
         n, v = fits[i - self._upto(m - 1)]
         return (m - v, m), (n, m - v)
 
-    def descriptor(self) -> dict:
-        return {
-            "kind": self.kind,
-            "bound": self.bound,
-            "seq": self.seq.name,
-            "nmax": self.n_max,
-        }
-
-    @property
-    def spec(self) -> str:
-        return f"diffpair:seq={self.seq.name},nmax={self.n_max}"
-
 
 class GridFamily(InstanceFamily):
     """One-dimensional grids: progressions {s, s+d, ..., s+L*d} in [bound].
     Ordered by the largest element s+L*d, then by descending d."""
 
     kind = "grid"
+    params = (Param("len", INT),)
 
-    def __init__(self, length: int, bound: int):
+    def __init__(self, bound: int, length: int):
         if length < 1:
             raise ValueError("grid length must be >= 1")
-        self.length = length
+        self.len = length
         self.bound = bound
         self.roles = tuple(f"s+{i}d" for i in range(length + 1))
 
     def _upto(self, m: int) -> int:
         """Number of progressions with largest element <= m: the largest
         element t + 1 contributes t // L of them, summed over t < m."""
-        L = self.length
+        L = self.len
         q, r = divmod(max(0, m), L)
         return L * q * (q - 1) // 2 + r * q
 
@@ -610,147 +593,83 @@ class GridFamily(InstanceFamily):
         return self._upto(self.bound)
 
     def _progression(self, m: int, d: int) -> Row:
-        s = m - self.length * d
-        return tuple(s + i * d for i in range(self.length + 1)), (s, d)
+        s = m - self.len * d
+        return tuple(s + i * d for i in range(self.len + 1)), (s, d)
 
     def rows(self) -> Iterator[Row]:
-        L = self.length
+        L = self.len
         for m in range(L + 1, self.bound + 1):
             for d in range((m - 1) // L, 0, -1):
                 yield self._progression(m, d)
 
     def _row(self, i: int) -> Row:
-        m = _first_above(self._upto, i, self.length + 1, self.bound)
-        return self._progression(m, (m - 1) // self.length - (i - self._upto(m - 1)))
+        m = _first_above(self._upto, i, self.len + 1, self.bound)
+        return self._progression(m, (m - 1) // self.len - (i - self._upto(m - 1)))
 
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, "bound": self.bound, "len": self.length}
 
-    @property
-    def spec(self) -> str:
-        return f"grid:len={self.length}"
+FAMILIES: Dict[str, type] = {cls.kind: cls for cls in (
+    ExpTripleFamily, ExpTripleLogCondFamily, ExpQuadrupleFamily, SchurFamily,
+    SchurPlusExpFamily, ShapeFamily, FepFamily, DifferencePairFamily, GridFamily,
+)}
 
 
 def parse_family(spec: str, bound: int, *, cap: int = 10**6,
                  default_r: Optional[int] = None) -> InstanceFamily:
-    """Family mini-language: exptriple[:strict=1], exptriple-logcond[:r=N],
-    expquad, schur, schurplusexp, shape:m=M,edges=1-2,..., fep:m=M,w=K,
-    diffpair:seq=...,nmax=N, grid:len=L. ``cap`` bounds the lists a family
-    builds (power pairs, generator tuples, pattern elements)."""
-    spec = spec.strip()
-    head, _, body = spec.partition(":")
-    kv: Dict[str, str] = {}
-    if body:
-        for part in body.split(","):
-            if "=" not in part:
-                raise ParseError(f"expected key=value in family spec {spec!r}")
-            key, val = part.split("=", 1)
-            kv[key.strip()] = val.strip()
-
-    def intkv(key: str, default: Optional[int] = None) -> int:
-        if key not in kv:
-            if default is None:
-                raise ParseError(f"family spec {spec!r} needs {key}=")
-            return default
-        try:
-            return int(kv[key])
-        except ValueError:
-            raise ParseError(f"bad integer for {key} in {spec!r}") from None
-
-    if head == "exptriple":
-        return ExpTripleFamily(bound, strict=bool(intkv("strict", 0)), cap=cap)
-    if head == "exptriple-logcond":
-        return ExpTripleLogCondFamily(
-            bound, r=intkv("r", default_r if default_r is not None else 1),
-            cap=cap,
-        )
-    if head == "expquad":
-        return ExpQuadrupleFamily(bound)
-    if head == "schur":
-        return SchurFamily(bound)
-    if head == "schurplusexp":
-        return SchurPlusExpFamily(bound, cap=cap)
-    if head == "shape":
-        return _parse_shape_edges(kv.get("edges", ""), intkv("m"), bound, cap, spec)
-    if head == "fep":
-        m = intkv("m")
-        if "w" not in kv:
-            raise ParseError(f"family spec {spec!r} needs w=")
-        if kv["w"] == "table":
-            raise ParseError("inline weight tables are not supported here")
-        return FepFamily(WeightFn.constant(int(kv["w"])), m, bound, cap=cap)
-    if head == "diffpair":
-        if "seq" not in kv:
-            raise ParseError(f"family spec {spec!r} needs seq=")
-        return DifferencePairFamily(kv["seq"], intkv("nmax", 12), bound)
-    if head == "grid":
-        return GridFamily(intkv("len"), bound)
-    raise ParseError(f"unknown family spec {spec!r}")
-
-
-def _parse_shape_edges(raw: str, m: int, bound: int, cap: int, spec: str) -> ShapeFamily:
-    edges = []
-    if raw:
-        for part in raw.split(";"):
-            part = part.strip()
-            if not part:
-                continue
-            bits = part.split("-")
-            if len(bits) != 2:
-                raise ParseError(f"bad edge {part!r} in family spec {spec!r}")
+    """The family of spec text ``kind[:key=value,...]`` at ``bound``, with
+    the kinds and keys ``FAMILIES`` declares: exptriple[:strict=1],
+    exptriple-logcond[:r=N], expquad, schur, schurplusexp,
+    shape:m=M[,edges=1-2;2-3], fep:m=M,w=K, diffpair:seq=S[,nmax=N] and
+    grid:len=L. A key left out takes its default (``default_r``, when
+    given, for r); a missing required key, bad value text or an unknown
+    key raises ParseError. The spec is turned into a descriptor for
+    ``family_from_descriptor``; ``cap`` bounds the lists a family builds
+    (power pairs, generator tuples, pattern elements)."""
+    head, _, body = spec.strip().partition(":")
+    cls = FAMILIES.get(head)
+    if cls is None:
+        raise ParseError(f"unknown family spec {spec!r}")
+    given: Dict[str, str] = {}
+    for part in body.split(",") if body else ():
+        key, eq, val = part.partition("=")
+        if not eq:
+            raise ParseError(f"expected key=value in family spec {spec!r}")
+        given[key.strip()] = val.strip()
+    defaults = {} if default_r is None else {"r": default_r}
+    desc = {"kind": head, "bound": bound}
+    for p in cls.params:
+        name = p.spec_key or p.key
+        if name in given:
             try:
-                edges.append((int(bits[0]), int(bits[1])))
+                desc[p.key] = p.type.parse(given.pop(name))
             except ValueError:
-                raise ParseError(f"bad edge {part!r} in family spec {spec!r}") from None
-    try:
-        rel = ShapeRelation(m, tuple(edges))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-    return ShapeFamily(rel, bound, cap=cap)
+                raise ParseError(f"bad {p.type.name} for {name} in {spec!r}") from None
+        elif defaults.get(p.key, p.default) is not None:
+            desc[p.key] = defaults.get(p.key, p.default)
+        else:
+            raise ParseError(f"family spec {spec!r} needs {name}=")
+    if given:
+        raise ParseError(f"unknown key {next(iter(given))!r} in family spec {spec!r}")
+    return family_from_descriptor(desc, cap=cap)
 
 
 def family_from_descriptor(desc: dict, *, cap: int = 10**6) -> InstanceFamily:
-    """The family a certificate's descriptor names; a missing key or a
-    value of the wrong type raises ParseError."""
-    if not isinstance(desc, dict):
-        raise ParseError(f"family descriptor must be an object, not {desc!r}")
-
-    def need(key: str, typ: type = int, default=None):
-        val = desc.get(key, default)
-        if not isinstance(val, typ) or (typ is int and isinstance(val, bool)):
-            raise ParseError(f"family descriptor {desc!r} needs {typ.__name__} {key}")
-        return val
-
-    kind = desc.get("kind")
-    bound = need("bound")
-    if kind == "exptriple":
-        return ExpTripleFamily(bound, strict=need("strict", bool, False), cap=cap)
-    if kind == "exptriple-logcond":
-        return ExpTripleLogCondFamily(bound, r=need("r", int, 1), cap=cap)
-    if kind == "expquad":
-        return ExpQuadrupleFamily(bound)
-    if kind == "schur":
-        return SchurFamily(bound)
-    if kind == "schurplusexp":
-        return SchurPlusExpFamily(bound, cap=cap)
-    if kind == "shape":
-        edges = need("edges", list)
-        if not all(isinstance(e, list) and len(e) == 2
-                   and all(type(v) is int for v in e) for e in edges):
-            raise ParseError(f"bad edges in family descriptor {desc!r}")
-        rel = ShapeRelation(need("m"), tuple(tuple(e) for e in edges))
-        return ShapeFamily(rel, bound, cap=cap)
-    if kind == "fep":
-        try:
-            weight = WeightFn.from_json(need("weight", dict))
-        except (AttributeError, KeyError, TypeError, ValueError):
-            raise ParseError(f"bad weight in family descriptor {desc!r}") from None
-        return FepFamily(weight, need("m"), bound, cap=cap)
-    if kind == "diffpair":
-        return DifferencePairFamily(need("seq", str), need("nmax"), bound)
-    if kind == "grid":
-        return GridFamily(need("len"), bound)
-    raise ParseError(f"unknown family descriptor {desc!r}")
+    """The family a certificate's descriptor names. The descriptor carries
+    the kind, the bound and every parameter its kind declares; a missing
+    key, a value of the wrong type or one the family refuses raises
+    ParseError. Lists over ``cap`` raise BudgetExceeded."""
+    kind = desc.get("kind") if isinstance(desc, dict) else None
+    cls = FAMILIES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ParseError(f"unknown family descriptor {desc!r}")
+    args = []
+    for key, typ in [("bound", INT)] + [(p.key, p.type) for p in cls.params]:
+        if not typ.check(desc.get(key)):
+            raise ParseError(f"family descriptor {desc!r} needs {typ.name} {key}")
+        args.append(desc[key])
+    try:
+        return cls(*args, **({"cap": cap} if cls.capped else {}))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -1014,11 +933,15 @@ def verify_certificate(cert: Certificate, *, sample_rate: float = 0.01,
     """Re-evaluate a certificate. A witness must be the instance at index
     ``instances_checked - 1``, rebuilt through ``nth``, and that instance is
     recoloured; avoidance claims are re-checked on a seeded random sample of
-    indices, each instance found through ``nth``."""
+    indices, each instance found through ``nth``.
+
+    The family is rebuilt under the default element cap of 10^6, so a
+    descriptor over it, such as that of a certificate made with ``--cap``
+    above 10^6, is rejected."""
     try:
         colouring = parse_colouring(cert.colouring)
         family = family_from_descriptor(cert.family)
-    except (ParseError, ValueError):
+    except (ParseError, ValueError, BudgetError):
         return False
     result = cert.result
     if result.get("type") == "Counterexample":

@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from expramsey.cli import (
     EXIT_BUDGET,
@@ -165,6 +169,16 @@ def test_verify_unknown_family_exit(capsys):
     assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize("spec, named", [
+    ("exptriple:stirct=1", "'stirct'"), ("schur:bound=5", "'bound'"),
+    ("grid:len=2,foo=3", "'foo'"), ("fep:m=2,w=x", "for w"),
+])
+def test_verify_bad_family_key_exit(capsys, spec, named):
+    code, out, err = run(capsys, "verify", "logstar:r=1", spec, "--bound", "64")
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("parse error:") and named in err
+
+
 @pytest.mark.parametrize("bound", ["-5", "0"])
 def test_verify_rejects_bound_below_one(capsys, bound):
     code, out, err = run(capsys, "verify", "logstar:r=1", "exptriple",
@@ -307,3 +321,59 @@ def test_console_script_declaration_runs():
                          capture_output=True, text=True)
     assert got.returncode == EXIT_OK
     assert json.loads(got.stdout)["assignments"][0]["colour"] == 3
+
+
+# ---------------------------------------------------------------------------
+# fuzzed argv
+
+COLOURING_SPECS = [
+    "const:k=1", "const:k=2", "logstar", "logstar:r=1", "logstar:r=2", "schurexp",
+    "pow2abb:nmax=6", "abbb:nmax=6", "lacunary:seq=n*2^n,nmax=8",
+    "product:logstar:r=1+const:k=2",
+]
+BAD_COLOURING_SPECS = [
+    "", ":", "nosuch", "logstar:r=x", "logstar:r=-1", "const:k=0", "product:",
+    "lacunary:seq=foo", "table:/nonexistent/colours.json",
+]
+FAMILY_SPECS = [
+    "exptriple", "exptriple:strict=1", "exptriple-logcond", "exptriple-logcond:r=2",
+    "expquad", "schur", "schurplusexp", "shape:m=2,edges=1-2",
+    "shape:m=3,edges=1-2;2-3;3-1", "fep:m=2,w=1", "diffpair:seq=3^n,nmax=4",
+    "diffpair:seq=n*2^n", "grid:len=2",
+]
+BAD_FAMILY_SPECS = [
+    "", "nosuch", "exptriple:stirct=1", "exptriple:strict", "schur:bound=5",
+    "grid:len=2,foo=3", "grid:len=0", "fep:m=2,w=x", "fep:m=2,w=table",
+    "shape:m=2,edges=1-x", "shape:m=2,edges=1-5", "diffpair:seq=foo",
+    "diffpair:seq=n^n*log2n", "exptriple-logcond:r=",
+]
+SPEC_TEXT = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789:=,;-+^*", max_size=24)
+
+
+def specs(good, bad):
+    """A valid spec about half the time, else a malformed or random one."""
+    return st.one_of(st.sampled_from(good), st.sampled_from(bad), SPEC_TEXT,
+                     st.sampled_from(good))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["verify", "search"]),
+       specs(COLOURING_SPECS, BAD_COLOURING_SPECS),
+       specs(FAMILY_SPECS, BAD_FAMILY_SPECS),
+       st.integers(-3, 3000),
+       st.lists(st.sampled_from([("--format", "csv"), ("--cap", "50"),
+                                 ("--threads", "2")]), unique=True))
+def test_fuzzed_argv_keeps_the_exit_code_contract(command, colouring, family,
+                                                  bound, flags):
+    # the time budget keeps slow avoidance walks short; a spent budget is exit 3
+    argv = [command, colouring, family, "--bound", str(bound),
+            "--budget-secs", "0.5", *(x for flag in flags for x in flag)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_COUNTEREXAMPLE, EXIT_PARSE, EXIT_BUDGET,
+                    EXIT_EVALUATION), argv
+    if code == EXIT_COUNTEREXAMPLE:
+        assert "Counterexample" in out.getvalue(), argv
+    assert "internal error" not in err.getvalue(), (argv, err.getvalue())

@@ -128,15 +128,80 @@ def test_logcond_cutoff_matches_filtering_every_pair():
             assert fam._pairs == want, (r, bound)
 
 
-def test_family_descriptor_round_trip():
-    for spec, bound in [("exptriple", 30), ("schurplusexp", 10),
-                        ("diffpair:seq=n*2^n,nmax=3", 40),
-                        ("shape:m=2,edges=1-2", 5)]:
-        fam = parse_family(spec, bound)
-        clone = family_from_descriptor(fam.descriptor())
-        assert clone.descriptor() == fam.descriptor()
-        assert [i.generators for i in clone.instances()] == \
-               [i.generators for i in fam.instances()]
+def _edges(m):
+    pairs = st.tuples(st.integers(1, m), st.integers(1, m))
+    return st.lists(pairs, max_size=m * m).map(lambda es: [list(e) for e in es])
+
+
+# one strategy per family kind, over parameters that build quickly
+FAMILY_PARAMS = {
+    "exptriple": st.fixed_dictionaries(
+        {"bound": st.integers(1, 300), "strict": st.booleans()}),
+    "exptriple-logcond": st.fixed_dictionaries(
+        {"bound": st.integers(1, 3000), "r": st.integers(0, 4)}),
+    "expquad": st.fixed_dictionaries({"bound": st.integers(1, 12)}),
+    "schur": st.fixed_dictionaries({"bound": st.integers(1, 40)}),
+    "schurplusexp": st.fixed_dictionaries({"bound": st.integers(1, 40)}),
+    "shape": st.integers(1, 4).flatmap(lambda m: st.fixed_dictionaries(
+        {"bound": st.integers(1, 4), "m": st.just(m), "edges": _edges(m)})),
+    "fep": st.fixed_dictionaries(
+        {"bound": st.integers(1, 4), "m": st.integers(1, 2),
+         "weight": st.builds(lambda k: {"const": k}, st.integers(0, 2))}),
+    "diffpair": st.fixed_dictionaries(
+        {"bound": st.integers(1, 80), "nmax": st.integers(0, 6),
+         "seq": st.sampled_from(["n*2^n", "2^n", "3^n", "5^n"])}),
+    "grid": st.fixed_dictionaries(
+        {"bound": st.integers(1, 30), "len": st.integers(1, 4)}),
+}
+
+
+def test_family_params_cover_every_kind():
+    assert set(FAMILY_PARAMS) == set(search.FAMILIES)
+    for kind, cls in search.FAMILIES.items():
+        assert cls.kind == kind
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(FAMILY_PARAMS)).flatmap(
+    lambda kind: FAMILY_PARAMS[kind].map(lambda d: {"kind": kind, **d})))
+def test_family_descriptor_round_trip(desc):
+    fam = family_from_descriptor(desc)
+    # the spec text reads back to the same descriptor
+    assert parse_family(fam.spec, fam.bound).descriptor() == fam.descriptor()
+    clone = family_from_descriptor(json.loads(json.dumps(fam.descriptor())))
+    assert clone.descriptor() == fam.descriptor()
+    assert [r[1] for r in clone.rows()] == [r[1] for r in fam.rows()]
+
+
+def test_shape_specs_with_several_edges_round_trip():
+    fam = parse_family("shape:m=3,edges=1-2;2-3;3-1", 4)
+    assert sorted(fam.descriptor()["edges"]) == [[1, 2], [2, 3], [3, 1]]
+    assert parse_family(fam.spec, 4).descriptor() == fam.descriptor()
+    # descriptors keep the relation's edge order, whatever the spec's order
+    assert parse_family("shape:m=3,edges=1-2;2-3", 3).descriptor()["edges"] == \
+        [[2, 3], [1, 2]]
+    assert parse_family("shape:m=3,edges=2-3;1-2", 3).descriptor()["edges"] == \
+        [[2, 3], [1, 2]]
+
+
+@pytest.mark.parametrize("spec", [
+    "exptriple:stirct=1", "schur:bound=5", "grid:len=2,foo=3", "fep:m=2,w=x",
+    "fep:m=2,w=table", "grid", "shape:m=2,edges=1-x", "shape:m=2,edges=1-5",
+    "exptriple:strict", "exptriple-logcond:r=x",
+])
+def test_parse_family_rejects_bad_specs(spec):
+    with pytest.raises(ParseError):
+        parse_family(spec, 20)
+
+
+def test_descriptor_needs_every_parameter():
+    cert = find_monochromatic("const:k=1", "exptriple", 16)
+    assert cert.family == {"kind": "exptriple", "bound": 16, "strict": False}
+    assert verify_certificate(cert)
+    del cert.family["strict"]
+    with pytest.raises(ParseError):
+        family_from_descriptor(cert.family)
+    assert verify_certificate(cert) is False
 
 
 @settings(max_examples=200, deadline=None)
@@ -440,6 +505,16 @@ def test_every_counterexample_verifies():
             assert not verify_certificate(clone), cert.to_json()
 
 
+# well-formed descriptors whose families exceed the default element cap
+OVER_CAP_DESCRIPTORS = [
+    {"kind": "exptriple", "bound": 10**400, "strict": False},
+    {"kind": "exptriple-logcond", "bound": 10**400, "r": 1},
+    {"kind": "schurplusexp", "bound": 10**400},
+    {"kind": "shape", "bound": 100, "m": 5, "edges": []},
+    {"kind": "fep", "bound": 100, "m": 5, "weight": {"const": 1}},
+]
+
+
 @pytest.mark.parametrize("desc", [
     {"kind": "shape", "bound": 5},
     {"kind": "exptriple"},
@@ -447,11 +522,12 @@ def test_every_counterexample_verifies():
     {"kind": "diffpair", "bound": 10, "seq": "n*2^n"},
     {"kind": "fep", "bound": 5, "m": 2, "weight": "x"},
     {"kind": "expquad", "bound": "7"},
+    *OVER_CAP_DESCRIPTORS,
 ])
 def test_verify_rejects_malformed_descriptors(desc):
     cert = find_monochromatic("const:k=1", "exptriple", 16)
     cert.family = desc
-    with pytest.raises(ParseError):
+    with pytest.raises(BudgetExceeded if desc in OVER_CAP_DESCRIPTORS else ParseError):
         family_from_descriptor(desc)
     assert verify_certificate(cert) is False
 
