@@ -227,20 +227,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exponential pattern generation, colouring evaluation, "
                     "and monochromatic search.",
     )
+    # each subcommand takes only the flags it reads: any other flag exits 2
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output file (default stdout)")
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--budget-secs", type=float, default=None,
-                        dest="budget_secs", help="wall-clock budget")
-    common.add_argument("--cap", type=int, default=10**6,
-                        help="element / enumeration cap")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized components")
-    common.add_argument("--threads", type=int, default=1)
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument("--cap", type=int, default=10**6,
+                        help="element / enumeration cap")
+    scan = argparse.ArgumentParser(add_help=False, parents=[common, capped])
+    scan.add_argument("--budget-secs", type=float, default=None,
+                      dest="budget_secs", help="wall-clock budget")
+    scan.add_argument("--threads", type=int, default=1)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common],
+    p = sub.add_parser("gen", parents=[common, capped],
                        help="generate a pattern set from generators")
     p.add_argument("pattern", choices=("fs", "fp", "fe", "fpw", "fep", "shape"))
     p.add_argument("generators", nargs="+", help="generators in tower syntax")
@@ -261,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("search", cmd_search, "like verify, reporting the first "
                                "counterexample eagerly"),
     ):
-        p = sub.add_parser(name, parents=[common], help=blurb)
+        p = sub.add_parser(name, parents=[scan], help=blurb)
         p.add_argument("colouring", help="colouring spec")
         p.add_argument("family", help="instance family spec, e.g. exptriple")
         p.add_argument("--bound", type=int, required=True)

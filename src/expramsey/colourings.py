@@ -2,8 +2,14 @@
 
 Each construction is a class with a colour count ``k``, a machine-readable
 ``rule`` descriptor, and a ``colour`` method accepting plain integers or
-tower terms. Instances are immutable apart from internal memo tables and are
-safe to share across worker processes.
+tower terms. Instances are immutable apart from the int memo and are safe to
+share across worker processes.
+
+A subclass declares ``kind`` and ``params`` (the grammar families use),
+keeps each parameter as the attribute of its key and implements
+``_colour``, the uncached rule. The base class writes ``spec`` and ``rule``
+from ``params``, and its ``colour`` memoizes ``_colour`` on ints in
+``_memo``, so each int is coloured once per object.
 
 The lacunary constructions keep alpha as an exact rational, so every
 fractional-part test on integer inputs is exact integer arithmetic. Real
@@ -26,6 +32,7 @@ from ._intlog import (
     log_star_int,
     log_star_scaled,
 )
+from ._spec import INT, STR, Param, read_spec, write_spec
 from .errors import (
     OutOfDomain,
     ParseError,
@@ -50,12 +57,28 @@ Value = Union[int, ExpTerm]
 
 
 class Colouring:
-    """Total deterministic map from integers / tower terms to [1, k]."""
+    """Total deterministic map from integers / tower terms to [1, k]; see
+    the module docstring for what a subclass declares and implements."""
 
+    kind: str
+    params: Tuple[Param, ...] = ()
     k: int
-    rule: dict
+
+    def __new__(cls, *args, **kwargs):
+        # made here, not in __init__, so no subclass can leave it out
+        self = super().__new__(cls)
+        self._memo: Dict[int, int] = {}
+        return self
 
     def colour(self, x: Value) -> int:
+        if not isinstance(x, int):
+            return self._colour(x)
+        got = self._memo.get(x)
+        if got is None:
+            got = self._memo[x] = self._colour(x)
+        return got
+
+    def _colour(self, x: Value) -> int:
         raise NotImplementedError
 
     def __call__(self, x: Value) -> int:
@@ -64,47 +87,45 @@ class Colouring:
     @property
     def spec(self) -> str:
         """Canonical mini-language string for certificates."""
-        raise NotImplementedError
+        return write_spec(self)
+
+    @property
+    def rule(self) -> dict:
+        """Machine-readable descriptor: the kind and each parameter."""
+        return {"type": self.kind, **{p.key: getattr(self, p.key) for p in self.params}}
 
 
 class ConstColouring(Colouring):
+    kind = "const"
+    params = (Param("k", INT, 1),)
+
     def __init__(self, k: int = 1):
         if k < 1:
             raise ValueError("need at least one colour")
         self.k = k
-        self.rule = {"type": "const", "k": k}
 
-    def colour(self, x: Value) -> int:
+    def _colour(self, x: Value) -> int:
         return 1
-
-    @property
-    def spec(self) -> str:
-        return f"const:k={self.k}"
 
 
 class LogStarColouring(Colouring):
     """f(1) = r+3; f(x) = ((L(x) - 1) mod (r+2)) + 1 for x > 1."""
+
+    kind = "logstar"
+    params = (Param("r", INT, 1),)
 
     def __init__(self, r: int):
         if r < 1:
             raise ValueError("r must be a positive integer")
         self.r = r
         self.k = r + 3
-        self.rule = {"type": "logstar", "r": r}
-        self._memo: Dict[int, int] = {}
 
     def _of_count(self, L: int) -> int:
         return ((L - 1) % (self.r + 2)) + 1
 
-    def colour(self, x: Value) -> int:
+    def _colour(self, x: Value) -> int:
         if isinstance(x, int):
-            if x == 1:
-                return self.k
-            got = self._memo.get(x)
-            if got is None:
-                got = self._of_count(log_star_int(x))
-                self._memo[x] = got
-            return got
+            return self.k if x == 1 else self._of_count(log_star_int(x))
         t = as_term(x)
         bv = eval_exact(t)
         if bv.is_exact:
@@ -132,38 +153,20 @@ class LogStarColouring(Colouring):
         level ``level_power(a, b)``, with no term objects."""
         return self._of_count(self.level_power(a, b))
 
-    @property
-    def spec(self) -> str:
-        return f"logstar:r={self.r}"
-
 
 class SchurExpColouring(Colouring):
     """16 colours encoding the pair (x mod 4, l(x) mod 4)."""
 
+    kind = "schurexp"
     k = 16
-
-    def __init__(self):
-        self.rule = {"type": "schurexp"}
-        self._memo: Dict[int, int] = {}
 
     def pair(self, x: Value) -> Tuple[int, int]:
         t = as_term(x)
         return (eval_mod(t, 4), max_root_exponent_mod(t, 4))
 
-    def colour(self, x: Value) -> int:
-        if isinstance(x, int):
-            got = self._memo.get(x)
-            if got is None:
-                p = self.pair(x)
-                got = 4 * p[0] + p[1] + 1
-                self._memo[x] = got
-            return got
+    def _colour(self, x: Value) -> int:
         p = self.pair(x)
         return 4 * p[0] + p[1] + 1
-
-    @property
-    def spec(self) -> str:
-        return "schurexp"
 
 
 # ---------------------------------------------------------------------------
@@ -371,18 +374,22 @@ class LacunaryColouring(Colouring):
     {alpha_i * x}; k = 4^l.
     """
 
-    def __init__(self, seq: Union[str, DifferenceSequence], n_max: int):
+    kind = "lacunary"
+    params = (Param("seq", STR), Param("nmax", INT, 12))
+
+    def __init__(self, seq: Union[str, DifferenceSequence], nmax: int):
         if isinstance(seq, str):
             seq = parse_seq(seq)
-        if n_max < seq.start:
-            raise ValueError(f"n_max below the sequence start {seq.start}")
-        self.seq = seq
-        self.n_max = n_max
-        indices = list(range(seq.start, n_max + 1))
+        if nmax < seq.start:
+            raise ValueError(f"nmax below the sequence start {seq.start}")
+        self.sequence = seq
+        self.seq = seq.name
+        self.nmax = nmax
+        indices = list(range(seq.start, nmax + 1))
         ratio_lb = self._ratio_lower_bound(indices)
         if ratio_lb <= 1:
             raise SequenceNotSufficientlyLacunary(
-                f"{seq.name} is not lacunary on [{seq.start}, {n_max}]"
+                f"{seq.name} is not lacunary on [{seq.start}, {nmax}]"
             )
         l, acc = 1, ratio_lb
         while acc <= 4:
@@ -398,54 +405,45 @@ class LacunaryColouring(Colouring):
             cls = indices[i::l]
             if not cls:
                 continue
-            self.alphas.append(build_lacunary_alpha(seq, n_max, indices=cls))
+            self.alphas.append(build_lacunary_alpha(seq, nmax, indices=cls))
         self.k = 4 ** len(self.alphas)
-        self.rule = {"type": "lacunary", "seq": seq.name, "nmax": n_max,
-                     "classes": len(self.alphas)}
-        self._memo: Dict[int, int] = {}
+
+    @property
+    def rule(self) -> dict:
+        return {**super().rule, "classes": len(self.alphas)}
 
     def _ratio_lower_bound(self, indices: Sequence[int]) -> Fraction:
         best: Optional[Fraction] = None
         for a, b in zip(indices, indices[1:]):
             for prec in PREC_SCHEDULE:
-                _, ahi = _rat_bounds(self.seq, a, prec)
-                blo, _ = _rat_bounds(self.seq, b, prec)
+                _, ahi = _rat_bounds(self.sequence, a, prec)
+                blo, _ = _rat_bounds(self.sequence, b, prec)
                 if blo > ahi:
                     r = blo / ahi
                     best = r if best is None or r < best else best
                     break
             else:
                 raise SequenceNotSufficientlyLacunary(
-                    f"could not certify growth of {self.seq.name} at {a}->{b}"
+                    f"could not certify growth of {self.seq} at {a}->{b}"
                 )
         return best if best is not None else Fraction(5)
 
-    def _quarter_int(self, alpha: Fraction, x: int) -> int:
-        p, q = alpha.numerator, alpha.denominator
-        num = p * (x % q) % q
-        return (4 * num) // q + 1
-
-    def colour(self, x: Value) -> int:
+    def _colour(self, x: Value) -> int:
+        # {p/q * x} = (p * (x mod q) mod q) / q, so x mod q suffices
         if isinstance(x, int):
             if x < 0:
                 raise OutOfDomain("difference colourings are defined for x >= 0")
-            got = self._memo.get(x)
-            if got is None:
-                got = self._combine(
-                    [self._quarter_int(a.alpha, x) for a in self.alphas]
-                )
-                self._memo[x] = got
-            return got
-        t = as_term(x)
-        bv = eval_exact(t)
-        if bv.is_exact:
-            return self.colour(bv.exact)
-        # huge terms: x mod q suffices, since {p/q * x} = (p*(x mod q) mod q)/q
+            residue = x.__mod__
+        else:
+            t = as_term(x)
+            bv = eval_exact(t)
+            if bv.is_exact:
+                return self.colour(bv.exact)
+            residue = lambda q: eval_mod(t, q)
         cs = []
         for a in self.alphas:
-            q = a.alpha.denominator
-            num = a.alpha.numerator * eval_mod(t, q) % q
-            cs.append((4 * num) // q + 1)
+            p, q = a.alpha.numerator, a.alpha.denominator
+            cs.append(4 * (p * residue(q) % q) // q + 1)
         return self._combine(cs)
 
     def colour_scaled(self, ylo: int, yhi: int, prec: int) -> Optional[int]:
@@ -473,10 +471,6 @@ class LacunaryColouring(Colouring):
             base *= 4
         return out + 1
 
-    @property
-    def spec(self) -> str:
-        return f"lacunary:seq={self.seq.name},nmax={self.n_max}"
-
 
 class Pow2AbbColouring(Colouring):
     """Composes the n*2^n lacunary colouring with the double 2-adic valuation.
@@ -485,13 +479,15 @@ class Pow2AbbColouring(Colouring):
     the double valuation is undefined, share the one reserved extra colour.
     """
 
-    def __init__(self, n_max: int = 10):
-        self.inner = LacunaryColouring(NTimesPow2Sequence(), n_max)
-        self.n_max = n_max
-        self.k = self.inner.k + 1
-        self.rule = {"type": "pow2abb", "nmax": n_max}
+    kind = "pow2abb"
+    params = (Param("nmax", INT, 10),)
 
-    def colour(self, x: Value) -> int:
+    def __init__(self, nmax: int = 10):
+        self.inner = LacunaryColouring(NTimesPow2Sequence(), nmax)
+        self.nmax = nmax
+        self.k = self.inner.k + 1
+
+    def _colour(self, x: Value) -> int:
         t = as_term(x)
         bv = eval_exact(t)
         if bv.is_exact and bv.exact == 1:
@@ -505,10 +501,6 @@ class Pow2AbbColouring(Colouring):
             w += 1
         return self.inner.colour(w)
 
-    @property
-    def spec(self) -> str:
-        return f"pow2abb:nmax={self.n_max}"
-
 
 class AbbbColouring(Colouring):
     """Composes the n^n*log2(n) lacunary colouring with log2 log2 x.
@@ -518,13 +510,15 @@ class AbbbColouring(Colouring):
     extra colour.
     """
 
-    def __init__(self, n_max: int = 8):
-        self.inner = LacunaryColouring(NPowNLog2Sequence(), n_max)
-        self.n_max = n_max
-        self.k = self.inner.k + 1
-        self.rule = {"type": "abbb", "nmax": n_max}
+    kind = "abbb"
+    params = (Param("nmax", INT, 8),)
 
-    def colour(self, x: Value) -> int:
+    def __init__(self, nmax: int = 8):
+        self.inner = LacunaryColouring(NPowNLog2Sequence(), nmax)
+        self.nmax = nmax
+        self.k = self.inner.k + 1
+
+    def _colour(self, x: Value) -> int:
         t = as_term(x)
         bv = eval_exact(t)
         if bv.is_exact:
@@ -565,10 +559,6 @@ class AbbbColouring(Colouring):
                 return got
         raise UncertifiableComparison("cannot certify double-log colour")
 
-    @property
-    def spec(self) -> str:
-        return f"abbb:nmax={self.n_max}"
-
 
 class TableColouring(Colouring):
     """Finite lookup table on [1, N]."""
@@ -588,9 +578,8 @@ class TableColouring(Colouring):
         if any(not 1 <= c <= self.k for c in self.table):
             raise ValueError("table colours must lie in [1, k]")
         self.path = path
-        self.rule = {"type": "table", "k": self.k, "map": self.table}
 
-    def colour(self, x: Value) -> int:
+    def _colour(self, x: Value) -> int:
         t = as_term(x)
         bv = eval_exact(t)
         if bv.is_huge or not 1 <= bv.exact <= len(self.table):
@@ -598,6 +587,10 @@ class TableColouring(Colouring):
                 f"table colouring is defined on [1, {len(self.table)}]"
             )
         return self.table[bv.exact - 1]
+
+    @property
+    def rule(self) -> dict:
+        return {"type": "table", "k": self.k, "map": self.table}
 
     @property
     def spec(self) -> str:
@@ -617,14 +610,17 @@ class ProductColouring(Colouring):
         self.k = 1
         for p in parts:
             self.k *= p.k
-        self.rule = {"type": "product", "parts": [p.rule for p in parts]}
 
-    def colour(self, x: Value) -> int:
+    def _colour(self, x: Value) -> int:
         out, base = 0, 1
         for p in self.parts:
             out += (p.colour(x) - 1) * base
             base *= p.k
         return out + 1
+
+    @property
+    def rule(self) -> dict:
+        return {"type": "product", "parts": [p.rule for p in self.parts]}
 
     @property
     def spec(self) -> str:
@@ -641,55 +637,19 @@ def product_colouring(parts: Sequence[Colouring]) -> Colouring:
     return ProductColouring(parts)
 
 
-def _parse_kv(body: str, spec: str) -> Dict[str, str]:
-    out: Dict[str, str] = {}
-    if not body:
-        return out
-    for part in body.split(","):
-        if "=" not in part:
-            raise ParseError(f"expected key=value in colouring spec {spec!r}")
-        key, val = part.split("=", 1)
-        out[key.strip()] = val.strip()
-    return out
-
-
-def _int_arg(kv: Dict[str, str], key: str, spec: str, default: Optional[int] = None) -> int:
-    if key not in kv:
-        if default is None:
-            raise ParseError(f"colouring spec {spec!r} needs {key}=")
-        return default
-    try:
-        return int(kv[key])
-    except ValueError:
-        raise ParseError(f"bad integer for {key} in {spec!r}") from None
+COLOURINGS: Dict[str, type] = {cls.kind: cls for cls in (
+    ConstColouring, LogStarColouring, SchurExpColouring, LacunaryColouring,
+    Pow2AbbColouring, AbbbColouring,
+)}
 
 
 def parse_colouring(spec: str) -> Colouring:
-    """Parse the colouring mini-language.
-
-    Forms: const:k=1, logstar:r=1, schurexp, lacunary:seq=n*2^n,nmax=12,
-    pow2abb:nmax=10, abbb:nmax=8, table:path.json, product:specA+specB.
-    """
-    spec = spec.strip()
-    head, _, body = spec.partition(":")
+    """Parse the colouring mini-language: ``kind[:key=value,...]`` for the
+    kinds and keys ``COLOURINGS`` declares (const:k=1, logstar:r=1, schurexp,
+    lacunary:seq=n*2^n,nmax=12, pow2abb:nmax=10, abbb:nmax=8), and
+    table:path.json, product:specA+specB."""
+    head, _, body = spec.strip().partition(":")
     head = head.strip()
-    if head == "const":
-        return ConstColouring(_int_arg(_parse_kv(body, spec), "k", spec, default=1))
-    if head == "logstar":
-        return LogStarColouring(_int_arg(_parse_kv(body, spec), "r", spec, default=1))
-    if head == "schurexp":
-        if body:
-            raise ParseError("schurexp takes no parameters")
-        return SchurExpColouring()
-    if head == "lacunary":
-        kv = _parse_kv(body, spec)
-        if "seq" not in kv:
-            raise ParseError(f"colouring spec {spec!r} needs seq=")
-        return LacunaryColouring(parse_seq(kv["seq"]), _int_arg(kv, "nmax", spec, default=12))
-    if head == "pow2abb":
-        return Pow2AbbColouring(_int_arg(_parse_kv(body, spec), "nmax", spec, default=10))
-    if head == "abbb":
-        return AbbbColouring(_int_arg(_parse_kv(body, spec), "nmax", spec, default=8))
     if head == "table":
         if not body:
             raise ParseError("table colouring needs a JSON file path")
@@ -707,4 +667,5 @@ def parse_colouring(spec: str) -> Colouring:
         if not body:
             raise ParseError("product colouring needs component specs")
         return product_colouring([parse_colouring(p) for p in body.split("+")])
-    raise ParseError(f"unknown colouring spec {spec!r}")
+    cls, values = read_spec(spec, COLOURINGS, "colouring")
+    return cls(**values)

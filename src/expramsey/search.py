@@ -20,13 +20,13 @@ import json
 import math
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
+    Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
 )
 
 from ._arith import iroot
+from ._spec import BOOL, INT, STR, Param, ParamType, read_spec, write_spec
 from .colourings import Colouring, LogStarColouring, parse_colouring, parse_seq
 from .errors import BudgetError, BudgetExceeded, ParseError
 from .patterns import ShapeRelation, WeightFn, fep, parse_edges, shape_pattern
@@ -98,26 +98,12 @@ def _first_above(cum: Callable[[int], int], i: int, lo: int, hi: int) -> int:
 Row = Tuple[Tuple[Value, ...], Tuple[int, ...]]
 
 
-class ParamType(NamedTuple):
-    """How a family parameter is checked in a descriptor, read from spec
-    text (a ValueError marks bad text) and written back to spec text."""
-
-    name: str
-    check: Callable[[object], bool]
-    parse: Callable[[str], object]
-    text: Callable[[object], str]
-
-
 def _weight_from_text(text: str) -> dict:
     if text == "table":
         raise ParseError("inline weight tables are not supported here")
     return {"const": int(text)}
 
 
-INT = ParamType("integer", lambda v: type(v) is int, int, str)
-BOOL = ParamType("boolean", lambda v: type(v) is bool,
-                 lambda t: bool(int(t)), lambda v: str(int(v)))
-STR = ParamType("string", lambda v: type(v) is str, str, str)
 # shape edges [[i, j], ...], ';'-joined in spec text since ',' separates keys
 EDGES = ParamType(
     "edge list",
@@ -129,17 +115,6 @@ EDGES = ParamType(
 # spec text names a constant weight; a table comes only from a descriptor
 WEIGHT = ParamType("weight object", lambda v: type(v) is dict, _weight_from_text,
                    lambda v: str(v["const"]) if "const" in v else "table")
-
-
-class Param(NamedTuple):
-    """A family parameter besides the bound: its descriptor key, its type
-    and the value spec text that leaves it out gets (None: the key is
-    required). ``spec_key`` names it in spec text when that differs."""
-
-    key: str
-    type: ParamType
-    default: object = None
-    spec_key: Optional[str] = None
 
 
 class InstanceFamily:
@@ -201,9 +176,7 @@ class InstanceFamily:
     def spec(self) -> str:
         """Spec text that ``parse_family`` reads back to this descriptor
         (at the same bound)."""
-        parts = [f"{p.spec_key or p.key}={p.type.text(getattr(self, p.key))}"
-                 for p in self.params]
-        return f"{self.kind}:{','.join(parts)}" if parts else self.kind
+        return write_spec(self)
 
 
 def _exp_pairs(bound: int, *, cap: Optional[int] = None,
@@ -615,41 +588,16 @@ FAMILIES: Dict[str, type] = {cls.kind: cls for cls in (
 
 def parse_family(spec: str, bound: int, *, cap: int = 10**6,
                  default_r: Optional[int] = None) -> InstanceFamily:
-    """The family of spec text ``kind[:key=value,...]`` at ``bound``, with
+    """The family of spec text at ``bound``, read by ``read_spec`` with
     the kinds and keys ``FAMILIES`` declares: exptriple[:strict=1],
     exptriple-logcond[:r=N], expquad, schur, schurplusexp,
     shape:m=M[,edges=1-2;2-3], fep:m=M,w=K, diffpair:seq=S[,nmax=N] and
-    grid:len=L. A key left out takes its default (``default_r``, when
-    given, for r); a missing required key, bad value text or an unknown
-    key raises ParseError. The spec is turned into a descriptor for
-    ``family_from_descriptor``; ``cap`` bounds the lists a family builds
-    (power pairs, generator tuples, pattern elements)."""
-    head, _, body = spec.strip().partition(":")
-    cls = FAMILIES.get(head)
-    if cls is None:
-        raise ParseError(f"unknown family spec {spec!r}")
-    given: Dict[str, str] = {}
-    for part in body.split(",") if body else ():
-        key, eq, val = part.partition("=")
-        if not eq:
-            raise ParseError(f"expected key=value in family spec {spec!r}")
-        given[key.strip()] = val.strip()
+    grid:len=L; ``default_r``, when given, is the default of r. The
+    descriptor goes to ``family_from_descriptor``; ``cap`` bounds the lists
+    a family builds (power pairs, generator tuples, pattern elements)."""
     defaults = {} if default_r is None else {"r": default_r}
-    desc = {"kind": head, "bound": bound}
-    for p in cls.params:
-        name = p.spec_key or p.key
-        if name in given:
-            try:
-                desc[p.key] = p.type.parse(given.pop(name))
-            except ValueError:
-                raise ParseError(f"bad {p.type.name} for {name} in {spec!r}") from None
-        elif defaults.get(p.key, p.default) is not None:
-            desc[p.key] = defaults.get(p.key, p.default)
-        else:
-            raise ParseError(f"family spec {spec!r} needs {name}=")
-    if given:
-        raise ParseError(f"unknown key {next(iter(given))!r} in family spec {spec!r}")
-    return family_from_descriptor(desc, cap=cap)
+    cls, values = read_spec(spec, FAMILIES, "family", defaults)
+    return family_from_descriptor({"kind": cls.kind, "bound": bound, **values}, cap=cap)
 
 
 def family_from_descriptor(desc: dict, *, cap: int = 10**6) -> InstanceFamily:
@@ -900,6 +848,9 @@ def find_monochromatic(colouring: Union[Colouring, str],
     elif isinstance(family, SchurPlusExpFamily):
         first_idx, witness = _find_mono_schurplusexp(colouring, family, budget)
     elif threads > 1:
+        # imported here: the pool pulls in multiprocessing, which would cost
+        # every other process (each CLI call, say) import time for nothing
+        from concurrent.futures import ProcessPoolExecutor
         first_idx, witness, n = None, None, threads
         with ProcessPoolExecutor(max_workers=n) as pool:
             shards = pool.map(_walk, [colouring] * n, [family] * n,

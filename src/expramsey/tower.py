@@ -20,16 +20,15 @@ Canonical form, maintained by the factory functions ``literal`` / ``power`` /
 - ``Power(x, Literal(1))`` collapses to ``x`` and a base denoting 1 collapses
   to ``Literal(1)``.
 
-The exactness cutoff (default ``2**64``, overridable through the
-``EXPRAMSEY_CUTOFF`` environment variable) separates the exact regime from the
-symbolic one: :func:`eval_exact` returns the exact value when it is at most
-the cutoff and the verdict Huge otherwise. Huge is still informative, it
-certifies value > cutoff.
+The exactness cutoff ``DEFAULT_CUTOFF`` (``2**64``, a constant, so no output
+depends on the environment) separates the exact regime from the symbolic one:
+:func:`eval_exact` returns the exact value when it is at most the cutoff and
+the verdict Huge otherwise. Huge is still informative, it certifies
+value > cutoff.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -51,9 +50,7 @@ from .errors import (
     UnsupportedShape,
 )
 
-DEFAULT_CUTOFF = int(os.environ.get("EXPRAMSEY_CUTOFF", str(2**64)))
-if DEFAULT_CUTOFF < 2:
-    raise ValueError("EXPRAMSEY_CUTOFF must be at least 2")
+DEFAULT_CUTOFF = 2**64
 
 
 @dataclass(frozen=True)

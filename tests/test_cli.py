@@ -163,6 +163,31 @@ def test_verify_budget_exit(capsys):
     assert code == EXIT_BUDGET
 
 
+def test_verify_unknown_colouring_key_exit(capsys):
+    code, out, err = run(capsys, "verify", "logstar:rr=3", "exptriple",
+                         "--bound", "64")
+    assert code == EXIT_PARSE
+    assert out == "" and "'rr'" in err
+
+
+def test_subcommands_refuse_flags_they_ignore(capsys):
+    ramsey = ["ramsey", "vdw", "--k", "2", "--len", "3"]
+    colour = ["colour", "logstar:r=1", "16"]
+    gen = ["gen", "fep", "2", "3"]
+    for argv in (ramsey + ["--budget-secs", "0.001"], ramsey + ["--threads", "9"],
+                 ramsey + ["--cap", "1"], colour + ["--threads", "4"],
+                 colour + ["--cap", "0"], colour + ["--budget-secs", "1"],
+                 gen + ["--threads", "2"], gen + ["--budget-secs", "1"]):
+        assert run(capsys, *argv)[0] == EXIT_PARSE, argv
+    # the flags each subcommand reads, and the shared ones, still parse
+    for argv in (ramsey + ["--seed", "3", "--format", "csv"],
+                 colour + ["--seed", "3", "--format", "csv"],
+                 gen + ["--cap", "100", "--seed", "3"],
+                 ["verify", "logstar:r=1", "exptriple", "--bound", "64", "--cap",
+                  "100", "--threads", "1", "--budget-secs", "5", "--seed", "3"]):
+        assert run(capsys, *argv)[0] == EXIT_OK, argv
+
+
 def test_verify_unknown_family_exit(capsys):
     code, _, _ = run(capsys, "verify", "const:k=1", "nosuchfamily",
                      "--bound", "4")
@@ -282,19 +307,19 @@ def test_reproducible_verify_across_processes():
     assert json.loads(a.stdout)["seed"] == 7
 
 
-def test_cutoff_env_var_changes_exactness():
-    code = (
-        "from expramsey.tower import power, eval_exact\n"
-        "print(eval_exact(power(2, 10)).is_exact)\n"
-    )
-    env = dict(os.environ, EXPRAMSEY_CUTOFF="100")
-    got = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert got.stdout.strip() == "False"
-    env = dict(os.environ, EXPRAMSEY_CUTOFF="2000")
-    got = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert got.stdout.strip() == "True"
+def test_cutoff_env_var_changes_no_output():
+    # the exactness cutoff is a constant: no value of the old override
+    # variable, valid or not, changes an exit code or a certificate byte
+    base = {k: v for k, v in os.environ.items() if k != "EXPRAMSEY_CUTOFF"}
+    for argv in (["colour", "logstar:r=1", "16"],
+                 ["verify", "lacunary:seq=n*2^n,nmax=2", "expquad", "--bound", "64"]):
+        cmd = [sys.executable, "-m", "expramsey.cli", *argv]
+        want = subprocess.run(cmd, env=base, capture_output=True)
+        assert want.returncode in (EXIT_OK, EXIT_COUNTEREXAMPLE)
+        for value in ("", "abc", "0", "1000"):
+            got = subprocess.run(cmd, env=dict(base, EXPRAMSEY_CUTOFF=value),
+                                 capture_output=True)
+            assert (got.returncode, got.stdout) == (want.returncode, want.stdout), value
 
 
 @pytest.mark.skipif(
@@ -334,6 +359,8 @@ COLOURING_SPECS = [
 BAD_COLOURING_SPECS = [
     "", ":", "nosuch", "logstar:r=x", "logstar:r=-1", "const:k=0", "product:",
     "lacunary:seq=foo", "table:/nonexistent/colours.json",
+    "logstar:rr=3", "const:kk=2", "lacunary:seq=3^n,nmx=5", "pow2abb:nmax=10,foo=1",
+    "abbb:n=3", "schurexp:x=1",
 ]
 FAMILY_SPECS = [
     "exptriple", "exptriple:strict=1", "exptriple-logcond", "exptriple-logcond:r=2",

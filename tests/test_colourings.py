@@ -1,12 +1,17 @@
 """Explicit colouring constructions and the colouring mini-language."""
 
+import json
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expramsey.colourings import (
+    COLOURINGS,
     AbbbColouring,
     ConstColouring,
     GeometricSequence,
@@ -246,7 +251,6 @@ def test_parse_colouring_specs():
 
 
 def test_parse_colouring_table_file(tmp_path):
-    import json
     p = tmp_path / "t.json"
     p.write_text(json.dumps({"k": 3, "map": [1, 2, 3, 1]}))
     f = parse_colouring(f"table:{p}")
@@ -258,6 +262,11 @@ def test_parse_colouring_rejects_unknown():
         parse_colouring("bogus:x=1")
     with pytest.raises(ParseError):
         parse_colouring("logstar:r=zero")
+    # a key the kind does not declare is refused, never dropped
+    for spec in ("logstar:rr=3", "const:kk=2", "lacunary:seq=3^n,nmx=5",
+                 "pow2abb:nmax=10,foo=1", "abbb:n=3", "schurexp:x=1"):
+        with pytest.raises(ParseError):
+            parse_colouring(spec)
 
 
 def test_spec_round_trip():
@@ -267,6 +276,59 @@ def test_spec_round_trip():
         assert f.spec == spec
         g = parse_colouring(f.spec)
         assert g.k == f.k
+
+
+# random parameters for every kind COLOURINGS declares, by parameter key
+KIND_PARAMS = {
+    "const": {"k": st.integers(1, 6)},
+    "logstar": {"r": st.integers(1, 5)},
+    "schurexp": {},
+    "lacunary": {"seq": st.sampled_from(["n*2^n", "2^n", "5^n"]),
+                 "nmax": st.integers(1, 10)},
+    "pow2abb": {"nmax": st.integers(1, 10)},
+    "abbb": {"nmax": st.integers(2, 8)},
+}
+
+
+def test_kind_params_cover_every_kind():
+    assert set(KIND_PARAMS) == set(COLOURINGS)
+    for kind, cls in COLOURINGS.items():
+        assert set(KIND_PARAMS[kind]) == {p.key for p in cls.params}, kind
+
+
+KINDS = st.sampled_from(sorted(KIND_PARAMS)).flatmap(
+    lambda kind: st.fixed_dictionaries(KIND_PARAMS[kind]).map(
+        lambda values: COLOURINGS[kind](**values)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(KINDS, st.lists(KINDS, min_size=2, max_size=2).map(ProductColouring)))
+def test_spec_reads_back_to_the_same_colouring(f):
+    g = parse_colouring(f.spec)
+    assert (g.spec, g.rule, g.k) == (f.spec, f.rule, f.k)
+    assert [g(x) for x in range(1, 65)] == [f(x) for x in range(1, 65)]
+
+
+def test_each_kind_colours_an_int_once(tmp_path):
+    table = tmp_path / "t.json"
+    table.write_text(json.dumps({"k": 2, "map": [1, 2] * 20}))
+    for spec in ("const:k=2", "logstar:r=1", "schurexp", "lacunary:seq=5^n,nmax=6",
+                 "pow2abb:nmax=6", "abbb:nmax=6", f"table:{table}",
+                 "product:logstar:r=1+schurexp"):
+        f = parse_colouring(spec)
+        calls = Counter()
+
+        def counted(x, rule=f._colour):
+            calls[x] += 1
+            return rule(x)
+
+        f._colour = counted
+        first = [f(x) for x in range(1, 41)]
+        # neither a second pass nor a term of a coloured value recolours an int
+        assert [f(x) for x in range(1, 41)] == first
+        assert f(power(2, 5)) == first[31]
+        assert {x: n for x, n in calls.items() if isinstance(x, int)} == \
+            dict.fromkeys(range(1, 41), 1), spec
 
 
 def test_colourings_are_picklable():
