@@ -9,7 +9,8 @@ A subclass declares ``kind`` and ``params`` (the grammar families use),
 keeps each parameter as the attribute of its key and implements
 ``_colour``, the uncached rule. The base class writes ``spec`` and ``rule``
 from ``params``, and its ``colour`` memoizes ``_colour`` on ints in
-``_memo``, so each int is coloured once per object.
+``_memo``, so each int is coloured once per object; a pickle leaves the
+memo behind.
 
 The lacunary constructions keep alpha as an exact rational, so every
 fractional-part test on integer inputs is exact integer arithmetic. Real
@@ -69,6 +70,13 @@ class Colouring:
         self = super().__new__(cls)
         self._memo: Dict[int, int] = {}
         return self
+
+    def __getstate__(self) -> dict:
+        # the memo is a cache: a worker process unpickles through __new__,
+        # which gives it a fresh one, so it is not sent along
+        state = self.__dict__.copy()
+        del state["_memo"]
+        return state
 
     def colour(self, x: Value) -> int:
         if not isinstance(x, int):

@@ -8,12 +8,18 @@ that reconstructs how it was built.
 
 Deduplication follows the term module's convention: exact value below the
 cutoff, canonical structure above it.
+
+The shape and fep recipes are written once, as ``shape_row`` and
+``fep_row``, over pieces kept in bounded lru caches: a shape edge's power,
+fep's candidate recipes per exponent caps and its factors. ``shape_pattern``/``fep`` and the search families' rows share them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -25,6 +31,7 @@ from .errors import (
     WeightUndefined,
 )
 from .tower import (
+    DEFAULT_CUTOFF,
     ExpTerm,
     Literal,
     as_term,
@@ -87,19 +94,14 @@ class PatternSet:
 class _Builder:
     """Accumulates elements, keeping the first provenance per distinct value."""
 
-    def __init__(self, family: str, generators: Tuple[ExpTerm, ...], cap: Optional[int] = None):
+    def __init__(self, family: str, generators: Tuple[ExpTerm, ...]):
         self.family = family
         self.generators = generators
-        self.cap = cap
         self.seen: dict = {}
         self.elements: List[ExpTerm] = []
         self.provenance: List[dict] = []
 
     def add(self, t: ExpTerm, prov: dict) -> None:
-        if self.cap is not None and len(self.elements) >= self.cap:
-            raise BudgetExceeded(
-                f"{self.family} generation exceeded the element cap {self.cap}"
-            )
         key = dedup_key(t)
         if key in self.seen:
             return
@@ -281,6 +283,68 @@ def weighted_products(S, W: WeightFn, xs) -> PatternSet:
     return b.done()
 
 
+def fep_caps(W: WeightFn, xs) -> Tuple[int, ...]:
+    """fep's exponent caps: W(values of x_{j+1}..x_m) for j = 1..m, with the
+    weight normalized to be monotone first."""
+    Wn = W.normalized()
+    return tuple(Wn.lookup(_suffix_values(xs, j)) for j in range(1, len(xs) + 1))
+
+
+@lru_cache(maxsize=1 << 16)
+def _fep_recipes(m: int, caps: Tuple[int, ...]) -> tuple:
+    """fep's candidates over m generators with exponent caps ``caps``, one
+    (B, choices) per nonempty base set B, by increasing size then
+    lexicographically. B lists the 1-based bases; each base i has its
+    exponent choices, the powers p_j over the free suffix (j > i outside B)
+    lexicographically, as ((j, p_j), ...)."""
+    out = []
+    for B in _nonempty_subsets(m):
+        base_idx = tuple(i + 1 for i in B)
+        choices = []
+        for i in base_idx:
+            support = [j for j in range(i + 1, m + 1) if j not in base_idx]
+            choices.append(tuple(
+                tuple(zip(support, ps)) for ps in
+                itertools.product(*(range(caps[j - 1] + 1) for j in support))))
+        out.append((base_idx, tuple(choices)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=1 << 16)
+def _fep_factor(x, pairs: tuple) -> Tuple[ExpTerm, Optional[int]]:
+    """The factor x^e, for e the product of y^p over ``pairs`` ((y, p), ...)
+    with p >= 1, and its exact value, or None when Huge."""
+    t = power(x, product(*(power(y, p) for y, p in pairs)))
+    return t, eval_exact(t).exact
+
+
+def fep_row(caps: Tuple[int, ...], xs, cap: int = DEFAULT_ELEMENT_CAP
+            ) -> Tuple[Tuple[ExpTerm, ...], tuple]:
+    """fep's deduplicated elements on generators xs (ints or terms, each
+    > 1) with exponent caps ``caps``, and the recipe (B, exponent choice per
+    base) of each. A candidate met once ``cap`` elements are kept raises
+    BudgetExceeded."""
+    seen: set = set()
+    elements: List[ExpTerm] = []
+    recipes = []
+    for B, choices in _fep_recipes(len(xs), caps):
+        pools = [[_fep_factor(xs[i - 1], tuple((xs[j - 1], p) for j, p in exps if p))
+                  for exps in pool] for i, pool in zip(B, choices)]
+        for combo, choice in zip(itertools.product(*pools), itertools.product(*choices)):
+            if len(elements) >= cap:
+                raise BudgetExceeded(f"fep generation exceeded the element cap {cap}")
+            terms, values = zip(*combo)
+            t = product(*terms)
+            # dedup_key's key, from the factors' exact values
+            v = None if None in values else math.prod(values)
+            key = ("v", v) if v is not None and v <= DEFAULT_CUTOFF else ("s", t)
+            if key not in seen:
+                seen.add(key)
+                elements.append(t)
+                recipes.append((B, choice))
+    return tuple(elements), tuple(recipes)
+
+
 def fep(W: WeightFn, xs, cap: int = DEFAULT_ELEMENT_CAP) -> PatternSet:
     """Exponential-product family: products of x_i^{e_i} over nonempty bases B.
 
@@ -291,31 +355,13 @@ def fep(W: WeightFn, xs, cap: int = DEFAULT_ELEMENT_CAP) -> PatternSet:
     """
     xs = _as_terms(xs)
     _require_gt1(xs, "fep")
-    m = len(xs)
-    Wn = W.normalized()
-    suffix_caps = {j: Wn.lookup(_suffix_values(xs, j)) for j in range(1, m + 1)}
-    b = _Builder("fep", xs, cap=cap)
-    for B in _nonempty_subsets(m):
-        base_idx = [i + 1 for i in B]
-        in_b = set(base_idx)
-        # per-base exponent choices: weighted products over the free suffix
-        per_base: List[List[Tuple[ExpTerm, dict]]] = []
-        for i in base_idx:
-            support = [j for j in range(i + 1, m + 1) if j not in in_b]
-            choices: List[Tuple[ExpTerm, dict]] = []
-            for ps in itertools.product(*(range(suffix_caps[j] + 1) for j in support)):
-                factors = [power(xs[j - 1], p) for j, p in zip(support, ps) if p >= 1]
-                e = product(*factors) if factors else Literal(1)
-                choices.append((e, {str(j): p for j, p in zip(support, ps)}))
-            per_base.append(choices)
-        for combo in itertools.product(*per_base):
-            t = product(*(power(xs[i - 1], e) for i, (e, _) in zip(base_idx, combo)))
-            prov = {
-                "B": base_idx,
-                "exponents": {str(i): exps for i, (_, exps) in zip(base_idx, combo)},
-            }
-            b.add(t, prov)
-    return b.done()
+    elements, recipes = fep_row(fep_caps(W, xs), xs, cap)
+    provenance = tuple(
+        {"B": list(B),
+         "exponents": {str(i): {str(j): p for j, p in exps} for i, exps in zip(B, choice)}}
+        for B, choice in recipes
+    )
+    return PatternSet("fep", xs, elements, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -348,18 +394,39 @@ def parse_edges(text: str, sep: str) -> List[Tuple[int, int]]:
     return edges
 
 
+@lru_cache(maxsize=1 << 16)
+def _keyed(a, b=1) -> Tuple[ExpTerm, object]:
+    """a^b with its dedup key: a generator when b is 1, else the element of
+    a shape edge."""
+    t = power(a, b)
+    return t, dedup_key(t)
+
+
+def shape_row(edges: Sequence[Tuple[int, int]], xs
+              ) -> Tuple[Tuple[ExpTerm, ...], tuple]:
+    """The shape pattern's deduplicated elements on generators xs (ints or
+    terms, each > 1) over ``edges`` in sorted order: the generators, then
+    x_i^{x_j} per edge; with the source of each, a generator's 1-based
+    index or an edge (i, j)."""
+    pieces = list(zip(range(1, len(xs) + 1), map(_keyed, xs)))
+    pieces += [((i, j), _keyed(xs[i - 1], xs[j - 1])) for i, j in edges]
+    first: dict = {}  # dedup key -> (element, source), in insertion order
+    for src, (t, key) in pieces:
+        first.setdefault(key, (t, src))
+    elements, sources = zip(*first.values())
+    return elements, sources
+
+
 def shape_pattern(R: ShapeRelation, xs) -> PatternSet:
     """Generators plus x_i^{x_j} for every edge (i, j)."""
     xs = _as_terms(xs)
     if len(xs) != R.m:
         raise ArityMismatch(f"relation expects {R.m} generators, got {len(xs)}")
     _require_gt1(xs, "shape")
-    b = _Builder("shape", xs)
-    for i, x in enumerate(xs):
-        b.add(x, {"generator": i + 1})
-    for (i, j) in sorted(R.edges):
-        b.add(power(xs[i - 1], xs[j - 1]), {"edge": [i, j]})
-    return b.done()
+    elements, sources = shape_row(sorted(R.edges), xs)
+    provenance = tuple({"generator": s} if isinstance(s, int) else {"edge": list(s)}
+                       for s in sources)
+    return PatternSet("shape", xs, elements, provenance)
 
 
 class CycleCheck(Tuple[bool, Optional[Tuple[Tuple[int, int], ...]]]):

@@ -5,7 +5,8 @@ deterministic for a fixed bound: instances are ordered by their element
 tuple sorted descending, ties broken by the generator tuple, except for the
 symbolic families (expquad, shape, fep) whose elements can be astronomically
 large; those order by generator tuples instead, which is still a sorted
-order on the bounded part of the instance.
+order on the bounded part of the instance: expquad by (b, a), shape and fep
+by (max generator, generator tuple), whose index is found in closed form.
 
 Certificates serialize to canonical JSON (sorted keys, no whitespace); the
 wall-time measurement lives on the object but stays out of the bytes so
@@ -29,7 +30,12 @@ from ._arith import iroot
 from ._spec import BOOL, INT, STR, Param, ParamType, read_spec, write_spec
 from .colourings import Colouring, LogStarColouring, parse_colouring, parse_seq
 from .errors import BudgetError, BudgetExceeded, ParseError
-from .patterns import ShapeRelation, WeightFn, fep, parse_edges, shape_pattern
+from .patterns import (
+    ShapeRelation, WeightFn, fep_caps, fep_row, parse_edges, shape_row,
+)
+# not called here: bench/spans.py traces fep and shape_pattern through these
+# bindings, and the families build their rows from the same pieces
+from .patterns import fep, shape_pattern  # noqa: F401
 from .tower import (
     ExpTerm,
     as_term,
@@ -410,18 +416,74 @@ class SchurPlusExpFamily(InstanceFamily):
         return before + s_lt * e_eq + (si - s_lt) * e_le + ei
 
 
-def _tuples_by_max(bound: int, m: int, cap: int) -> List[Tuple[int, ...]]:
-    n = max(0, bound - 1)
-    if n**m > cap:
-        raise BudgetExceeded(
-            f"{n}^{m} generator tuples exceed the element cap {cap}"
-        )
-    out = list(itertools.product(range(2, bound + 1), repeat=m))
-    out.sort(key=lambda t: (max(t), t))
-    return out
+def _nth_tuple(i: int, m: int) -> Tuple[int, ...]:
+    """The generator tuple at index i of the (max, tuple) order on
+    [2, oo)^m. The (M - 2)^m tuples of max below M come first, so M is
+    iroot(i, m) + 2; the block of max M is then decoded lexicographically."""
+    M = iroot(i, m) + 2
+    j = i - (M - 2) ** m
+    out, seen = [], False
+    for r in range(m - 1, -1, -1):
+        if seen:  # M has appeared: the rest counts in base M - 1
+            d, j = divmod(j, (M - 1) ** r)
+            out.append(d + 2)
+            continue
+        # each digit below M leaves the completions that still contain M
+        per = (M - 1) ** r - (M - 2) ** r
+        if j < (M - 2) * per:
+            d, j = divmod(j, per)
+            out.append(d + 2)
+        else:
+            j -= (M - 2) * per
+            out.append(M)
+            seen = True
+    return tuple(out)
 
 
-class ShapeFamily(InstanceFamily):
+def _tuples_with_max(M: int, m: int) -> Iterator[Tuple[int, ...]]:
+    """The tuples in [2, M]^m that contain M, lexicographically: each
+    prefix in [2, M]^(m-1) takes every last digit once it holds M, else
+    only M."""
+    lasts = [(d,) for d in range(2, M + 1)]
+    for prefix in itertools.product(range(2, M + 1), repeat=m - 1):
+        if M in prefix:
+            yield from map(prefix.__add__, lasts)
+        else:
+            yield prefix + (M,)
+
+
+class _TupleFamily(InstanceFamily):
+    """Pattern instances over every generator tuple in [2, bound]^m, ordered
+    by (max generator, generator tuple); ``_elements`` gives the pattern's
+    elements on one tuple."""
+
+    capped = True
+
+    def __init__(self, bound: int, m: int, cap: int):
+        self.bound = bound
+        self.m = m
+        n = max(0, bound - 1)
+        if n**m > cap:
+            raise BudgetExceeded(f"{n}^{m} generator tuples exceed the element cap {cap}")
+        self._count = n**m
+
+    def count(self) -> int:
+        return self._count
+
+    def _elements(self, xs: Tuple[int, ...]) -> Tuple[Value, ...]:
+        raise NotImplementedError
+
+    def rows(self) -> Iterator[Row]:
+        for M in range(2, self.bound + 1):
+            for xs in _tuples_with_max(M, self.m):
+                yield self._elements(xs), xs
+
+    def _row(self, i: int) -> Row:
+        xs = _nth_tuple(i, self.m)
+        return self._elements(xs), xs
+
+
+class ShapeFamily(_TupleFamily):
     """Shape-pattern instances over all generator tuples in [2, bound]^m.
 
     The role labels follow the pattern's deduplicated elements, so they are
@@ -430,66 +492,53 @@ class ShapeFamily(InstanceFamily):
 
     kind = "shape"
     params = (Param("m", INT), Param("edges", EDGES, []))
-    capped = True
 
     def __init__(self, bound: int, m: int, edges: List[List[int]], *,
                  cap: int = 10**6):
-        self.bound = bound
-        self.m = m
         self.relation = ShapeRelation(m, tuple(map(tuple, edges)))
+        super().__init__(bound, m, cap)
         # the descriptor lists the edges in the relation's order
         self.edges = [list(e) for e in self.relation.edges]
-        self._tuples = _tuples_by_max(bound, m, cap)
+        self._sorted_edges = sorted(self.relation.edges)
 
-    def count(self) -> int:
-        return len(self._tuples)
+    def _elements(self, xs: Tuple[int, ...]) -> Tuple[Value, ...]:
+        return shape_row(self._sorted_edges, xs)[0]
 
     def _instance(self, values: Tuple[Value, ...],
                   xs: Tuple[int, ...]) -> Instance:
-        roles = []
-        for prov in shape_pattern(self.relation, xs).provenance:
-            if "generator" in prov:
-                roles.append(f"x{prov['generator']}")
-            else:
-                i, j = prov["edge"]
-                roles.append(f"x{i}^x{j}")
-        return Instance(tuple(roles), values, xs)
-
-    def _row(self, i: int) -> Row:
-        xs = self._tuples[i]
-        return tuple(shape_pattern(self.relation, xs).elements), xs
+        roles = tuple(f"x{s}" if isinstance(s, int) else "x{}^x{}".format(*s)
+                      for s in shape_row(self._sorted_edges, xs)[1])
+        return Instance(roles, values, xs)
 
 
-class FepFamily(InstanceFamily):
+class FepFamily(_TupleFamily):
     """Weighted exponential-product pattern instances; every pattern element
     must take the same colour for the instance to count as monochromatic.
     Each element is labelled with its own tower text."""
 
     kind = "fep"
     params = (Param("m", INT), Param("weight", WEIGHT, spec_key="w"))
-    capped = True
 
     def __init__(self, bound: int, m: int, weight: dict, *, cap: int = 10**6):
         try:
             self._weight = WeightFn.from_json(weight)
         except (AttributeError, KeyError, TypeError):
             raise ParseError(f"bad fep weight {weight!r}") from None
+        if m < 1:
+            raise ValueError(f"fep needs m >= 1, got m={m}")
+        super().__init__(bound, m, cap)
         self.weight = self._weight.to_json()
-        self.m = m
-        self.bound = bound
         self.cap = cap
-        self._tuples = _tuples_by_max(bound, m, cap)
+        # a constant weight gives every tuple the same exponent caps
+        self._caps = None if self._weight.const is None else (self._weight.const,) * m
 
-    def count(self) -> int:
-        return len(self._tuples)
+    def _elements(self, xs: Tuple[int, ...]) -> Tuple[Value, ...]:
+        caps = self._caps or fep_caps(self._weight, xs)
+        return fep_row(caps, xs, self.cap)[0]
 
     def _instance(self, values: Tuple[Value, ...],
                   xs: Tuple[int, ...]) -> Instance:
         return Instance(tuple(to_text(e) for e in values), values, xs)
-
-    def _row(self, i: int) -> Row:
-        xs = self._tuples[i]
-        return tuple(fep(self._weight, xs, cap=self.cap).elements), xs
 
 
 class DifferencePairFamily(InstanceFamily):

@@ -372,7 +372,7 @@ BAD_FAMILY_SPECS = [
     "", "nosuch", "exptriple:stirct=1", "exptriple:strict", "schur:bound=5",
     "grid:len=2,foo=3", "grid:len=0", "fep:m=2,w=x", "fep:m=2,w=table",
     "shape:m=2,edges=1-x", "shape:m=2,edges=1-5", "diffpair:seq=foo",
-    "diffpair:seq=n^n*log2n", "exptriple-logcond:r=",
+    "diffpair:seq=n^n*log2n", "exptriple-logcond:r=", "fep:m=0,w=1", "fep:m=-1,w=1",
 ]
 SPEC_TEXT = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789:=,;-+^*", max_size=24)
 

@@ -340,6 +340,22 @@ def test_colourings_are_picklable():
             assert g.colour(x) == f.colour(x), (spec, x)
 
 
+def test_pickles_leave_the_memo_behind():
+    # worker processes get the colouring pickled; a used memo would ride along
+    for spec in ("logstar:r=1", "abbb:nmax=8", "pow2abb:nmax=8",
+                 "product:logstar:r=2+lacunary:seq=n*2^n,nmax=8"):
+        fresh = len(pickle.dumps(parse_colouring(spec)))
+        f = parse_colouring(spec)
+        colours = [f(x) for x in range(1, 3001)]
+        assert len(f._memo) == 3000
+        assert len(pickle.dumps(f)) == fresh, spec
+        g = pickle.loads(pickle.dumps(f))
+        # nested colourings travel without their memos too
+        for part in [g, *getattr(g, "parts", []), getattr(g, "inner", g)]:
+            assert part._memo == {}, spec
+        assert [g(x) for x in range(1, 3001)] == colours, spec
+
+
 def test_tower_height_lower_bound_witness_symbolic():
     # with r = k-3 colours, the top of a height-r tower and its self-power
     # never share a colour, so no k-colouring bound below tower(r) is tight

@@ -4,9 +4,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from expramsey.errors import (
     ArityMismatch,
+    BudgetExceeded,
+    ExactnessRequired,
     SymbolicUnsupported,
     WeightUndefined,
 )
@@ -21,7 +25,7 @@ from expramsey.patterns import (
     shape_pattern,
     weighted_products,
 )
-from expramsey.tower import power
+from expramsey.tower import as_term, dedup_key, eval_exact, parse_term, power, product
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +192,80 @@ def test_fep_element_cap():
     from expramsey.errors import BudgetExceeded
     with pytest.raises(BudgetExceeded):
         fep(WeightFn.constant(9), (2, 3, 5, 7), cap=50)
+
+
+def _reference_fep(W, xs, cap):
+    """fep as first written: each candidate built by power/product and
+    deduplicated by dedup_key, the cap checked before every candidate."""
+    m = len(xs)
+    Wn = W.normalized()
+    caps = {j: Wn.lookup(frozenset(eval_exact(x).exact for x in xs[j:]))
+            for j in range(1, m + 1)}
+    seen, elements, provenance = set(), [], []
+    for size in range(1, m + 1):
+        for B in itertools.combinations(range(1, m + 1), size):
+            per_base = []
+            for i in B:
+                support = [j for j in range(i + 1, m + 1) if j not in B]
+                per_base.append([
+                    (product(*(power(xs[j - 1], p) for j, p in zip(support, ps) if p)),
+                     {str(j): p for j, p in zip(support, ps)})
+                    for ps in itertools.product(*(range(caps[j] + 1) for j in support))])
+            for combo in itertools.product(*per_base):
+                if len(elements) >= cap:
+                    raise BudgetExceeded(f"fep generation exceeded the element cap {cap}")
+                t = product(*(power(xs[i - 1], e) for i, (e, _) in zip(B, combo)))
+                if dedup_key(t) not in seen:
+                    seen.add(dedup_key(t))
+                    elements.append(t)
+                    provenance.append({"B": list(B), "exponents": {
+                        str(i): exps for i, (_, exps) in zip(B, combo)}})
+    return tuple(elements), tuple(provenance)
+
+
+# ints, and terms around and far above the exactness cutoff 2^64
+GENERATORS = st.one_of(st.integers(2, 9), st.sampled_from(
+    ["2^32", "2^64", "2^32*3", "18446744073709551617", "2^2^70", "3^100", "2^(2*3)"]
+).map(parse_term))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(GENERATORS, min_size=1, max_size=3),
+       st.one_of(st.integers(0, 2).map(WeightFn.constant),
+                 st.just(WeightFn.of_table({frozenset(): 1, frozenset({3}): 2}))),
+       st.integers(0, 40))
+# 2^32^2 and the generator 2^64 both equal the cutoff, so they must merge
+@example([parse_term("2^32"), 2, parse_term("2^64")], WeightFn.constant(1), 40)
+def test_fep_matches_its_first_definition(xs, W, cap):
+    xs = tuple(map(as_term, xs))
+    if any(eval_exact(x).is_huge for x in xs[1:]):
+        # weights are looked up on the exact values of x_2..x_m
+        with pytest.raises(ExactnessRequired):
+            fep(W, xs, cap=cap)
+        return
+    try:
+        want = _reference_fep(W, xs, cap)
+    except BudgetExceeded as exc:
+        with pytest.raises(BudgetExceeded, match=str(exc)):
+            fep(W, xs, cap=cap)
+        return
+    ps = fep(W, xs, cap=cap)
+    assert (ps.elements, ps.provenance) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(GENERATORS, min_size=1, max_size=4).flatmap(lambda xs: st.tuples(
+    st.just(xs), st.frozensets(st.tuples(st.integers(1, len(xs)),
+                                         st.integers(1, len(xs)))))))
+def test_shape_pattern_matches_its_first_definition(args):
+    xs, edges = tuple(map(as_term, args[0])), args[1]
+    candidates = [(x, {"generator": i}) for i, x in enumerate(xs, 1)]
+    candidates += [(power(xs[i - 1], xs[j - 1]), {"edge": [i, j]}) for i, j in sorted(edges)]
+    first = {}
+    for t, prov in candidates:
+        first.setdefault(dedup_key(t), (t, prov))
+    ps = shape_pattern(ShapeRelation(len(xs), edges), xs)
+    assert (ps.elements, ps.provenance) == tuple(zip(*first.values()))
 
 
 # ---------------------------------------------------------------------------

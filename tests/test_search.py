@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,10 @@ from expramsey.colourings import (
     TableColouring,
     parse_colouring,
 )
-from expramsey.errors import BudgetExceeded, ExpRamseyError, ParseError
+from expramsey.errors import (
+    BudgetExceeded, ExpRamseyError, ParseError, WeightUndefined,
+)
+from expramsey.patterns import WeightFn, fep, shape_pattern
 from expramsey.search import (
     Certificate,
     export_dimacs,
@@ -36,7 +40,7 @@ from expramsey.search import (
     _exp_triples_upto,
     _methods_agree,
 )
-from expramsey.tower import compare_iter_log, eval_exact, parse_term
+from expramsey.tower import compare_iter_log, eval_exact, parse_term, to_text
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +191,7 @@ def test_shape_specs_with_several_edges_round_trip():
 @pytest.mark.parametrize("spec", [
     "exptriple:stirct=1", "schur:bound=5", "grid:len=2,foo=3", "fep:m=2,w=x",
     "fep:m=2,w=table", "grid", "shape:m=2,edges=1-x", "shape:m=2,edges=1-5",
-    "exptriple:strict", "exptriple-logcond:r=x",
+    "exptriple:strict", "exptriple-logcond:r=x", "fep:m=0,w=1", "fep:m=-1,w=1",
 ])
 def test_parse_family_rejects_bad_specs(spec):
     with pytest.raises(ParseError):
@@ -223,6 +227,85 @@ def test_nth_is_the_enumeration_order(spec, bound):
     insts = list(fam.instances())
     assert fam.count() == len(insts)
     assert [fam.nth(i) for i in range(len(insts))] == insts
+
+
+def _outcome(fn):
+    """(True, value) or (False, exception type and message)."""
+    try:
+        return True, fn()
+    except (BudgetExceeded, WeightUndefined) as exc:
+        return False, (type(exc), str(exc))
+
+
+# table weights on small value sets, as descriptors carry them
+TABLE_WEIGHTS = st.dictionaries(
+    st.frozensets(st.integers(2, 7), max_size=2).map(
+        lambda s: ",".join(map(str, sorted(s)))),
+    st.integers(0, 2), max_size=3).map(lambda t: {"table": t})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_shape_and_fep_rows_are_the_patterns_in_max_then_tuple_order(data):
+    bound, m = data.draw(st.integers(0, 7)), data.draw(st.integers(1, 4))
+    cap = data.draw(st.integers(0, 300))
+    if data.draw(st.booleans()):
+        edges = data.draw(st.lists(st.lists(st.integers(1, m), min_size=2, max_size=2),
+                                   max_size=5))
+        desc = {"kind": "shape", "bound": bound, "m": m, "edges": edges}
+    else:
+        weight = data.draw(st.one_of(st.integers(0, 2).map(lambda k: {"const": k}),
+                                     TABLE_WEIGHTS))
+        desc = {"kind": "fep", "bound": bound, "m": m, "weight": weight}
+    # the order as first defined: every tuple, sorted by (max, tuple)
+    order = sorted(itertools.product(range(2, bound + 1), repeat=m),
+                   key=lambda t: (max(t), t))
+    if len(order) > cap:
+        with pytest.raises(BudgetExceeded):
+            family_from_descriptor(desc, cap=cap)
+        return
+    fam = family_from_descriptor(desc, cap=cap)
+    assert fam.count() == len(order)
+
+    def pattern(xs):
+        """(elements, roles) of the pattern on xs, built by the pattern."""
+        if desc["kind"] == "shape":
+            ps = shape_pattern(fam.relation, xs)
+            return ps.elements, tuple(
+                f"x{p['generator']}" if "generator" in p else "x{}^x{}".format(*p["edge"])
+                for p in ps.provenance)
+        ps = fep(WeightFn.from_json(desc["weight"]), xs, cap=cap)
+        return ps.elements, tuple(to_text(e) for e in ps.elements)
+
+    rows, walking = fam.rows(), True
+    for i, xs in enumerate(order):
+        ok, want = _outcome(lambda: pattern(xs))
+        got_ok, got = _outcome(lambda: fam.nth(i))
+        assert got_ok == ok, (desc, i)
+        if ok:
+            assert (got.generators, got.values, got.roles) == (xs, *want)
+        else:
+            assert got == want
+        if walking:
+            # the walk raises where the pattern does, and stops there
+            row_ok, row = _outcome(lambda: next(rows))
+            assert (row_ok, row) == ((True, (want[0], xs)) if ok else (False, want))
+            walking = ok
+    if walking:
+        assert next(rows, None) is None
+
+
+def test_shape_rows_start_without_listing_every_tuple():
+    tracemalloc.start()
+    try:
+        fam = parse_family("shape:m=2,edges=1-2", 1000)
+        first = list(itertools.islice(fam.rows(), 241))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fam.count() == 999**2 and len(first) == 241
+    assert first[-1][1] == (17, 2)
+    assert peak < 10 * 2**20
 
 
 def test_cap_refuses_power_pair_lists_before_building_them():
