@@ -31,7 +31,6 @@ from .errors import (
     WeightUndefined,
 )
 from .tower import (
-    DEFAULT_CUTOFF,
     ExpTerm,
     Literal,
     as_term,
@@ -40,6 +39,7 @@ from .tower import (
     power,
     product,
     to_text,
+    value_key,
 )
 
 DEFAULT_ELEMENT_CAP = 10**6
@@ -335,9 +335,8 @@ def fep_row(caps: Tuple[int, ...], xs, cap: int = DEFAULT_ELEMENT_CAP
                 raise BudgetExceeded(f"fep generation exceeded the element cap {cap}")
             terms, values = zip(*combo)
             t = product(*terms)
-            # dedup_key's key, from the factors' exact values
-            v = None if None in values else math.prod(values)
-            key = ("v", v) if v is not None and v <= DEFAULT_CUTOFF else ("s", t)
+            # a Huge factor makes the product Huge
+            key = value_key(t, None if None in values else math.prod(values))
             if key not in seen:
                 seen.add(key)
                 elements.append(t)

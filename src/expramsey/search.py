@@ -529,12 +529,9 @@ class FepFamily(_TupleFamily):
         super().__init__(bound, m, cap)
         self.weight = self._weight.to_json()
         self.cap = cap
-        # a constant weight gives every tuple the same exponent caps
-        self._caps = None if self._weight.const is None else (self._weight.const,) * m
 
     def _elements(self, xs: Tuple[int, ...]) -> Tuple[Value, ...]:
-        caps = self._caps or fep_caps(self._weight, xs)
-        return fep_row(caps, xs, self.cap)[0]
+        return fep_row(fep_caps(self._weight, xs), xs, self.cap)[0]
 
     def _instance(self, values: Tuple[Value, ...],
                   xs: Tuple[int, ...]) -> Instance:

@@ -234,9 +234,16 @@ def equal_value(s: ExpTerm, t: ExpTerm, cutoff: Optional[int] = None) -> bool:
 
 def dedup_key(t: ExpTerm, cutoff: Optional[int] = None):
     """Hashable identity: exact value when small, canonical structure when Huge."""
-    bv = eval_exact(t, cutoff)
-    if bv.is_exact:
-        return ("v", bv.exact)
+    return value_key(t, eval_exact(t, cutoff).exact, cutoff)
+
+
+def value_key(t: ExpTerm, value: Optional[int], cutoff: Optional[int] = None):
+    """dedup_key(t) for a caller that already holds t's value, or None when t
+    is known to be Huge: ("v", value) at most the cutoff, else ("s", t)."""
+    if cutoff is None:
+        cutoff = DEFAULT_CUTOFF
+    if value is not None and value <= cutoff:
+        return ("v", value)
     return ("s", t)
 
 

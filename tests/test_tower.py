@@ -32,6 +32,7 @@ from expramsey.tower import (
     power,
     product,
     to_text,
+    value_key,
 )
 
 
@@ -134,6 +135,16 @@ def test_equal_value_across_structures():
 def test_dedup_key_merges_equal_exact_values():
     assert dedup_key(power(2, 4)) == dedup_key(literal(16))
     assert dedup_key(power(2, 65536)) != dedup_key(power(3, 65536))
+
+
+def test_value_key_is_dedup_key_from_a_known_value():
+    for t in (power(2, 4), power(2, 64), product(power(2, 32), power(2, 32)),
+              power(2, 65536)):
+        assert value_key(t, eval_exact(t).exact) == dedup_key(t)
+    # a product of small factors can exceed the cutoff
+    big = product(power(2, 40), power(3, 40))
+    assert value_key(big, 2**40 * 3**40) == dedup_key(big) == ("s", big)
+    assert value_key(literal(9), 9, cutoff=8) == dedup_key(literal(9), 8)
 
 
 def test_eval_mod_huge_tower():
