@@ -143,7 +143,7 @@ def _log2_interval_step(lo: int, hi: int, prec: int) -> Tuple[int, int]:
     return llo - shift, lhi - shift
 
 
-def iter_log_le(a: int, r: int, b: int, max_prec: int = PREC_SCHEDULE[-1]) -> bool:
+def iter_log_le(a: int, r: int, b: int) -> bool:
     """Certified decision of log2^(r)(a) <= b for integers a >= 1, b >= 1.
 
     Walks the exact power-of-two track as far as it goes (ties live there and
@@ -167,8 +167,6 @@ def iter_log_le(a: int, r: int, b: int, max_prec: int = PREC_SCHEDULE[-1]) -> bo
         return cur <= b
     rem = r - steps
     for prec in PREC_SCHEDULE:
-        if prec > max_prec:
-            break
         one = 1 << prec
         lo, hi = log2_scaled_bounds(cur, prec)
         undecided = False
@@ -186,5 +184,5 @@ def iter_log_le(a: int, r: int, b: int, max_prec: int = PREC_SCHEDULE[-1]) -> bo
         if lo > b << prec:
             return False
     raise UncertifiableComparison(
-        f"iterated log comparison undecided at precision {max_prec}"
+        f"iterated log comparison undecided at precision {PREC_SCHEDULE[-1]}"
     )

@@ -39,6 +39,7 @@ from .patterns import (
     weighted_products,
 )
 from .search import (
+    canonical_json,
     exp_ramsey_number,
     find_monochromatic,
     parse_family,
@@ -59,10 +60,6 @@ def _emit(args, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _csv_rows(rows: List[List[str]]) -> str:
@@ -120,7 +117,7 @@ def cmd_gen(args) -> int:
             rows.append([el, json.dumps(prov, sort_keys=True)])
         _emit(args, _csv_rows(rows))
     else:
-        _emit(args, _canonical(obj))
+        _emit(args, canonical_json(obj))
     return EXIT_OK
 
 
@@ -142,7 +139,7 @@ def cmd_colour(args) -> int:
             "assignments": assignments,
             "seed": args.seed,
         }
-        _emit(args, _canonical(obj))
+        _emit(args, canonical_json(obj))
     return EXIT_OK
 
 

@@ -300,24 +300,6 @@ class LacunaryAlpha:
     indices: Tuple[int, ...]
     interval: Tuple[Fraction, Fraction]
 
-    def check(self, seq: DifferenceSequence, n: int) -> bool:
-        """Exact (or certified) verification of one fractional-part constraint."""
-        for prec in PREC_SCHEDULE:
-            blo, bhi = _rat_bounds(seq, n, prec)
-            plo = self.alpha * blo
-            phi = self.alpha * bhi
-            if plo.__floor__() != phi.__floor__():
-                continue
-            flo = plo - plo.__floor__()
-            fhi = phi - phi.__floor__()
-            if Fraction(1, 4) < flo and fhi < Fraction(3, 4):
-                return True
-            if fhi <= Fraction(1, 4) or flo >= Fraction(3, 4):
-                return False
-        raise UncertifiableComparison(
-            f"cannot certify fractional part of alpha*b_{n}"
-        )
-
 
 def build_lacunary_alpha(
     seq: Union[str, DifferenceSequence],
@@ -407,7 +389,6 @@ class LacunaryColouring(Colouring):
                 raise SequenceNotSufficientlyLacunary(
                     f"{seq.name} ratio too close to 1 for a finite partition"
                 )
-        self.num_classes = l
         self.alphas: List[LacunaryAlpha] = []
         for i in range(l):
             cls = indices[i::l]

@@ -322,7 +322,7 @@ def fep_row(caps: Tuple[int, ...], xs, cap: int = DEFAULT_ELEMENT_CAP
             ) -> Tuple[Tuple[ExpTerm, ...], tuple]:
     """fep's deduplicated elements on generators xs (ints or terms, each
     > 1) with exponent caps ``caps``, and the recipe (B, exponent choice per
-    base) of each. A candidate met once ``cap`` elements are kept raises
+    base) of each. A new distinct element past the ``cap``-th raises
     BudgetExceeded."""
     seen: set = set()
     elements: List[ExpTerm] = []
@@ -331,13 +331,13 @@ def fep_row(caps: Tuple[int, ...], xs, cap: int = DEFAULT_ELEMENT_CAP
         pools = [[_fep_factor(xs[i - 1], tuple((xs[j - 1], p) for j, p in exps if p))
                   for exps in pool] for i, pool in zip(B, choices)]
         for combo, choice in zip(itertools.product(*pools), itertools.product(*choices)):
-            if len(elements) >= cap:
-                raise BudgetExceeded(f"fep generation exceeded the element cap {cap}")
             terms, values = zip(*combo)
             t = product(*terms)
             # a Huge factor makes the product Huge
             key = value_key(t, None if None in values else math.prod(values))
             if key not in seen:
+                if len(elements) >= cap:
+                    raise BudgetExceeded(f"fep generation exceeded the element cap {cap}")
                 seen.add(key)
                 elements.append(t)
                 recipes.append((B, choice))

@@ -21,7 +21,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import (
     Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
 )
@@ -669,8 +669,26 @@ def family_from_descriptor(desc: dict, *, cap: int = 10**6) -> InstanceFamily:
 # ---------------------------------------------------------------------------
 # certificates
 
+def canonical_json(obj) -> str:
+    """The byte form of every JSON output: sorted keys, no whitespace and
+    one trailing newline, so identical runs are byte-identical."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+class _Record:
+    """A result record: its JSON holds every dataclass field but wall_time,
+    which stays out of the bytes so replays are byte-identical."""
+
+    def to_json_obj(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "wall_time"}
+
+    def to_json(self) -> str:
+        return canonical_json(self.to_json_obj())
+
+
 @dataclass
-class Certificate:
+class Certificate(_Record):
     family: dict
     colouring: str
     bound: int
@@ -683,22 +701,6 @@ class Certificate:
     @property
     def verified(self) -> bool:
         return self.result.get("type") == "AvoidanceVerified"
-
-    def to_json_obj(self) -> dict:
-        # wall_time deliberately excluded: replays must be byte-identical
-        return {
-            "schema": self.schema,
-            "family": self.family,
-            "colouring": self.colouring,
-            "bound": self.bound,
-            "instances_checked": self.instances_checked,
-            "result": self.result,
-            "seed": self.seed,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True,
-                          separators=(",", ":")) + "\n"
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Certificate":
@@ -925,12 +927,14 @@ def find_monochromatic(colouring: Union[Colouring, str],
     return cert
 
 
-def verify_certificate(cert: Certificate, *, sample_rate: float = 0.01,
-                       sample_cap: int = 10000) -> bool:
+_SAMPLE_RATE, _SAMPLE_CAP = 0.01, 10_000
+
+
+def verify_certificate(cert: Certificate) -> bool:
     """Re-evaluate a certificate. A witness must be the instance at index
     ``instances_checked - 1``, rebuilt through ``nth``, and that instance is
     recoloured; avoidance claims are re-checked on a seeded random sample of
-    indices, each instance found through ``nth``.
+    1% of the indices, at most 10,000, each instance found through ``nth``.
 
     The family is rebuilt under the default element cap of 10^6, so a
     descriptor over it, such as that of a certificate made with ``--cap``
@@ -967,7 +971,7 @@ def verify_certificate(cert: Certificate, *, sample_rate: float = 0.01,
             return False
         if total == 0:
             return True
-        n = min(sample_cap, max(1, int(total * sample_rate)))
+        n = min(_SAMPLE_CAP, max(1, int(total * _SAMPLE_RATE)))
         rng = random.Random(cert.seed)
         for i in sorted(rng.sample(range(total), min(n, total))):
             if _instance_colour(colouring, family.nth(i)) is not None:
@@ -980,7 +984,7 @@ def verify_certificate(cert: Certificate, *, sample_rate: float = 0.01,
 # Ramsey-number computation
 
 @dataclass
-class RamseyComputation:
+class RamseyComputation(_Record):
     kind: str
     k: int
     params: dict
@@ -995,23 +999,6 @@ class RamseyComputation:
     @property
     def exceeds_budget(self) -> bool:
         return self.value is None
-
-    def to_json_obj(self) -> dict:
-        return {
-            "schema": self.schema,
-            "kind": self.kind,
-            "k": self.k,
-            "params": self.params,
-            "value": self.value,
-            "n_max": self.n_max,
-            "witness": self.witness,
-            "methods_agree": self.methods_agree,
-            "seed": self.seed,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True,
-                          separators=(",", ":")) + "\n"
 
 
 def _exp_triples_upto(n: int) -> List[Tuple[int, int, int]]:
@@ -1143,10 +1130,6 @@ def _backtrack_colouring(values: List[int],
         assign[order[r]] = 0
 
 
-def _witness_array(n: int, assign: Dict[int, int]) -> List[int]:
-    return [assign.get(v, 1) for v in range(1, n + 1)]
-
-
 def _colouring_is_free(colours: List[int],
                        constraints: List[Tuple[int, ...]]) -> bool:
     """No constraint is monochromatic under ``colours``, the colouring of
@@ -1179,6 +1162,29 @@ def _exp_problem(n: int) -> Tuple[List[int], List[Tuple[int, ...]]]:
     return sorted({v for t in triples for v in t}), triples
 
 
+def _threshold(kind: str, k: int, params: dict, n_max: int, seed: int,
+               t0: float, value: Optional[int],
+               assign: Optional[Dict[int, int]], problem: Callable
+               ) -> RamseyComputation:
+    """The record of a threshold search begun at ``t0``: ``value`` is the
+    least n whose ``problem(n)`` (values, constraints) has no k-colouring,
+    or None past ``n_max``, and ``assign`` the colouring found for
+    [value - 1]. The witness colours [value - 1], values ``assign`` leaves
+    out in colour 1, and ``_methods_agree`` re-checks the threshold."""
+    witness, agree = None, None
+    if value is not None:
+        get = (assign or {}).get
+        colours = [get(v, 1) for v in range(1, value)]
+        agree = _methods_agree(colours, problem(value - 1)[1], *problem(value), k)
+        witness = {"n": value - 1, "colours": colours}
+    comp = RamseyComputation(
+        kind=kind, k=k, params=params, value=value, n_max=n_max,
+        witness=witness, methods_agree=agree, seed=seed,
+    )
+    comp.wall_time = time.perf_counter() - t0
+    return comp
+
+
 def exp_ramsey_number(k: int, n_max: int = 10**5, *, seed: int = 0) -> RamseyComputation:
     """Least N such that every k-colouring of [N] has a monochromatic
     {a, b, a^b}; binary search over candidate power values. The witness
@@ -1194,33 +1200,17 @@ def exp_ramsey_number(k: int, n_max: int = 10**5, *, seed: int = 0) -> RamseyCom
 
     # unsolvability is monotone in N: a valid colouring of [N] restricts to
     # any smaller range, so binary-search the first unsatisfiable candidate
-    lo, hi, first_unsat = 0, len(candidates) - 1, None
+    lo, hi, value = 0, len(candidates) - 1, None
     while lo <= hi:
         mid = (lo + hi) // 2
         if sat_at(candidates[mid]) is None:
-            first_unsat = mid
+            value = candidates[mid]
             hi = mid - 1
         else:
             lo = mid + 1
-    if first_unsat is None:
-        comp = RamseyComputation(
-            kind="exptriple", k=k, params={}, value=None, n_max=n_max,
-            witness=None, methods_agree=None, seed=seed,
-        )
-        comp.wall_time = time.perf_counter() - t0
-        return comp
-    value = candidates[first_unsat]
-    below = value - 1
-    colours = _witness_array(below, sat_at(below) or {})
-    agree = _methods_agree(colours, _exp_triples_upto(below),
-                           *_exp_problem(value), k)
-    comp = RamseyComputation(
-        kind="exptriple", k=k, params={}, value=value, n_max=n_max,
-        witness={"n": below, "colours": colours}, methods_agree=agree,
-        seed=seed,
-    )
-    comp.wall_time = time.perf_counter() - t0
-    return comp
+    assign = None if value is None else sat_at(value - 1)
+    return _threshold("exptriple", k, {}, n_max, seed, t0, value, assign,
+                      _exp_problem)
 
 
 def _ap_constraints(n: int, length: int) -> List[Tuple[int, ...]]:
@@ -1239,35 +1229,19 @@ def vdw_number(k: int, length: int, n_max: int = 64, *, seed: int = 0) -> Ramsey
     if k < 1 or length < 2:
         raise ValueError("need k >= 1 and progression length >= 2")
     t0 = time.perf_counter()
-    value, assign_below = None, None
-    prev_assign: Optional[Dict[int, int]] = None
+
+    def problem(n: int) -> Tuple[List[int], List[Tuple[int, ...]]]:
+        return list(range(1, n + 1)), _ap_constraints(n, length)
+
+    value, assign = None, None
     for n in range(length, n_max + 1):
-        assign = _backtrack_colouring(
-            list(range(1, n + 1)), _ap_constraints(n, length), k)
-        if assign is None:
+        found = _backtrack_colouring(*problem(n), k)
+        if found is None:
             value = n
-            assign_below = prev_assign
             break
-        prev_assign = assign
-    if value is None:
-        comp = RamseyComputation(
-            kind="vdw", k=k, params={"len": length}, value=None, n_max=n_max,
-            witness=None, methods_agree=None, seed=seed,
-        )
-        comp.wall_time = time.perf_counter() - t0
-        return comp
-    below = value - 1
-    colours = _witness_array(below, assign_below or {})
-    agree = _methods_agree(colours, _ap_constraints(below, length),
-                           list(range(1, value + 1)),
-                           _ap_constraints(value, length), k)
-    comp = RamseyComputation(
-        kind="vdw", k=k, params={"len": length}, value=value, n_max=n_max,
-        witness={"n": below, "colours": colours}, methods_agree=agree,
-        seed=seed,
-    )
-    comp.wall_time = time.perf_counter() - t0
-    return comp
+        assign = found
+    return _threshold("vdw", k, {"len": length}, n_max, seed, t0, value,
+                      assign, problem)
 
 
 def export_dimacs(values: Sequence[int], constraints: Sequence[Tuple[int, ...]],

@@ -188,6 +188,14 @@ def test_subcommands_refuse_flags_they_ignore(capsys):
         assert run(capsys, *argv)[0] == EXIT_OK, argv
 
 
+def test_gen_fep_cap_counts_distinct_elements(capsys):
+    # generators 2, 2 give the set {2, 4}: its later candidates repeat them
+    code, out, _ = run(capsys, "gen", "fep", "2", "2", "--cap", "2")
+    assert code == EXIT_OK
+    assert json.loads(out)["elements"] == ["2", "2^2"]
+    assert run(capsys, "gen", "fep", "2", "2", "--cap", "1")[0] == EXIT_BUDGET
+
+
 def test_verify_unknown_family_exit(capsys):
     code, _, _ = run(capsys, "verify", "const:k=1", "nosuchfamily",
                      "--bound", "4")

@@ -1,0 +1,53 @@
+"""Exact output bytes of the result records and of two CLI runs.
+
+Round trips and schemas pass with a dropped field or a changed separator;
+these literals do not.
+"""
+
+import pytest
+
+from expramsey.cli import main
+from expramsey.colourings import parse_colouring
+from expramsey.search import exp_ramsey_number, find_monochromatic, vdw_number
+
+RECORDS = [
+    (lambda: vdw_number(2, 3),
+     '{"k":2,"kind":"vdw","methods_agree":true,"n_max":64,"params":{"len":3},'
+     '"schema":1,"seed":0,"value":9,"witness":{"colours":[1,2,2,1,1,2,2,1],"n":8}}\n'),
+    (lambda: exp_ramsey_number(1),
+     '{"k":1,"kind":"exptriple","methods_agree":true,"n_max":100000,"params":{},'
+     '"schema":1,"seed":0,"value":4,"witness":{"colours":[1,1,1],"n":3}}\n'),
+    (lambda: exp_ramsey_number(2, 100),
+     '{"k":2,"kind":"exptriple","methods_agree":null,"n_max":100,"params":{},'
+     '"schema":1,"seed":0,"value":null,"witness":null}\n'),
+    (lambda: find_monochromatic(parse_colouring("logstar:r=1"), "exptriple", 10**5),
+     '{"bound":100000,"colouring":"logstar:r=1","family":{"bound":100000,'
+     '"kind":"exptriple","strict":false},"instances_checked":29,"result":'
+     '{"type":"Counterexample","witness":{"colour":1,"elements":[{"role":"a",'
+     '"value":"17"},{"role":"b","value":"2"},{"role":"a^b","value":"289"}],'
+     '"generators":[17,2]}},"schema":1,"seed":0}\n'),
+    (lambda: find_monochromatic(parse_colouring("logstar:r=1"), "exptriple-logcond",
+                                2**12, seed=5),
+     '{"bound":4096,"colouring":"logstar:r=1","family":{"bound":4096,'
+     '"kind":"exptriple-logcond","r":1},"instances_checked":31,"result":'
+     '{"type":"AvoidanceVerified"},"schema":1,"seed":5}\n'),
+]
+
+
+@pytest.mark.parametrize("make,want", RECORDS)
+def test_record_bytes(make, want):
+    assert make().to_json() == want
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["gen", "fe", "2", "3"],
+     '{"elements":["2","2^3","3"],"family":"fe","generators":["2","3"],'
+     '"provenance":[{"exponents":[null],"i":1},{"exponents":["3"],"i":1},'
+     '{"exponents":[],"i":2}],"seed":0}\n'),
+    (["colour", "logstar:r=1", "2", "65536"],
+     '{"assignments":[{"colour":1,"value":"2"},{"colour":1,"value":"65536"}],'
+     '"colouring":"logstar:r=1","k":4,"seed":0}\n'),
+])
+def test_cli_json_bytes(capsys, argv, want):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want

@@ -196,7 +196,7 @@ def test_fep_element_cap():
 
 def _reference_fep(W, xs, cap):
     """fep as first written: each candidate built by power/product and
-    deduplicated by dedup_key, the cap checked before every candidate."""
+    deduplicated by dedup_key, the cap checked before each new element."""
     m = len(xs)
     Wn = W.normalized()
     caps = {j: Wn.lookup(frozenset(eval_exact(x).exact for x in xs[j:]))
@@ -212,10 +212,10 @@ def _reference_fep(W, xs, cap):
                      {str(j): p for j, p in zip(support, ps)})
                     for ps in itertools.product(*(range(caps[j] + 1) for j in support))])
             for combo in itertools.product(*per_base):
-                if len(elements) >= cap:
-                    raise BudgetExceeded(f"fep generation exceeded the element cap {cap}")
                 t = product(*(power(xs[i - 1], e) for i, (e, _) in zip(B, combo)))
                 if dedup_key(t) not in seen:
+                    if len(elements) >= cap:
+                        raise BudgetExceeded(f"fep generation exceeded the element cap {cap}")
                     seen.add(dedup_key(t))
                     elements.append(t)
                     provenance.append({"B": list(B), "exponents": {
@@ -251,6 +251,17 @@ def test_fep_matches_its_first_definition(xs, W, cap):
         return
     ps = fep(W, xs, cap=cap)
     assert (ps.elements, ps.provenance) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(2, 9), min_size=1, max_size=3),
+       st.integers(0, 2).map(WeightFn.constant))
+def test_fep_cap_refuses_only_past_the_last_element(xs, W):
+    ps = fep(W, xs)
+    at_cap = fep(W, xs, cap=len(ps))
+    assert (at_cap.elements, at_cap.provenance) == (ps.elements, ps.provenance)
+    with pytest.raises(BudgetExceeded):
+        fep(W, xs, cap=len(ps) - 1)
 
 
 @settings(max_examples=150, deadline=None)
