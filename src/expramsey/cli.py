@@ -42,10 +42,11 @@ from .search import (
     canonical_json,
     exp_ramsey_number,
     find_monochromatic,
-    parse_family,
     vdw_number,
 )
-from .tower import parse_term, to_text
+# not called here: bench/spans.py traces parse_family through this binding
+from .search import parse_family  # noqa: F401
+from .tower import parse_term
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -192,12 +193,16 @@ def cmd_search(args) -> int:
 
 
 def cmd_ramsey(args) -> int:
+    # without --nmax each computation keeps its own default ceiling
+    ceiling = {} if args.nmax is None else {"n_max": args.nmax}
     if args.kind == "exptriple":
-        comp = exp_ramsey_number(args.k, args.nmax or 10**5, seed=args.seed)
+        if args.len is not None:
+            raise ParseError("exptriple takes no --len")
+        comp = exp_ramsey_number(args.k, seed=args.seed, **ceiling)
     elif args.kind == "vdw":
         if args.len is None:
             raise ParseError("vdw needs --len")
-        comp = vdw_number(args.k, args.len, args.nmax or 64, seed=args.seed)
+        comp = vdw_number(args.k, args.len, seed=args.seed, **ceiling)
     else:
         raise ParseError(f"unknown ramsey kind {args.kind!r}")
     if args.format == "csv":
@@ -271,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compute a Ramsey-type number")
     p.add_argument("kind", choices=("exptriple", "vdw"))
     p.add_argument("--k", type=int, required=True, help="number of colours")
-    p.add_argument("--len", type=int, default=None, help="progression length")
+    p.add_argument("--len", type=int, default=None, help="progression length (vdw only)")
     p.add_argument("--nmax", type=int, default=None, help="search ceiling")
     p.set_defaults(func=cmd_ramsey)
 

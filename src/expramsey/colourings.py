@@ -42,7 +42,6 @@ from .errors import (
 )
 from .tower import (
     ExpTerm,
-    Literal,
     _log2_term_scaled,
     _pow2_exponent_term,
     as_term,

@@ -38,7 +38,6 @@ from .patterns import (
 from .patterns import fep, shape_pattern  # noqa: F401
 from .tower import (
     ExpTerm,
-    as_term,
     compare_iter_log,
     dedup_key,
     equal_value,
@@ -1013,141 +1012,142 @@ def _backtrack_colouring(values: List[int],
                          ) -> Optional[Dict[int, int]]:
     """Colouring with no constraint set monochromatic, or None if impossible.
 
-    Backtracking with not-all-equal propagation: once a constraint has all
-    but one member assigned a single colour, that colour is forbidden for
-    the remaining member, and an empty domain fails the branch immediately.
-    Values are branched in degree order (the smallest value first) so that
-    contradictions surface among the constraint-dense values near the root
-    instead of being rediscovered under every assignment of the sparse ones.
-    Colour classes are introduced in first-use order, which fixes the first
-    value's colour to 1 and prunes colour permutations.
+    Backtracking with not-all-equal propagation to a fixpoint: a constraint
+    with all but one member placed in one colour forbids that colour to the
+    last member, a member left with one colour takes it at once (which may
+    force others), and an empty domain or a monochromatic constraint fails
+    the branch. Values are branched in degree order (the smallest value
+    first), so contradictions surface among the dense values near the root.
+    Colour classes open in first-use order, so the first value takes colour
+    1; a forced colour beyond that order fails the branch. Propagation drops
+    only colours no solution extending the partial assignment can take, so
+    solutions come in the order of plain branching: the first is the same.
 
-    ``alternate`` selects a second, independent branching order for
-    cross-checking a refutation: descending degree with ties broken by the
-    largest value first, and no value pinned to the root. The search runs on
-    an explicit stack, so its depth is not bounded by the recursion limit.
+    ``alternate`` is a second, independent order for cross-checking a
+    refutation: descending degree, ties to the largest value, no value
+    pinned to the root. The search runs on an explicit stack.
     """
     m = len(values)
     if m == 0:
         return {}
     index = {v: i for i, v in enumerate(values)}
-    cons: List[Tuple[int, ...]] = []
-    for c in constraints:
-        pos = tuple(sorted({index[v] for v in c}))
-        if len(pos) == 1:
-            return None
-        cons.append(pos)
-    cons = sorted(set(cons))
+    cons = {frozenset([index[v] for v in c]) for c in constraints}
+    if any(len(pos) == 1 for pos in cons):
+        return None
     degree = [0] * m
-    for pos in cons:
+    # constraint ci owns slots b = ci*(k+1) .. b+k of `state`: state[b] sums
+    # p+1 over its members not yet placed (the last one is read off it) and
+    # state[b+c] counts those placed in colour c; need[b] is its size less 1
+    k1, full = k + 1, (1 << k) - 1
+    state, need = [0] * (len(cons) * k1), [0] * (len(cons) * k1)
+    by_pos: List[List[int]] = [[] for _ in range(m)]
+    for b, pos in zip(range(0, len(state), k1), cons):
+        state[b], need[b] = sum(pos) + len(pos), len(pos) - 1
         for p in pos:
             degree[p] += 1
+            by_pos[p].append(b)
     if alternate:
         order = sorted(range(m), key=lambda p: (-degree[p], -p))
     else:
         order = sorted(range(m), key=lambda p: (p != 0, -degree[p], p))
-    by_pos: List[List[int]] = [[] for _ in range(m)]
-    for ci, pos in enumerate(cons):
-        for p in pos:
-            by_pos[p].append(ci)
+    forbid, assign = [0] * m, [0] * m  # forbid: bit c-1 set = c impossible
+    # every position assigned (p >= 0) and colour forbidden (~(q*(k+1) + c)),
+    # in order; the positions not yet placed are the propagation queue
+    trail: List[int] = []
 
-    cnt = [0] * len(cons)
-    common = [0] * len(cons)  # 0 unset, -1 mixed, else the single colour
-    forbid = [0] * m  # bitmask, bit c-1 set = colour c impossible
-    assign = [0] * m
-    full = (1 << k) - 1
-
-    def place(p: int, c: int):
-        """Apply bookkeeping for assigning colour c at p; returns the undo
-        trail, or None after rolling back on a detected dead end."""
-        trail = []
-        for ci in by_pos[p]:
-            trail.append((0, ci, cnt[ci], common[ci]))
-            cnt[ci] += 1
-            if common[ci] == 0:
-                common[ci] = c
-            elif common[ci] != -1 and common[ci] != c:
-                common[ci] = -1
-            if common[ci] == -1:
+    def place(p: int, c: int) -> bool:
+        """Assign c at p and propagate; on a dead end undo all, return False."""
+        mark = i = len(trail)
+        assign[p], ok = c, True
+        trail.append(p)
+        while i < len(trail):
+            p, i = trail[i], i + 1
+            if p < 0:
                 continue
-            pos = cons[ci]
-            if cnt[ci] == len(pos):
-                undo(trail)
-                return None
-            if cnt[ci] == len(pos) - 1:
-                q = next(q for q in pos if assign[q] == 0)
-                trail.append((1, q, forbid[q], 0))
-                forbid[q] |= 1 << (c - 1)
-                if forbid[q] == full:
-                    undo(trail)
-                    return None
-        return trail
+            c, p1 = assign[p], p + 1
+            for b in by_pos[p]:
+                state[b] -= p1
+                n = state[b + c] = state[b + c] + 1
+                if n < need[b] or not ok:
+                    continue
+                q = state[b] - 1
+                if n > need[b] or (q >= 0 and assign[q] == c):
+                    ok = False
+                elif q >= 0 and not assign[q] and not forbid[q] >> (c - 1) & 1:
+                    f = forbid[q] = forbid[q] | 1 << (c - 1)
+                    trail.append(~(q * k1 + c))
+                    left = full ^ f
+                    if not left:
+                        ok = False
+                    elif not left & (left - 1):
+                        assign[q] = left.bit_length()
+                        trail.append(q)
+            if not ok:  # the positions queued after p were never counted
+                for e in trail[i:]:
+                    if e >= 0:
+                        assign[e] = 0
+                trail[i:] = [e for e in trail[i:] if e < 0]
+                undo(mark)
+                return False
+        return True
 
-    def undo(trail) -> None:
-        for kind, i, a, b in reversed(trail):
-            if kind == 0:
-                cnt[i], common[i] = a, b
-            else:
-                forbid[i] = a
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            e = trail.pop()
+            if e < 0:
+                q, c = divmod(~e, k1)
+                forbid[q] ^= 1 << (c - 1)
+                continue
+            c, p1, assign[e] = assign[e], e + 1, 0
+            for b in by_pos[e]:
+                state[b] += p1
+                state[b + c] -= 1
 
-    # Depth-first search over the positions in `order`. Depth r holds the
-    # colour last tried at order[r] (0 on entering the depth, which counts
-    # one node), the undo trail of the colour in place, and the number of
-    # colour classes used at the depths above it.
-    tried = [0] * m
-    trails: List[list] = [[]] * m
-    used = [0] * (m + 1)
+    # Depth-first search over `order`. Depth r holds the colour last tried at
+    # order[r] (0 on entering, which counts one node; k+1 once forced), the
+    # trail length on entering and the colour classes used above it.
+    tried, marks, used = [0] * m, [0] * m, [0] * (m + 1)
     nodes, r = 0, 0
     while True:
-        p = order[r]
-        if tried[r] == 0:
+        p, u, c = order[r], used[r], tried[r]
+        if c == 0:
             nodes += 1
             if nodes > node_cap:
                 raise BudgetExceeded("colouring search exceeded the node budget")
-        c = tried[r] + 1
-        top = min(k, used[r] + 1)
-        trail = None
-        while c <= top:
-            if not forbid[p] >> (c - 1) & 1:
-                assign[p] = c
-                trail = place(p, c)
-                if trail is not None:
-                    break
-                assign[p] = 0
+            marks[r] = len(trail)
+        if c == 0 and assign[p]:  # forced: one colour, if first-use allows it
+            c, top, tried[r] = assign[p], u + 1, k1
+        else:
+            top, f = min(k, u + 1), forbid[p]
             c += 1
-        if trail is not None:
-            tried[r], trails[r] = c, trail
-            used[r + 1] = max(used[r], c)
+            while c <= top and (f >> (c - 1) & 1 or not place(p, c)):
+                c += 1
+            tried[r] = c
+        if c <= top:
+            used[r + 1] = c if c > u else u
             r += 1
             if r == m:
-                return {v: assign[index[v]] for v in values}
+                return dict(zip(values, assign))
             tried[r] = 0
-            continue
-        if r == 0:
+        elif r == 0:
             return None
-        r -= 1
-        undo(trails[r])
-        assign[order[r]] = 0
+        else:
+            r -= 1
+            undo(marks[r])
 
 
 def _colouring_is_free(colours: List[int],
                        constraints: List[Tuple[int, ...]]) -> bool:
-    """No constraint is monochromatic under ``colours``, the colouring of
-    [1..len(colours)] with value v at index v - 1."""
-    for cons in constraints:
-        cs = {colours[v - 1] for v in cons}
-        if len(cs) == 1:
-            return False
-    return True
+    """No constraint is monochromatic under ``colours`` (v's at v - 1)."""
+    return all(len({colours[v - 1] for v in cons}) > 1 for cons in constraints)
 
 
 def _methods_agree(colours: List[int], cons_below: List[Tuple[int, ...]],
                    values_at: List[int], cons_at: List[Tuple[int, ...]],
                    k: int) -> bool:
     """Two exact checks of a threshold: the witness colouring of [value-1]
-    leaves no constraint monochromatic, and the alternate branching order
-    refutes the constraints at value. A second solve that runs out of nodes
-    has not agreed."""
+    leaves no constraint monochromatic, and the alternate order refutes the
+    constraints at value. A second solve out of nodes has not agreed."""
     if not _colouring_is_free(colours, cons_below):
         return False
     try:
@@ -1156,25 +1156,19 @@ def _methods_agree(colours: List[int], cons_below: List[Tuple[int, ...]],
         return False
 
 
-def _exp_problem(n: int) -> Tuple[List[int], List[Tuple[int, ...]]]:
-    """The values and {a, b, a^b} constraints of the exponential problem on [n]."""
-    triples = _exp_triples_upto(n)
-    return sorted({v for t in triples for v in t}), triples
-
-
 def _threshold(kind: str, k: int, params: dict, n_max: int, seed: int,
                t0: float, value: Optional[int],
                assign: Optional[Dict[int, int]], problem: Callable
                ) -> RamseyComputation:
     """The record of a threshold search begun at ``t0``: ``value`` is the
     least n whose ``problem(n)`` (values, constraints) has no k-colouring,
-    or None past ``n_max``, and ``assign`` the colouring found for
-    [value - 1]. The witness colours [value - 1], values ``assign`` leaves
-    out in colour 1, and ``_methods_agree`` re-checks the threshold."""
+    or None past ``n_max``. The witness colours [value - 1] by ``assign``,
+    values it leaves out in colour 1; ``_methods_agree`` re-checks it."""
     witness, agree = None, None
     if value is not None:
-        get = (assign or {}).get
-        colours = [get(v, 1) for v in range(1, value)]
+        colours = [1] * (value - 1)
+        for v, c in (assign or {}).items():
+            colours[v - 1] = c
         agree = _methods_agree(colours, problem(value - 1)[1], *problem(value), k)
         witness = {"n": value - 1, "colours": colours}
     comp = RamseyComputation(
@@ -1187,30 +1181,34 @@ def _threshold(kind: str, k: int, params: dict, n_max: int, seed: int,
 
 def exp_ramsey_number(k: int, n_max: int = 10**5, *, seed: int = 0) -> RamseyComputation:
     """Least N such that every k-colouring of [N] has a monochromatic
-    {a, b, a^b}; binary search over candidate power values. The witness
-    colouring of [N-1] is re-checked and a second branching order must
-    refute [N] for ``methods_agree``. ``seed`` is recorded only."""
-    if k < 1:
-        raise ValueError("need at least one colour")
+    {a, b, a^b}. The largest candidate power value <= ``n_max`` is solved
+    first, and a colouring there means value None at once; otherwise a
+    binary search over the candidates below it finds the least unsolvable
+    one. Each probe's triples are a prefix of those at ``n_max``. The
+    witness colouring of [N-1] is re-checked and a second branching order
+    must refute [N] for ``methods_agree``. ``seed`` is recorded only."""
+    if k < 1 or n_max < 1:
+        raise ValueError(f"need k >= 1 and n_max >= 1, got k={k}, n_max={n_max}")
     t0 = time.perf_counter()
-    candidates = sorted({p for p, _, _ in _exp_pairs(n_max)})
+    triples = _exp_triples_upto(n_max)
+    powers = [p for _, _, p in triples]
+    candidates = sorted(set(powers))
 
-    def sat_at(n: int) -> Optional[Dict[int, int]]:
-        return _backtrack_colouring(*_exp_problem(n), k)
+    def problem(n: int) -> Tuple[List[int], List[Tuple[int, ...]]]:
+        cut = triples[:bisect.bisect_right(powers, n)]
+        return sorted({v for t in cut for v in t}), cut
+
+    def unsolvable(n: int) -> bool:
+        return _backtrack_colouring(*problem(n), k) is None
 
     # unsolvability is monotone in N: a valid colouring of [N] restricts to
-    # any smaller range, so binary-search the first unsatisfiable candidate
-    lo, hi, value = 0, len(candidates) - 1, None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if sat_at(candidates[mid]) is None:
-            value = candidates[mid]
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    assign = None if value is None else sat_at(value - 1)
-    return _threshold("exptriple", k, {}, n_max, seed, t0, value, assign,
-                      _exp_problem)
+    # any smaller range, so bisect for the first unsolvable candidate
+    value = None
+    if candidates and unsolvable(candidates[-1]):
+        value = candidates[bisect.bisect_left(
+            candidates, True, hi=len(candidates) - 1, key=unsolvable)]
+    assign = None if value is None else _backtrack_colouring(*problem(value - 1), k)
+    return _threshold("exptriple", k, {}, n_max, seed, t0, value, assign, problem)
 
 
 def _ap_constraints(n: int, length: int) -> List[Tuple[int, ...]]:
@@ -1226,8 +1224,8 @@ def vdw_number(k: int, length: int, n_max: int = 64, *, seed: int = 0) -> Ramsey
     n from ``length`` up, stopping at the first unsatisfiable n. The witness
     colouring of [W-1] is re-checked and a second branching order must
     refute [W] for ``methods_agree``. ``seed`` is recorded only."""
-    if k < 1 or length < 2:
-        raise ValueError("need k >= 1 and progression length >= 2")
+    if k < 1 or length < 2 or n_max < 1:
+        raise ValueError("need k >= 1, progression length >= 2 and n_max >= 1")
     t0 = time.perf_counter()
 
     def problem(n: int) -> Tuple[List[int], List[Tuple[int, ...]]]:

@@ -297,6 +297,19 @@ def test_ramsey_vdw_needs_len(capsys):
     assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize("kind", [["exptriple", "--k", "1"],
+                                  ["vdw", "--k", "2", "--len", "3"]])
+@pytest.mark.parametrize("nmax", ["0", "-5"])
+def test_ramsey_nmax_below_one_exits_parse(capsys, kind, nmax):
+    code, out, err = run(capsys, "ramsey", *kind, "--nmax", nmax)
+    assert code == EXIT_PARSE and out == "" and "n_max" in err
+
+
+def test_ramsey_exptriple_refuses_len(capsys):
+    code, out, err = run(capsys, "ramsey", "exptriple", "--k", "1", "--len", "3")
+    assert code == EXIT_PARSE and out == "" and "--len" in err
+
+
 # ---------------------------------------------------------------------------
 # whole-process behaviours
 

@@ -4,6 +4,8 @@ Round trips and schemas pass with a dropped field or a changed separator;
 these literals do not.
 """
 
+import hashlib
+
 import pytest
 
 from expramsey.cli import main
@@ -37,6 +39,25 @@ RECORDS = [
 @pytest.mark.parametrize("make,want", RECORDS)
 def test_record_bytes(make, want):
     assert make().to_json() == want
+
+
+# records too long to write out (exp(2)'s witness lists 65,535 colours):
+# the SHA-256 of their to_json() text
+RECORD_HASHES = [
+    (lambda: vdw_number(2, 4),
+     "a1d4cce9c1bb7fecd224ba960fc9edfec2a04307bcc1331cc7892b790f581385"),
+    (lambda: vdw_number(3, 3),
+     "6cb79e5be54fb284ca8e9349cd54621d8a5a8716840100f60ea09976d7c6a4bd"),
+    (lambda: exp_ramsey_number(2),
+     "d5739558dc45d3352b994725fbecec3710014bba8dd9a5ed7269d6f92218756e"),
+    (lambda: exp_ramsey_number(3),
+     "7dae2bef5f2e195e71b19d2455b56c243b72d1f8c97e1fd0d2eeda3c70442c55"),
+]
+
+
+@pytest.mark.parametrize("make,want", RECORD_HASHES)
+def test_record_hashes(make, want):
+    assert hashlib.sha256(make().to_json().encode()).hexdigest() == want
 
 
 @pytest.mark.parametrize("argv,want", [

@@ -4,9 +4,10 @@ import itertools
 import json
 import random
 import tracemalloc
+from typing import Dict, List, Optional, Tuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expramsey.colourings import (
@@ -665,6 +666,176 @@ def test_backtrack_orders_agree_and_colourings_are_free():
                 [assign[v] for v in values], cons)
 
 
+def _reference_backtrack(values: List[int],
+                         constraints: List[Tuple[int, ...]],
+                         k: int, node_cap: int = 20_000_000,
+                         *, alternate: bool = False
+                         ) -> Optional[Dict[int, int]]:
+    """_backtrack_colouring as it was before forced colours were propagated,
+    kept verbatim as the reference for the solutions it returns.
+
+    Colouring with no constraint set monochromatic, or None if impossible.
+
+    Backtracking with not-all-equal propagation: once a constraint has all
+    but one member assigned a single colour, that colour is forbidden for
+    the remaining member, and an empty domain fails the branch immediately.
+    Values are branched in degree order (the smallest value first) so that
+    contradictions surface among the constraint-dense values near the root
+    instead of being rediscovered under every assignment of the sparse ones.
+    Colour classes are introduced in first-use order, which fixes the first
+    value's colour to 1 and prunes colour permutations.
+
+    ``alternate`` selects a second, independent branching order for
+    cross-checking a refutation: descending degree with ties broken by the
+    largest value first, and no value pinned to the root. The search runs on
+    an explicit stack, so its depth is not bounded by the recursion limit.
+    """
+    m = len(values)
+    if m == 0:
+        return {}
+    index = {v: i for i, v in enumerate(values)}
+    cons: List[Tuple[int, ...]] = []
+    for c in constraints:
+        pos = tuple(sorted({index[v] for v in c}))
+        if len(pos) == 1:
+            return None
+        cons.append(pos)
+    cons = sorted(set(cons))
+    degree = [0] * m
+    for pos in cons:
+        for p in pos:
+            degree[p] += 1
+    if alternate:
+        order = sorted(range(m), key=lambda p: (-degree[p], -p))
+    else:
+        order = sorted(range(m), key=lambda p: (p != 0, -degree[p], p))
+    by_pos: List[List[int]] = [[] for _ in range(m)]
+    for ci, pos in enumerate(cons):
+        for p in pos:
+            by_pos[p].append(ci)
+
+    cnt = [0] * len(cons)
+    common = [0] * len(cons)  # 0 unset, -1 mixed, else the single colour
+    forbid = [0] * m  # bitmask, bit c-1 set = colour c impossible
+    assign = [0] * m
+    full = (1 << k) - 1
+
+    def place(p: int, c: int):
+        """Apply bookkeeping for assigning colour c at p; returns the undo
+        trail, or None after rolling back on a detected dead end."""
+        trail = []
+        for ci in by_pos[p]:
+            trail.append((0, ci, cnt[ci], common[ci]))
+            cnt[ci] += 1
+            if common[ci] == 0:
+                common[ci] = c
+            elif common[ci] != -1 and common[ci] != c:
+                common[ci] = -1
+            if common[ci] == -1:
+                continue
+            pos = cons[ci]
+            if cnt[ci] == len(pos):
+                undo(trail)
+                return None
+            if cnt[ci] == len(pos) - 1:
+                q = next(q for q in pos if assign[q] == 0)
+                trail.append((1, q, forbid[q], 0))
+                forbid[q] |= 1 << (c - 1)
+                if forbid[q] == full:
+                    undo(trail)
+                    return None
+        return trail
+
+    def undo(trail) -> None:
+        for kind, i, a, b in reversed(trail):
+            if kind == 0:
+                cnt[i], common[i] = a, b
+            else:
+                forbid[i] = a
+
+    # Depth-first search over the positions in `order`. Depth r holds the
+    # colour last tried at order[r] (0 on entering the depth, which counts
+    # one node), the undo trail of the colour in place, and the number of
+    # colour classes used at the depths above it.
+    tried = [0] * m
+    trails: List[list] = [[]] * m
+    used = [0] * (m + 1)
+    nodes, r = 0, 0
+    while True:
+        p = order[r]
+        if tried[r] == 0:
+            nodes += 1
+            if nodes > node_cap:
+                raise BudgetExceeded("colouring search exceeded the node budget")
+        c = tried[r] + 1
+        top = min(k, used[r] + 1)
+        trail = None
+        while c <= top:
+            if not forbid[p] >> (c - 1) & 1:
+                assign[p] = c
+                trail = place(p, c)
+                if trail is not None:
+                    break
+                assign[p] = 0
+            c += 1
+        if trail is not None:
+            tried[r], trails[r] = c, trail
+            used[r + 1] = max(used[r], c)
+            r += 1
+            if r == m:
+                return {v: assign[index[v]] for v in values}
+            tried[r] = 0
+            continue
+        if r == 0:
+            return None
+        r -= 1
+        undo(trails[r])
+        assign[order[r]] = 0
+
+
+@st.composite
+def colouring_problems(draw):
+    """Up to 14 values and constraints of 1 to 4 members, repeats allowed."""
+    values = draw(st.lists(st.integers(1, 40), unique=True, max_size=14))
+    member = st.sampled_from(values) if values else st.nothing()
+    cons = draw(st.lists(st.lists(member, min_size=1, max_size=4).map(tuple),
+                         max_size=30 if values else 0))
+    return values, cons
+
+
+@settings(max_examples=400, deadline=None)
+@given(colouring_problems(), st.integers(1, 4), st.booleans())
+@example((list(range(1, 9)), _ap_constraints(8, 3)), 2, False)
+@example((list(range(1, 10)), _ap_constraints(9, 3)), 2, True)
+@example((list(range(1, 15)), _ap_constraints(14, 3)), 3, False)
+def test_backtrack_returns_what_plain_branching_returns(problem, k, alternate):
+    values, cons = problem
+    assert (_backtrack_colouring(values, cons, k, alternate=alternate)
+            == _reference_backtrack(values, cons, k, alternate=alternate))
+
+
+@pytest.mark.parametrize("k, length, ns", [(2, 3, range(3, 11)), (3, 3, (20, 26)),
+                                           (2, 4, (30, 34, 35)), (4, 3, (30,))])
+def test_backtrack_matches_plain_branching_on_progressions(k, length, ns):
+    for n in ns:
+        values, cons = list(range(1, n + 1)), _ap_constraints(n, length)
+        for alternate in (False, True):
+            assert (_backtrack_colouring(values, cons, k, alternate=alternate)
+                    == _reference_backtrack(values, cons, k, alternate=alternate))
+
+
+@pytest.mark.parametrize("n, length, k", [(27, 3, 3), (35, 4, 2)])
+def test_backtrack_refutes_w33_and_w24_in_few_nodes(n, length, k):
+    # forced colours are propagated, so [W] is refuted in under 1,000 nodes
+    # in both orders; plain branching needs 11,591 and more for [27], and
+    # 2,790 and more for [35]
+    values, cons = list(range(1, n + 1)), _ap_constraints(n, length)
+    for alternate in (False, True):
+        assert _backtrack_colouring(values, cons, k, 1000, alternate=alternate) is None
+        with pytest.raises(BudgetExceeded):
+            _reference_backtrack(values, cons, k, 1000, alternate=alternate)
+
+
 def test_backtrack_depth_not_bounded_by_recursion_limit():
     assign = _backtrack_colouring(list(range(1, 3001)), [], 2)
     assert assign is not None and len(assign) == 3000
@@ -711,6 +882,20 @@ def test_exp_ramsey_two_colours():
 def test_exp_ramsey_respects_ceiling():
     comp = exp_ramsey_number(2, n_max=100)
     assert comp.value is None and comp.exceeds_budget
+
+
+def test_exp_ramsey_three_colours_exceed_a_high_ceiling():
+    # the ceiling is solved first: one 3-colouring of the problem at 10^7
+    comp = exp_ramsey_number(3, n_max=10**7)
+    assert comp.value is None and comp.witness is None
+
+
+@pytest.mark.parametrize("n_max", [0, -5])
+def test_ramsey_numbers_refuse_a_ceiling_below_one(n_max):
+    with pytest.raises(ValueError):
+        exp_ramsey_number(1, n_max)
+    with pytest.raises(ValueError):
+        vdw_number(2, 3, n_max)
 
 
 def test_exp_triples_upto():
