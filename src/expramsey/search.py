@@ -39,7 +39,6 @@ from .patterns import fep, shape_pattern  # noqa: F401
 from .tower import (
     ExpTerm,
     compare_iter_log,
-    dedup_key,
     equal_value,
     eval_exact,
     parse_term,
@@ -68,15 +67,6 @@ class Instance:
     roles: Tuple[str, ...]
     values: Tuple[Value, ...]
     generators: Tuple[int, ...]
-
-    def distinct_values(self) -> List[Value]:
-        seen, out = set(), []
-        for v in self.values:
-            key = v if isinstance(v, int) else dedup_key(v)
-            if key not in seen:
-                seen.add(key)
-                out.append(v)
-        return out
 
     def witness_json(self, colour: int) -> dict:
         return {
@@ -129,7 +119,8 @@ class InstanceFamily:
     gives ``_row(i)``, the row at index i, in closed form or by bisecting a
     cumulative count, and may override ``rows()`` with a cheaper walk in
     the same order. ``instances()`` and ``nth`` add the role labels; scans
-    read rows and build an Instance only for a witness.
+    and the sampled re-check of ``verify_certificate`` read rows, and an
+    Instance is built only for a witness.
 
     ``params`` declares the parameters besides the bound, in constructor
     order; each is kept as the attribute of its descriptor key, from which
@@ -354,25 +345,19 @@ class SchurPlusExpFamily(InstanceFamily):
         self.roles = self.schur.roles + self.exp.roles
         self._powers = [p for p, _, _ in self.exp._pairs]
         # The number of power triples of power <= m is constant from one
-        # distinct power up to the next; per such segment, the number of
-        # joint instances with max element at most its end.
+        # distinct power q up to the next. Per such segment: q, the power
+        # triples of power below q and up to q (_counts[g], _counts[g + 1]),
+        # and the joint instances with max element at most the segment's end.
         self._starts = sorted(set(self._powers))
+        self._counts = [0] + [self._exp_upto(q) for q in self._starts]
         ends = [q - 1 for q in self._starts[1:]] + [bound]
-        self._ends = [_schur_upto(m) * self._exp_upto(m) for m in ends]
+        self._ends = [_schur_upto(m) * e for m, e in zip(ends, self._counts[1:])]
 
     def count(self) -> int:
         return self.schur.count() * self.exp.count()
 
     def _exp_upto(self, m: int) -> int:
         return bisect.bisect_right(self._powers, m)
-
-    def _max_element(self, i: int) -> int:
-        """Max element m of the joint instance at index i: the least m
-        with more than i instances of max element <= m."""
-        q = self._starts[bisect.bisect_right(self._ends, i)]
-        # within the segment the power count e is fixed, so m is the least
-        # with more than i // e sum triples of sum <= m
-        return max(q, math.isqrt(4 * (i // self._exp_upto(q)) + 3) + 1)
 
     def rows(self) -> Iterator[Row]:
         exps = list(self.exp.rows())
@@ -384,16 +369,17 @@ class SchurPlusExpFamily(InstanceFamily):
                 for ev, eg in exps[lo:hi] if si < s_lt else exps[:hi]:
                     yield sv + ev, sg + eg
 
-    def _blocks(self, m: int) -> Tuple[int, int, int, int, int]:
-        """(instances before m, sum triples below m, first power triple of
-        power m, power triples of power m, power triples of power <= m)."""
-        s_lt = _schur_upto(m - 1)
-        e_lt, e_le = self._exp_upto(m - 1), self._exp_upto(m)
-        return s_lt * e_lt, s_lt, e_lt, e_le - e_lt, e_le
-
     def _row(self, i: int) -> Row:
-        before, s_lt, e_lt, e_eq, e_le = self._blocks(self._max_element(i))
-        j = i - before
+        # The max element m is the least with more than i instances of max
+        # element <= m. In i's segment the power count e_le is fixed, so m is
+        # the least with more than i // e_le sum triples of sum <= m; only
+        # m = q has power triples of power m.
+        g = bisect.bisect_right(self._ends, i)
+        q, e_le = self._starts[g], self._counts[g + 1]
+        m = max(q, math.isqrt(4 * (i // e_le) + 3) + 1)
+        e_lt = self._counts[g] if m == q else e_le
+        s_lt, e_eq = _schur_upto(m - 1), e_le - e_lt
+        j = i - s_lt * e_lt
         if j < s_lt * e_eq:
             si, k = divmod(j, e_eq)
             ei = e_lt + k
@@ -409,10 +395,11 @@ class SchurPlusExpFamily(InstanceFamily):
         power triple ``ei`` (indices in their own families)."""
         s, p = self.schur._row(si)[0][2], self._powers[ei]
         m = max(s, p)
-        before, s_lt, e_lt, e_eq, e_le = self._blocks(m)
+        # the s_lt * e_lt instances of max element below m come first
+        s_lt, e_lt, e_le = _schur_upto(m - 1), self._exp_upto(m - 1), self._exp_upto(m)
         if s < m:
-            return before + si * e_eq + ei - e_lt
-        return before + s_lt * e_eq + (si - s_lt) * e_le + ei
+            return s_lt * e_lt + si * (e_le - e_lt) + ei - e_lt
+        return si * e_le + ei
 
 
 def _nth_tuple(i: int, m: int) -> Tuple[int, ...]:
@@ -562,13 +549,17 @@ class DifferencePairFamily(InstanceFamily):
                 diffs.append((n, v))
         # descending difference = ascending x for a fixed larger element
         self._diffs = sorted(diffs, key=lambda t: -t[1])
-
-    def _upto(self, m: int) -> int:
-        """Number of pairs with larger element <= m."""
-        return sum(m - v for _, v in self._diffs if v < m)
+        # With j differences below m, the pairs with larger element <= m
+        # number j*m - sums[j], sums[j] adding the j smallest: linear in m
+        # between differences. breaks[k] is that count at m equal to the
+        # (k+1)-th smallest difference, with k differences below it.
+        ascending = [v for _, v in reversed(self._diffs)]
+        self._sums = [0, *itertools.accumulate(ascending)]
+        self._breaks = [j * v - self._sums[j] for j, v in enumerate(ascending)]
 
     def count(self) -> int:
-        return self._upto(self.bound)
+        # every difference is below the bound
+        return len(self._diffs) * self.bound - self._sums[-1]
 
     def rows(self) -> Iterator[Row]:
         diffs = self._diffs
@@ -579,10 +570,13 @@ class DifferencePairFamily(InstanceFamily):
                     yield (x, m), (n, x)
 
     def _row(self, i: int) -> Row:
-        m = _first_above(self._upto, i, 2, self.bound)
-        # the differences below m form a suffix of the descending list
-        fits = [t for t in self._diffs if t[1] < m]
-        n, v = fits[i - self._upto(m - 1)]
+        # i from breaks[j - 1] to below breaks[j] (or the count) puts j
+        # differences below the least m with j*m - sums[j] > i; the pairs
+        # past m - 1 index those j, the last j of the descending list
+        j = bisect.bisect_right(self._breaks, i)
+        m = (i + self._sums[j]) // j + 1
+        r = i - (j * (m - 1) - self._sums[j])
+        n, v = self._diffs[len(self._diffs) - j + r]
         return (m - v, m), (n, m - v)
 
 
@@ -723,29 +717,13 @@ class _Budget:
             raise BudgetExceeded("time budget exhausted during search")
 
 
-def _instance_colour(colouring: Colouring, inst: Instance) -> Optional[int]:
-    """The common colour when the instance is monochromatic, else None."""
-    c = None
-    for v in inst.distinct_values():
-        cv = colouring(v)
-        if c is None:
-            c = cv
-        elif cv != c:
-            return None
-    return c
-
-
-def _walk(colouring: Colouring, family: InstanceFamily, budget: _Budget,
-          offset: int = 0, step: int = 1) -> Tuple[Optional[int], Optional[dict]]:
-    """First monochromatic row among the indices offset, offset + step, ...
-    as (index, witness), or (None, None).
-
-    Each distinct value is coloured once per walk, through a local cache,
-    and an Instance is built only for the witness.
-    """
+def _mono_rows(colouring: Colouring, rows: Iterator[Row], budget: _Budget
+               ) -> Iterator[Tuple[int, int]]:
+    """(position, colour) of each row among ``rows`` whose values all take
+    one colour. Each distinct value is coloured once per call, through a
+    local cache, and a row stops at its first colour mismatch."""
     cache: Dict[Value, int] = {}
     get = cache.get
-    rows = itertools.islice(family.rows(), offset, None, step)
     for j, (values, _) in enumerate(rows):
         if j % 4096 == 0:
             budget.check()
@@ -759,8 +737,18 @@ def _walk(colouring: Colouring, family: InstanceFamily, budget: _Budget,
             elif cv != c:
                 break
         else:
-            i = offset + j * step
-            return i, family.nth(i).witness_json(c)
+            yield j, c
+
+
+def _walk(colouring: Colouring, family: InstanceFamily, budget: _Budget,
+          offset: int = 0, step: int = 1) -> Tuple[Optional[int], Optional[dict]]:
+    """First monochromatic row among the indices offset, offset + step, ...
+    as (index, witness), or (None, None); an Instance is built only for the
+    witness."""
+    rows = itertools.islice(family.rows(), offset, None, step)
+    for j, c in _mono_rows(colouring, rows, budget):
+        i = offset + j * step
+        return i, family.nth(i).witness_json(c)
     return None, None
 
 
@@ -828,10 +816,8 @@ def _find_mono_schurplusexp(colouring: Colouring, family: SchurPlusExpFamily,
     """
     bound = family.bound
     exp_mono: Dict[int, int] = {}
-    for i, inst in enumerate(family.exp.instances()):
-        c = _instance_colour(colouring, inst)
-        if c is not None and c not in exp_mono:
-            exp_mono[c] = i
+    for i, c in _mono_rows(colouring, family.exp.rows(), budget):
+        exp_mono.setdefault(c, i)
     if not exp_mono:
         return None, None
     budget.check()
@@ -930,10 +916,13 @@ _SAMPLE_RATE, _SAMPLE_CAP = 0.01, 10_000
 
 
 def verify_certificate(cert: Certificate) -> bool:
-    """Re-evaluate a certificate. A witness must be the instance at index
-    ``instances_checked - 1``, rebuilt through ``nth``, and that instance is
-    recoloured; avoidance claims are re-checked on a seeded random sample of
-    1% of the indices, at most 10,000, each instance found through ``nth``.
+    """Re-evaluate a certificate. A counterexample is checked exactly: its
+    witness must be the instance at index ``instances_checked - 1``, rebuilt
+    through ``nth``, with the same generators, roles and values, and that
+    instance is recoloured. An avoidance claim is re-checked on a sample:
+    ``instances_checked`` must be the family's count, and a 1% sample of the
+    rows, at most 10,000, drawn by ``random.Random(cert.seed)``, is read
+    through ``_row`` and recoloured; any monochromatic row rejects it.
 
     The family is rebuilt under the default element cap of 10^6, so a
     descriptor over it, such as that of a certificate made with ``--cap``
@@ -943,7 +932,7 @@ def verify_certificate(cert: Certificate) -> bool:
         family = family_from_descriptor(cert.family)
     except (ParseError, ValueError, BudgetError):
         return False
-    result = cert.result
+    result, budget = cert.result, _Budget(None)
     if result.get("type") == "Counterexample":
         i = cert.instances_checked
         wit = result.get("witness")
@@ -960,10 +949,10 @@ def verify_certificate(cert: Certificate) -> bool:
             for el, role, v in zip(elements, inst.roles, inst.values):
                 if el.get("role") != role or not equal_value(parse_term(el["value"]), v):
                     return False
-            c = _instance_colour(colouring, inst)
+            mono = next(_mono_rows(colouring, [(inst.values, ())], budget), None)
         except Exception:
             return False
-        return c is not None and c == wit.get("colour")
+        return mono is not None and mono[1] == wit.get("colour")
     if result.get("type") == "AvoidanceVerified":
         total = family.count()
         if cert.instances_checked != total:
@@ -972,10 +961,8 @@ def verify_certificate(cert: Certificate) -> bool:
             return True
         n = min(_SAMPLE_CAP, max(1, int(total * _SAMPLE_RATE)))
         rng = random.Random(cert.seed)
-        for i in sorted(rng.sample(range(total), min(n, total))):
-            if _instance_colour(colouring, family.nth(i)) is not None:
-                return False
-        return True
+        rows = map(family._row, sorted(rng.sample(range(total), min(n, total))))
+        return next(_mono_rows(colouring, rows, budget), None) is None
     return False
 
 
@@ -1000,9 +987,12 @@ class RamseyComputation(_Record):
         return self.value is None
 
 
-def _exp_triples_upto(n: int) -> List[Tuple[int, int, int]]:
-    """All (a, b, a^b) with a, b >= 2 and a^b <= n."""
-    return [(a, b, p) for p, a, b in _exp_pairs(n)]
+_TRIPLE_CAP = 2 * 10**6
+
+
+def _exp_triples_upto(n: int, cap: Optional[int] = None) -> List[Tuple[int, int, int]]:
+    """All (a, b, a^b) with a, b >= 2 and a^b <= n, capped as in _exp_pairs."""
+    return [(a, b, p) for p, a, b in _exp_pairs(n, cap=cap)]
 
 
 def _backtrack_colouring(values: List[int],
@@ -1186,11 +1176,15 @@ def exp_ramsey_number(k: int, n_max: int = 10**5, *, seed: int = 0) -> RamseyCom
     binary search over the candidates below it finds the least unsolvable
     one. Each probe's triples are a prefix of those at ``n_max``. The
     witness colouring of [N-1] is re-checked and a second branching order
-    must refute [N] for ``methods_agree``. ``seed`` is recorded only."""
+    must refute [N] for ``methods_agree``. ``seed`` is recorded only.
+
+    More than ``_TRIPLE_CAP`` triples, at an ``n_max`` above about 3.9 * 10^12
+    (k = 1 at 10^12 peaks at 1.1 GB), raise BudgetExceeded before any is
+    listed."""
     if k < 1 or n_max < 1:
         raise ValueError(f"need k >= 1 and n_max >= 1, got k={k}, n_max={n_max}")
     t0 = time.perf_counter()
-    triples = _exp_triples_upto(n_max)
+    triples = _exp_triples_upto(n_max, _TRIPLE_CAP)
     powers = [p for _, _, p in triples]
     candidates = sorted(set(powers))
 

@@ -292,6 +292,12 @@ def test_ramsey_budget_exit(capsys):
     assert json.loads(out)["value"] is None
 
 
+def test_ramsey_ceiling_over_the_triple_cap_exits_budget(capsys):
+    code, out, err = run(capsys, "ramsey", "exptriple", "--k", "3",
+                         "--nmax", str(10**18))
+    assert code == EXIT_BUDGET and out == "" and "cap" in err
+
+
 def test_ramsey_vdw_needs_len(capsys):
     code, _, _ = run(capsys, "ramsey", "vdw", "--k", "2")
     assert code == EXIT_PARSE

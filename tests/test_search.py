@@ -41,7 +41,9 @@ from expramsey.search import (
     _exp_triples_upto,
     _methods_agree,
 )
-from expramsey.tower import compare_iter_log, eval_exact, parse_term, to_text
+from expramsey.tower import (
+    compare_iter_log, dedup_key, eval_exact, parse_term, to_text,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +232,48 @@ def test_nth_is_the_enumeration_order(spec, bound):
     assert [fam.nth(i) for i in range(len(insts))] == insts
 
 
+DIFF_SEQS = {"n*2^n": lambda n: n << n, "2^n": lambda n: 2**n, "3^n": lambda n: 3**n}
+# bounds just below, at and just above each difference up to 5 * 10^4
+NEAR_DIFFS = sorted({f(n) + d for f in DIFF_SEQS.values() for n in range(1, 13)
+                     for d in (-1, 0, 1) if 1 <= f(n) + d <= 5 * 10**4})
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(DIFF_SEQS)), st.integers(0, 12),
+       st.one_of(st.integers(1, 300), st.integers(1, 5 * 10**4),
+                 st.sampled_from(NEAR_DIFFS)),
+       st.randoms(use_true_random=False))
+@example("2^n", 0, 100, random.Random(0))    # nmax below the first index
+@example("3^n", 12, 3, random.Random(0))     # the bound equals the least difference
+@example("3^n", 12, 4, random.Random(0))     # one above it: a single pair
+@example("n*2^n", 12, 5 * 10**4, random.Random(0))
+def test_diffpair_nth_matches_rows(seq, nmax, bound, rnd):
+    """nth in closed form against the row walk, at the first and last index
+    of every larger-element block and at sampled indices."""
+    fam = parse_family(f"diffpair:seq={seq},nmax={nmax}", bound)
+    diffs = [f for f in map(DIFF_SEQS[seq], range(1, nmax + 1)) if f < bound]
+    assert fam.count() == sum(bound - v for v in diffs)
+    total = fam.count()
+    sampled = set(rnd.sample(range(total), min(total, 200)))
+    prev_m, prev_row, seen = None, None, 0
+    for i, row in enumerate(fam.rows()):
+        m = row[0][1]
+        checks = [(i, row)] if i in sampled or m != prev_m else []
+        if m != prev_m and prev_row is not None:
+            checks.append((i - 1, prev_row))
+        for j, want in checks:
+            inst = fam.nth(j)
+            assert (inst.values, inst.generators) == want, (seq, nmax, bound, j)
+        prev_m, prev_row, seen = m, row, i + 1
+    assert seen == total
+    if prev_row is not None:
+        inst = fam.nth(total - 1)
+        assert (inst.values, inst.generators) == prev_row
+    for i in (-1, total, total + 1):
+        with pytest.raises(IndexError):
+            fam.nth(i)
+
+
 def _outcome(fn):
     """(True, value) or (False, exception type and message)."""
     try:
@@ -344,6 +388,19 @@ def test_first_witness_respects_enumeration_order():
     assert cert.instances_checked == 3
 
 
+def _plain_colour(colouring, inst):
+    """The common colour of an instance's distinct values, or None: the
+    per-instance check that every scan and verify must agree with. Huge
+    terms are deduplicated by dedup_key."""
+    seen, colours = set(), set()
+    for v in inst.values:
+        key = v if isinstance(v, int) else dedup_key(v)
+        if key not in seen:
+            seen.add(key)
+            colours.add(colouring(v))
+    return colours.pop() if len(colours) == 1 else None
+
+
 def test_schurplusexp_fast_path_matches_brute_walk():
     rng = random.Random(41)
     bound = 60
@@ -351,8 +408,7 @@ def test_schurplusexp_fast_path_matches_brute_walk():
 
     def brute(colouring):
         for idx, inst in enumerate(fam.instances()):
-            cols = {colouring.colour(v) for v in inst.distinct_values()}
-            if len(cols) == 1:
+            if _plain_colour(colouring, inst) is not None:
                 return idx, inst.generators
         return None
 
@@ -388,10 +444,10 @@ def test_threads_do_not_change_the_certificate():
 
 
 def _reference_certificate(colouring, family):
-    """The plain walk: _instance_colour over instances(), in order."""
+    """The plain walk: _plain_colour over instances(), in order."""
     checked, result = family.count(), {"type": "AvoidanceVerified"}
     for i, inst in enumerate(family.instances()):
-        c = search._instance_colour(colouring, inst)
+        c = _plain_colour(colouring, inst)
         if c is not None:
             checked = i + 1
             result = {"type": "Counterexample", "witness": inst.witness_json(c)}
@@ -587,6 +643,53 @@ def test_every_counterexample_verifies():
         if cert.instances_checked > 1:
             clone.instances_checked -= 1
             assert not verify_certificate(clone), cert.to_json()
+
+
+# one family of each kind, small enough that a table colours every element
+VERIFY_FAMILIES = [
+    ("exptriple", 2**12), ("exptriple-logcond:r=1", 2**12), ("expquad", 5),
+    ("schur", 40), ("schurplusexp", 30), ("shape:m=3,edges=1-2;2-3", 4),
+    ("fep:m=2,w=1", 4), ("diffpair:seq=3^n,nmax=4", 120), ("grid:len=2", 60),
+]
+
+
+def _sampled_verdict(colouring, family, seed):
+    """The sampled avoidance check written out: a seeded 1% of the indices,
+    at most 10,000, each instance rebuilt through nth and the colours of
+    its distinct values collected."""
+    total = family.count()
+    n = min(10_000, max(1, int(total * 0.01)))
+    picks = sorted(random.Random(seed).sample(range(total), min(n, total)))
+    return all(_plain_colour(colouring, family.nth(i)) is None for i in picks)
+
+
+def test_sampled_verify_matches_the_instance_check(tmp_path):
+    assert {parse_family(spec, 4).kind for spec, _ in VERIFY_FAMILIES} == set(search.FAMILIES)
+    rng = random.Random(2024)
+    verdicts: Dict[str, List[bool]] = {}
+    for spec, bound in VERIFY_FAMILIES:
+        fam = parse_family(spec, bound)
+        top = max(v if isinstance(v, int) else eval_exact(v).exact
+                  for values, _ in fam.rows() for v in values)
+        for t in range(8):
+            k = 2 + t % 3
+            table = [rng.randint(1, k) for _ in range(top)]
+            path = tmp_path / f"{fam.kind}-{t}.json"
+            path.write_text(json.dumps({"k": k, "map": table}))
+            colouring = TableColouring(table, k=k)
+            for seed in [rng.randrange(2**31) for _ in range(3)]:
+                # claimed avoidance whether or not it holds, so that some
+                # samples meet monochromatic rows
+                cert = Certificate(
+                    family=fam.descriptor(), colouring=f"table:{path}",
+                    bound=bound, instances_checked=fam.count(),
+                    result={"type": "AvoidanceVerified"}, seed=seed)
+                got = verify_certificate(cert)
+                assert got == _sampled_verdict(colouring, fam, seed), (spec, t, seed)
+                verdicts.setdefault(fam.kind, []).append(got)
+    assert sum(map(len, verdicts.values())) >= 200
+    # every kind is both accepted and rejected somewhere
+    assert all(set(v) == {True, False} for v in verdicts.values()), verdicts
 
 
 # well-formed descriptors whose families exceed the default element cap
@@ -901,6 +1004,23 @@ def test_ramsey_numbers_refuse_a_ceiling_below_one(n_max):
 def test_exp_triples_upto():
     assert _exp_triples_upto(16) == [
         (2, 2, 4), (2, 3, 8), (3, 2, 9), (2, 4, 16), (4, 2, 16)]
+
+
+def test_exp_ramsey_refuses_a_ceiling_over_the_cap_before_listing():
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            exp_ramsey_number(3, n_max=10**18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # the cap admits exactly its own count; 10^12, counted from roots, is under it
+    triples = _exp_triples_upto(10**4)
+    assert _exp_triples_upto(10**4, len(triples)) == triples
+    with pytest.raises(BudgetExceeded):
+        _exp_triples_upto(10**4, len(triples) - 1)
+    assert sum(iroot(10**12, b) - 1 for b in range(2, 40)) == 1_011_538 <= search._TRIPLE_CAP
 
 
 # ---------------------------------------------------------------------------
