@@ -15,12 +15,19 @@ Facts this module relies on (each is load-bearing and tested):
   strictly inside (k, k+1) while any tower equal to k+1 still yields the same
   count, hence log_star(n) = 1 + log_star(bit_length(n)).
 - log2 of a non-power-of-two integer is irrational, so certified comparisons
-  against integers terminate at finite precision.
+  against integers terminate at finite precision, and so does the retry that
+  tightens ``log2_scaled_bounds`` to one unit: 2**prec * log2(n) is never an
+  integer, so enough guard bits put both rounded ends in one unit interval.
+- ln m = 2**r * ln(m**(1/2**r)) for m > 0, and for x > 0 with
+  z = (x - 1)/(x + 1), ln x = 2 atanh(z) = 2 * sum_{j>=0} z**(2j+1)/(2j+1).
+  For 0 <= z <= 1/3 the terms after the first N sum to at most
+  z**(2N+1)/((2N+1)(1 - z**2)) <= (9/8) z**(2N+1). ln 2 = 2 atanh(1/3).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 from typing import Optional, Tuple
 
 from .errors import UncertifiableComparison
@@ -44,53 +51,86 @@ def log_star_int(n: int) -> int:
     return k
 
 
+@lru_cache(maxsize=None)
+def _ln2_scaled(w: int) -> Tuple[int, int]:
+    """(lo, hi) with lo <= 2**w * ln 2 <= hi, from ln 2 = 2 atanh(1/3).
+
+    t runs through floor(2**w / 3**(2j+1)) exactly, so each of the N kept
+    terms is below its floor plus one, and the dropped tail is below 9/8.
+    """
+    t = (1 << w) // 3
+    s = 0
+    d = 1
+    while t:
+        s += t // d
+        t //= 9
+        d += 2
+    return 2 * s, 2 * (s + d // 2 + 2)
+
+
+def _ln_scaled(n: int, k: int, r: int, w: int) -> Tuple[int, int]:
+    """(lo, hi) with lo <= 2**w * ln(n / 2**k) <= hi, for 2**k < n < 2**(k+1).
+
+    ln m = 2**(r+1) atanh(z) with z = (m**(1/2**r) - 1) / (m**(1/2**r) + 1),
+    every step rounded outward at w bits.
+    """
+    one = 1 << w
+    # [lo, hi] / 2**w encloses m, then its 2**r-th root
+    if k <= w:
+        lo = hi = n << (w - k)
+    else:
+        lo = n >> (k - w)
+        hi = lo + 1
+    for _ in range(r):
+        lo = isqrt(lo << w)
+        hi = isqrt((hi << w) - 1) + 1
+    # z rounded down and up, then the series: zlo runs through floors of its
+    # odd powers, zhi through ceilings, until zhi's reach one unit
+    zlo = ((lo - one) << w) // (lo + one)
+    zhi = -((-(hi - one) << w) // (hi + one))
+    qlo = (zlo * zlo) >> w
+    qhi = -((-zhi * zhi) >> w)
+    slo = shi = 0
+    d = 1
+    while zhi > 1:
+        slo += zlo // d
+        shi -= -zhi // d
+        zlo = (zlo * qlo) >> w
+        zhi = -((-zhi * qhi) >> w)
+        d += 2
+    shi += 2  # zhi <= 1 bounds the next power; the tail is below 9/8 of it
+    return slo << (r + 1), shi << (r + 1)
+
+
 @lru_cache(maxsize=1 << 16)
 def log2_scaled_bounds(n: int, prec: int) -> Tuple[int, int]:
-    """Certified dyadic bounds on log2(n).
+    """Certified dyadic bounds on log2(n): the tightest ones at ``prec``.
 
-    Returns (lo, hi) with lo <= 2**prec * log2(n) <= hi. Exact (lo == hi) for
-    powers of two; otherwise hi - lo is a few units, except when the interval
-    squaring hits an undecided bit early, in which case the gap is larger and
-    the caller should retry at higher precision.
+    Returns (lo, hi) with lo <= 2**prec * log2(n) <= hi. For a power of two
+    lo == hi, the exact value; otherwise lo = floor(2**prec * log2(n)) and
+    hi = lo + 1, and the inequalities are strict.
+
+    log2(n) = k + ln(n / 2**k) / ln 2, both logarithms enclosed at ``prec``
+    plus guard bits; an enclosure wider than one unit is computed again with
+    twice the guard bits.
     """
     if n < 1:
         raise ValueError("log2 of a non-positive integer")
     k = n.bit_length() - 1
     if n & (n - 1) == 0:
         return (k << prec, k << prec)
-    wp = prec + 8
-    # mantissa interval [mlo, mhi] / 2**wp enclosing n / 2**k, inside [1, 2)
-    if k <= wp:
-        mlo = mhi = n << (wp - k)
-    else:
-        mlo = n >> (k - wp)
-        mhi = mlo + 1
-    acc = 0
-    frac_lo = frac_hi = None
-    for i in range(prec):
-        mlo *= mlo
-        mhi *= mhi
-        # mantissas are now scaled by 2**(2*wp); "value >= 2" means >= thresh
-        thresh = 1 << (2 * wp + 1)
-        if mlo >= thresh:
-            bit = 1
-            mlo >>= wp + 1
-            mhi = (mhi >> (wp + 1)) + 1
-        elif mhi < thresh:
-            bit = 0
-            mlo >>= wp
-            mhi = (mhi >> wp) + 1
-        else:
-            # enclosure straddles 2: the remaining bits are undecided
-            rem = prec - i
-            frac_lo = acc << rem
-            frac_hi = (acc + 1) << rem
-            break
-        acc = (acc << 1) | bit
-    else:
-        frac_lo = acc
-        frac_hi = acc + 1
-    return ((k << prec) + frac_lo, (k << prec) + frac_hi)
+    # about sqrt(prec)/4 roots balance the roots against the series terms
+    r = (isqrt(prec) >> 2) + 1
+    guard = r + prec.bit_length() + 8
+    while True:
+        w = prec + guard
+        lnlo, lnhi = _ln_scaled(n, k, r, w)
+        l2lo, l2hi = _ln2_scaled(w)
+        flo = (lnlo << prec) // l2hi
+        fhi = -((-lnhi << prec) // l2lo)
+        if fhi - flo == 1:
+            return ((k << prec) + flo, (k << prec) + fhi)
+        guard <<= 1
 
 
 _tower_shift_cache: dict = {}

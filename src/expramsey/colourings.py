@@ -180,10 +180,13 @@ class SchurExpColouring(Colouring):
 # forbidden-difference sequences
 
 class DifferenceSequence:
-    """Descriptor for a forbidden-difference sequence b_n, n >= start."""
+    """Descriptor for a forbidden-difference sequence b_n, n >= start; every
+    sequence here is increasing."""
 
     name: str
     start: int
+    # least n >= start with b_n not an integer, None when there is none
+    first_non_integer: Optional[int] = None
 
     def exact(self, n: int) -> Optional[int]:
         """Integer value when the sequence is integer-valued."""
@@ -226,6 +229,7 @@ class NPowNLog2Sequence(DifferenceSequence):
 
     name = "n^n*log2n"
     start = 2
+    first_non_integer = 3  # the least n >= 2 that is not a power of two
 
     def exact(self, n: int) -> Optional[int]:
         # n^n * log2 n is an integer only when n is a power of two

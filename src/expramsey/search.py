@@ -537,16 +537,19 @@ class DifferencePairFamily(InstanceFamily):
         self.nmax = nmax
         parsed = parse_seq(seq)
         self.seq = parsed.name
+        fraction = parsed.first_non_integer
+        if fraction is not None and fraction <= nmax:
+            raise ParseError(
+                f"difference-pair family needs an integer sequence, "
+                f"not {parsed.name}"
+            )
         diffs = []
+        # the sequence increases: the first b_n >= bound ends the differences
         for n in range(parsed.start, nmax + 1):
             v = parsed.exact(n)
-            if v is None:
-                raise ParseError(
-                    f"difference-pair family needs an integer sequence, "
-                    f"not {parsed.name}"
-                )
-            if v < bound:
-                diffs.append((n, v))
+            if v >= bound:
+                break
+            diffs.append((n, v))
         # descending difference = ascending x for a fixed larger element
         self._diffs = sorted(diffs, key=lambda t: -t[1])
         # With j differences below m, the pairs with larger element <= m

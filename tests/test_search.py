@@ -274,6 +274,50 @@ def test_diffpair_nth_matches_rows(seq, nmax, bound, rnd):
             fam.nth(i)
 
 
+def test_diffpair_build_stops_at_the_bound(monkeypatch):
+    """The differences stop at the first b_n >= bound: as many sequence
+    values for nmax = 10^4 as for nmax = 12, and the same rows."""
+    from expramsey import colourings
+
+    calls = []
+    exact = colourings.GeometricSequence.exact
+
+    def counted(self, n):
+        calls.append(n)
+        return exact(self, n)
+
+    monkeypatch.setattr(colourings.GeometricSequence, "exact", counted)
+    short = parse_family("diffpair:seq=3^n,nmax=12", 100)
+    assert calls == [1, 2, 3, 4, 5]  # 3^5 = 243 is the first one >= 100
+    calls.clear()
+    long = parse_family("diffpair:seq=3^n,nmax=10000", 100)
+    assert calls == [1, 2, 3, 4, 5]
+    assert long.count() == short.count() == 280
+    assert list(long.rows()) == list(short.rows())
+
+
+@pytest.mark.parametrize("seq", ["n*2^n", "3^n", "n^n*log2n"])
+def test_diffpair_rejects_a_non_integer_sequence_by_nmax_alone(seq):
+    """ParseError exactly when some b_n with start <= n <= nmax is not an
+    integer, whatever the bound: n^n*log2n is refused from nmax = 3 on, even
+    at bounds <= 4 = b_2, where the differences stop at n = 2."""
+    from expramsey.colourings import parse_seq
+
+    parsed = parse_seq(seq)
+    for nmax in range(0, 8):
+        fractional = any(parsed.exact(n) is None for n in range(parsed.start, nmax + 1))
+        for bound in (1, 2, 3, 4, 5, 100):
+            spec = f"diffpair:seq={seq},nmax={nmax}"
+            if fractional:
+                with pytest.raises(ParseError):
+                    parse_family(spec, bound)
+            else:
+                fam = parse_family(spec, bound)
+                assert fam.count() == sum(bound - parsed.exact(n)
+                                          for n in range(parsed.start, nmax + 1)
+                                          if parsed.exact(n) < bound)
+
+
 def _outcome(fn):
     """(True, value) or (False, exception type and message)."""
     try:

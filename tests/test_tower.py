@@ -1,15 +1,20 @@
 """Term algebra, exact/modular evaluation, and the certified log machinery."""
 
+import functools
+import itertools
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expramsey import _arith, tower
+from expramsey import _arith, _intlog, colourings, tower
 from expramsey._arith import factorint, gcd_of_exponents, root_exponent
 from expramsey._intlog import TOWERS, iter_log_le, log2_scaled_bounds, log_star_int
+from expramsey.colourings import parse_colouring
 from expramsey.errors import (
+    ExpRamseyError,
     FactorizationBudgetExceeded,
     ParseError,
 )
@@ -344,19 +349,246 @@ def test_iter_log_le_matches_float_reference():
 # ---------------------------------------------------------------------------
 # dyadic log2 bounds
 
+def reference_log2_scaled_bounds(n: int, prec: int):
+    """The first log2_scaled_bounds, one interval squaring per output bit:
+    its enclosure is one unit wide unless a squaring straddles 2."""
+    if n < 1:
+        raise ValueError("log2 of a non-positive integer")
+    k = n.bit_length() - 1
+    if n & (n - 1) == 0:
+        return (k << prec, k << prec)
+    wp = prec + 8
+    # mantissa interval [mlo, mhi] / 2**wp enclosing n / 2**k, inside [1, 2)
+    if k <= wp:
+        mlo = mhi = n << (wp - k)
+    else:
+        mlo = n >> (k - wp)
+        mhi = mlo + 1
+    acc = 0
+    frac_lo = frac_hi = None
+    for i in range(prec):
+        mlo *= mlo
+        mhi *= mhi
+        # mantissas are now scaled by 2**(2*wp); "value >= 2" means >= thresh
+        thresh = 1 << (2 * wp + 1)
+        if mlo >= thresh:
+            bit = 1
+            mlo >>= wp + 1
+            mhi = (mhi >> (wp + 1)) + 1
+        elif mhi < thresh:
+            bit = 0
+            mlo >>= wp
+            mhi = (mhi >> wp) + 1
+        else:
+            # enclosure straddles 2: the remaining bits are undecided
+            rem = prec - i
+            frac_lo = acc << rem
+            frac_hi = (acc + 1) << rem
+            break
+        acc = (acc << 1) | bit
+    else:
+        frac_lo = acc
+        frac_hi = acc + 1
+    return ((k << prec) + frac_lo, (k << prec) + frac_hi)
+
+
 def test_log2_scaled_bounds_exact_oracle():
-    prec = 16
-    for n in (3, 5, 6, 7, 10, 100, 12345):
+    for prec in (0, 1, 5, 16):
+        for n in (3, 5, 6, 7, 10, 100, 12345):
+            lo, hi = log2_scaled_bounds(n, prec)
+            assert hi - lo == 1
+            # 2^lo < n^(2^prec) < 2^hi, checked with exact integers
+            big = n ** (2**prec)
+            assert 2**lo < big < 2**hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=3, max_value=2**40), st.integers(min_value=0, max_value=11))
+def test_log2_scaled_bounds_is_the_floor_exactly(n, prec):
+    """lo = floor(2^prec log2 n), by comparing 2^lo and 2^hi with n^(2^prec)."""
+    if n & (n - 1) == 0:
+        n += 1
+    lo, hi = log2_scaled_bounds(n, prec)
+    assert hi == lo + 1
+    assert 1 << lo < n ** (2**prec) < 1 << hi
+
+
+def _decimal_log2_scaled(n: int, prec: int):
+    """2^prec log2 n from decimal's correctly rounded ln, and a margin on
+    its error. The working digits exceed the digits of the integer part by
+    40, so the few roundings (two ln, one division, one product) leave an
+    error below 10^-38, far inside the margin of 10^-20."""
+    digits = len(str(n.bit_length() << prec)) + 40
+    with localcontext() as ctx:
+        ctx.prec = digits
+        x = Decimal(n).ln() / Decimal(2).ln() * (Decimal(2) ** prec)
+    return x, Decimal(10) ** -20
+
+
+@pytest.mark.parametrize("prec", [16, 64, 256, 1024, 4096])
+def test_log2_scaled_bounds_against_decimal(prec):
+    rng = random.Random(prec)
+    ns = [3, 5, 7, 2**64 + 1, 2**4000 - 1, 3**2000]
+    ns += [rng.getrandbits(rng.randint(2, 3000)) | 1 for _ in range(4 if prec > 1024 else 12)]
+    checked = 0
+    for n in ns:
         lo, hi = log2_scaled_bounds(n, prec)
-        assert hi - lo <= 2
-        # 2^lo <= n^(2^prec) <= 2^hi, checked with exact integers
-        big = n ** (2**prec)
-        assert 2**lo <= big <= 2**hi
+        assert hi == lo + 1
+        x, margin = _decimal_log2_scaled(n, prec)
+        near = x.to_integral_value()
+        if abs(x - near) <= margin:
+            continue  # within the oracle's own error of an integer
+        assert Decimal(lo) < x < Decimal(hi), (n, prec)
+        checked += 1
+    assert checked >= len(ns) - 1
+
+
+def test_ln_enclosure_holds_at_a_few_bits():
+    """The mantissa logarithm before the division by ln 2, at 2 to 40 bits,
+    where a unit dropped from a rounding or from the series tail shows."""
+    rng = random.Random(7)
+    for _ in range(3000):
+        n = rng.getrandbits(rng.randint(2, 80)) | 1
+        if n < 3:
+            continue
+        k, r, w = n.bit_length() - 1, rng.randint(0, 4), rng.randint(2, 40)
+        lo, hi = _intlog._ln_scaled(n, k, r, w)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            x = (Decimal(n) / Decimal(2) ** k).ln() * Decimal(2) ** w
+        assert lo <= x <= hi, (n, r, w)
+
+
+def test_ln2_bounds_against_decimal():
+    for w in (1, 8, 33, 200, 1100):
+        lo, hi = _intlog._ln2_scaled(w)
+        with localcontext() as ctx:
+            ctx.prec = w // 3 + 30
+            x = Decimal(2).ln() * (Decimal(2) ** w)
+        assert lo < x < hi
+        assert hi - lo <= 4 * w
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(min_value=1, max_value=2**70),
+                 st.integers(min_value=1, max_value=3000).map(lambda b: 2**b - 1),
+                 st.integers(min_value=2, max_value=3000).map(lambda b: 2**b + 1)),
+       st.sampled_from([0, 1, 2, 3, 7, 16, 16, 16, 32, 64, 100]))
+def test_log2_scaled_bounds_nest_in_the_reference(n, prec):
+    """Equal to the squaring routine where that is one unit wide, inside it
+    elsewhere (where a squaring straddled 2)."""
+    got = log2_scaled_bounds(n, prec)
+    ref = reference_log2_scaled_bounds(n, prec)
+    if ref[1] - ref[0] <= 1:
+        assert got == ref
+    else:
+        assert ref[0] <= got[0] and got[1] <= ref[1] and got[1] - got[0] == 1
+
+
+def test_log2_scaled_bounds_straddles_are_tightened():
+    # arguments where a squaring of the reference straddles 2, found by
+    # searching n from 3 upward
+    for n, prec in ((195, 16), (473, 16), (601, 64), (1791, 64)):
+        ref = reference_log2_scaled_bounds(n, prec)
+        assert ref[1] - ref[0] > 1
+        lo, hi = log2_scaled_bounds(n, prec)
+        assert ref[0] <= lo < hi == lo + 1 <= ref[1]
 
 
 def test_log2_scaled_bounds_power_of_two_is_tight():
     lo, hi = log2_scaled_bounds(1024, 8)
     assert lo == hi == 10 * 2**8
+    for e in (0, 1, 5, 64, 3000):
+        for prec in (0, 16, 4096):
+            assert log2_scaled_bounds(2**e, prec) == (e << prec, e << prec)
+
+
+@pytest.mark.parametrize("n", [0, -1, -8])
+def test_log2_scaled_bounds_rejects_non_positive(n):
+    with pytest.raises(ValueError):
+        log2_scaled_bounds(n, 16)
+
+
+# The colourings whose colours are certified through log2_scaled_bounds.
+KERNEL_COLOURINGS = ("logstar:r=1", "logstar:r=3", "abbb:nmax=8", "pow2abb:nmax=10",
+                     "lacunary:seq=n*2^n,nmax=12", "lacunary:seq=n^n*log2n,nmax=6")
+
+
+def _kernel_corpus(seed: int):
+    """Term texts shaped like the benchmark's symbolic corpus: every tower of
+    height 1 to 5 over 2 and 3, 2^3^2^3^2^3 (its abbb colour runs the whole
+    precision schedule and is refused), then huge literals, powers, products
+    and nested powers; with (r, b) for compare_iter_log and (a, r, b) for
+    iter_log_le."""
+    rng = random.Random(seed)
+    texts = ["^".join(bases) for h in range(1, 6)
+             for bases in itertools.product("23", repeat=h)] + ["2^3^2^3^2^3"]
+    for _ in range(25):
+        bits = rng.randint(65, 3000)
+        texts.append(str(rng.getrandbits(bits) | 1 << (bits - 1) | 1))
+        texts.append(f"{rng.randint(2, 1000)}^{rng.randint(2, 3000)}")
+        texts.append("*".join(f"{rng.randint(2, 60)}^{rng.randint(2, 200)}"
+                              for _ in range(rng.randint(2, 3))))
+        texts.append(f"({rng.randint(2, 30)}^{rng.randint(2, 40)})^{rng.randint(2, 40)}")
+    compares = [(rng.randint(1, 3), rng.randint(1, 2**16)) for _ in texts]
+    ints = []
+    for _ in range(500):
+        a, r = rng.getrandbits(rng.randint(2, 3000)) | 1, rng.randint(1, 4)
+        near = a  # b within a unit or two of the integer part of log2^(r)(a)
+        for _ in range(r):
+            near = near.bit_length()
+        ints.append((a, r, rng.randint(max(1, near - 2), near + 1)))
+    return texts, compares, ints
+
+
+def _kernel_outcomes(texts, compares, ints):
+    """Each call's ("ok", value) or ("refused", error class), with fresh
+    colouring memos."""
+    cols = [parse_colouring(spec) for spec in KERNEL_COLOURINGS]
+
+    def call(f, *args):
+        try:
+            return ("ok", f(*args))
+        except ExpRamseyError as e:
+            return ("refused", type(e).__name__)
+
+    out = []
+    for text, (r, b) in zip(texts, compares):
+        t = parse_term(text)
+        out += [(text, spec, call(col, t)) for spec, col in zip(KERNEL_COLOURINGS, cols)]
+        out.append((text, "log_star", call(log_star, t)))
+        out.append((text, "compare_iter_log", call(compare_iter_log, t, r, literal(b))))
+    out += [(a, "iter_log_le", call(iter_log_le, a, r, b)) for a, r, b in ints]
+    return out
+
+
+def test_callers_agree_with_the_reference_kernel(monkeypatch):
+    """Every caller of log2_scaled_bounds gives the same answers with the
+    reference routine patched in at each binding; the new kernel refuses a
+    call only where the reference refused it too."""
+    corpus = _kernel_corpus(2016)
+    got = _kernel_outcomes(*corpus)
+    straddles = []
+
+    @functools.lru_cache(maxsize=None)
+    def reference(n, prec):
+        lo, hi = reference_log2_scaled_bounds(n, prec)
+        if hi - lo > 1:
+            straddles.append((n, prec))
+        return lo, hi
+
+    for module in (_intlog, tower, colourings):
+        monkeypatch.setattr(module, "log2_scaled_bounds", reference)
+    want = _kernel_outcomes(*corpus)
+    assert [g[:2] for g in got] == [w[:2] for w in want]
+    for (arg, call, g), (_, _, w) in zip(got, want):
+        if g[0] == "refused":
+            assert w[0] == "refused", (arg, call, g, w)
+        elif w[0] == "ok":
+            assert g == w, (arg, call, g, w)
+    # the corpus reaches both kinds of reference enclosure
+    assert straddles
+    assert sum(w[2][0] == "ok" for w in want) > len(want) // 2
 
 
 # ---------------------------------------------------------------------------
