@@ -42,6 +42,8 @@ from .errors import (
 )
 from .tower import (
     ExpTerm,
+    Power,
+    _concrete_value,
     _log2_term_scaled,
     _pow2_exponent_term,
     as_term,
@@ -536,6 +538,8 @@ class AbbbColouring(Colouring):
             ev = eval_exact(e)
             if ev.is_exact and ev.exact & (ev.exact - 1) == 0:
                 return self.inner.colour(ev.exact.bit_length() - 1)
+            if not ev.is_exact and self._too_wide(e):
+                raise UncertifiableComparison("cannot certify double-log colour")
         for prec in PREC_SCHEDULE:
             if e is not None:
                 ev = eval_exact(e)
@@ -550,6 +554,26 @@ class AbbbColouring(Colouring):
             if got is not None:
                 return got
         raise UncertifiableComparison("cannot certify double-log colour")
+
+    def _too_wide(self, e: ExpTerm) -> bool:
+        """Whether no scheduled precision can certify the colour of
+        y = log2 log2 x = log2 e, for x = 2^e with e not exact.
+
+        For e = b^E with b not a power of two and E materializable to v, the
+        enclosure of y at precision p is (lo*v, (lo + 1)*v) / 2^p, as
+        log2_scaled_bounds(b, p) is exactly one unit wide: v units at every
+        p. colour_scaled certifies only when, for each alpha = a/q, both
+        ends of a*y/q lie in one quarter of one unit, which needs
+        4*a*v < q*2^p. The right side grows with p, so once
+        4*a*v >= q*2^P at the top precision P it fails at every p."""
+        if not isinstance(e, Power):
+            return False
+        base, v = eval_exact(e.base), _concrete_value(e.exponent)
+        if v is None or not base.is_exact or base.exact & (base.exact - 1) == 0:
+            return False
+        top = PREC_SCHEDULE[-1]
+        return any(4 * a.alpha.numerator * v >= a.alpha.denominator << top
+                   for a in self.inner.alphas)
 
 
 class TableColouring(Colouring):

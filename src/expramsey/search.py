@@ -91,6 +91,11 @@ def _first_above(cum: Callable[[int], int], i: int, lo: int, hi: int) -> int:
 
 
 Row = Tuple[Tuple[Value, ...], Tuple[int, ...]]
+# An offset pattern of the shift-and kernel: (least largest element m, the
+# offsets o > 0 such that m - o are the other free elements, a value whose
+# colour class is pinned or None). The row at m holds m, each m - o and the
+# pinned value.
+Shift = Tuple[int, Tuple[int, ...], Optional[int]]
 
 
 def _weight_from_text(text: str) -> dict:
@@ -175,17 +180,11 @@ class InstanceFamily:
         return write_spec(self)
 
 
-def _exp_pairs(bound: int, *, cap: Optional[int] = None,
-               last_a: Optional[Callable[[int, int], int]] = None
-               ) -> List[Tuple[int, int, int]]:
-    """All (p, a, b) with a, b >= 2 and p = a^b <= bound, sorted by
-    (p, max(a,b), min(a,b), a, b): element tuples descending, generator
-    tie-break.
-
-    ``last_a(b, top)`` shortens the range of a for each b to [2, last_a];
-    the pairs are counted from integer roots first, and more than ``cap``
-    of them raise BudgetExceeded before any list is built.
-    """
+def _exp_tops(bound: int, cap: Optional[int] = None,
+              last_a: Optional[Callable[[int, int], int]] = None
+              ) -> List[Tuple[int, int]]:
+    """(b, the last a) for each exponent b of the pairs of ``_exp_pairs``,
+    counted from integer roots without listing a pair."""
     tops = []
     total = 0
     for b in range(2, bound.bit_length()):
@@ -198,6 +197,21 @@ def _exp_pairs(bound: int, *, cap: Optional[int] = None,
             raise BudgetExceeded(
                 f"power pairs a^b <= bound exceed the element cap {cap}"
             )
+    return tops
+
+
+def _exp_pairs(bound: int, *, cap: Optional[int] = None,
+               last_a: Optional[Callable[[int, int], int]] = None
+               ) -> List[Tuple[int, int, int]]:
+    """All (p, a, b) with a, b >= 2 and p = a^b <= bound, sorted by
+    (p, max(a,b), min(a,b), a, b): element tuples descending, generator
+    tie-break.
+
+    ``last_a(b, top)`` shortens the range of a for each b to [2, last_a];
+    the pairs are counted from integer roots first, and more than ``cap``
+    of them raise BudgetExceeded before any list is built.
+    """
+    tops = _exp_tops(bound, cap, last_a)
     out = [(a**b, a, b) for b, top in tops for a in range(2, top + 1)]
     out.sort(key=lambda t: (t[0], max(t[1], t[2]), min(t[1], t[2]), t[1], t[2]))
     return out
@@ -304,6 +318,8 @@ class SchurFamily(InstanceFamily):
     def __init__(self, bound: int):
         self.bound = bound
 
+    _upto = staticmethod(_schur_upto)
+
     def count(self) -> int:
         return _schur_upto(self.bound)
 
@@ -311,6 +327,15 @@ class SchurFamily(InstanceFamily):
         for s in range(2, self.bound + 1):
             for y in range((s + 1) // 2, s):
                 yield (s - y, y, s), (s - y, y)
+
+    def _shifts(self, hi: int) -> List[Shift]:
+        # {x, s - x, s} for fixed x is a translate of (x, 0) with x's class
+        # pinned; y >= x needs s >= 2x, and y ascends as x descends
+        return [(2 * x, (x,), x) for x in range(hi // 2, 0, -1)]
+
+    def _shift_index(self, m: int, shift: Shift) -> int:
+        x = shift[2]
+        return self.index(x, m - x)
 
     def _row(self, i: int) -> Row:
         # the least s with more than i triples of sum <= s
@@ -358,6 +383,10 @@ class SchurPlusExpFamily(InstanceFamily):
 
     def _exp_upto(self, m: int) -> int:
         return bisect.bisect_right(self._powers, m)
+
+    def _upto(self, m: int) -> int:
+        """Number of joint instances with max element <= m."""
+        return _schur_upto(m) * self._exp_upto(m)
 
     def rows(self) -> Iterator[Row]:
         exps = list(self.exp.rows())
@@ -556,13 +585,17 @@ class DifferencePairFamily(InstanceFamily):
         # number j*m - sums[j], sums[j] adding the j smallest: linear in m
         # between differences. breaks[k] is that count at m equal to the
         # (k+1)-th smallest difference, with k differences below it.
-        ascending = [v for _, v in reversed(self._diffs)]
-        self._sums = [0, *itertools.accumulate(ascending)]
-        self._breaks = [j * v - self._sums[j] for j, v in enumerate(ascending)]
+        self._ascending = [v for _, v in reversed(self._diffs)]
+        self._sums = [0, *itertools.accumulate(self._ascending)]
+        self._breaks = [j * v - self._sums[j] for j, v in enumerate(self._ascending)]
+
+    def _upto(self, m: int) -> int:
+        """Number of pairs with larger element <= m."""
+        j = bisect.bisect_left(self._ascending, m)
+        return j * m - self._sums[j]
 
     def count(self) -> int:
-        # every difference is below the bound
-        return len(self._diffs) * self.bound - self._sums[-1]
+        return self._upto(self.bound)
 
     def rows(self) -> Iterator[Row]:
         diffs = self._diffs
@@ -581,6 +614,18 @@ class DifferencePairFamily(InstanceFamily):
         r = i - (j * (m - 1) - self._sums[j])
         n, v = self._diffs[len(self._diffs) - j + r]
         return (m - v, m), (n, m - v)
+
+    def _index_at(self, m: int, v: int) -> int:
+        # after the pairs of larger element below m come those of m with a
+        # larger difference, which is below m
+        a = self._ascending
+        return self._upto(m - 1) + bisect.bisect_left(a, m) - bisect.bisect_right(a, v)
+
+    def _shifts(self, hi: int) -> List[Shift]:
+        return [(v + 1, (v,), None) for _, v in self._diffs]
+
+    def _shift_index(self, m: int, shift: Shift) -> int:
+        return self._index_at(m, shift[1][0])
 
 
 class GridFamily(InstanceFamily):
@@ -620,6 +665,20 @@ class GridFamily(InstanceFamily):
     def _row(self, i: int) -> Row:
         m = _first_above(self._upto, i, self.len + 1, self.bound)
         return self._progression(m, (m - 1) // self.len - (i - self._upto(m - 1)))
+
+    def index(self, s: int, d: int) -> int:
+        """Enumeration index of the progression with start s, difference d."""
+        m = s + self.len * d
+        return self._upto(m - 1) + (m - 1) // self.len - d
+
+    def _shifts(self, hi: int) -> List[Shift]:
+        L = self.len
+        return [(L * d + 1, tuple(i * d for i in range(L, 0, -1)), None)
+                for d in range((hi - 1) // L, 0, -1)]
+
+    def _shift_index(self, m: int, shift: Shift) -> int:
+        d = shift[1][-1]
+        return self.index(m - self.len * d, d)
 
 
 FAMILIES: Dict[str, type] = {cls.kind: cls for cls in (
@@ -809,51 +868,157 @@ def _find_mono_quad_logstar(colouring: LogStarColouring,
     return None, None
 
 
-def _find_mono_schurplusexp(colouring: Colouring, family: SchurPlusExpFamily,
-                            budget: _Budget) -> Tuple[Optional[int], Optional[dict]]:
-    """Class decomposition: an instance is monochromatic exactly when one
-    colour class contains both a full sum triple and a full power triple.
-    Avoidance never touches the quadratic-size product enumeration; when a
-    class has both, the first joint instance in enumeration order combines
-    that class's first monochromatic sum triple and power triple.
-    """
-    bound = family.bound
-    exp_mono: Dict[int, int] = {}
-    for i, c in _mono_rows(colouring, family.exp.rows(), budget):
-        exp_mono.setdefault(c, i)
-    if not exp_mono:
-        return None, None
-    budget.check()
-    carr = [0] * (bound + 1)
-    for v in range(1, bound + 1):
-        carr[v] = colouring(v)
-    best = None  # (index, colour) of the earliest joint instance
-    for klass, ei in exp_mono.items():
-        budget.check()
-        vals = [v for v in range(1, bound + 1) if carr[v] == klass]
-        smin: Optional[Tuple[int, int, int]] = None
-        for ix, x in enumerate(vals):
-            # for fixed x the first valid y minimizes (sum, y); candidates
-            # with equal sums still need comparing since y falls as x rises
-            for y in vals[ix:]:
-                s = x + y
-                if s > bound:
-                    break
-                if carr[s] == klass:
-                    cand = (s, y, x)
-                    if smin is None or cand < smin:
-                        smin = cand
-                    break
-        if smin is None:
+def _first_translates(carr: bytearray, classes: Sequence[int],
+                      shifts: List[Shift], lo: int, hi: int, budget: _Budget
+                      ) -> Dict[int, Tuple[int, int]]:
+    """For each class rank c in ``classes`` with a monochromatic translate
+    of some pattern in ``shifts`` whose largest element m lies in [lo, hi],
+    the (m, j) of the first: the least m, then the least position j.
+    ``carr[v]`` is the class rank of v for v in [1, hi] and 0 at v = 0.
+
+    Bit-parallel shift-and matching (Baeza-Yates and Gonnet, CACM 35(10),
+    1992) over byte lanes: byte v of the lane int of c is 1 iff carr[v] is
+    c, so the lane shifted left by 8*o has byte m set iff m - o is in c. The
+    AND of the lane with its shifts by a pattern's offsets marks each m
+    whose translate lies in c, m - o <= 0 included as no byte is set there;
+    the lowest marked byte from the pattern's least m on is its first. The
+    budget is checked every 256 patterns."""
+    todo: Dict[Optional[int], List[Tuple[int, int, Tuple[int, ...]]]] = {}
+    for j, (m_min, offsets, pin) in enumerate(shifts):
+        start = max(lo, m_min)
+        if start <= hi:
+            key = None if pin is None else carr[pin]
+            todo.setdefault(key, []).append((start, j, offsets))
+    free = todo.pop(None, [])
+    # a translate has at least its offsets' count plus one distinct
+    # elements, so a class with fewer members holds none
+    fewest = 1 + min((len(offsets) for _, offsets, _ in shifts), default=0)
+    first: Dict[int, Tuple[int, int]] = {}
+    for c in classes:
+        if carr.count(c) < fewest:
             continue
-        s, y, x = smin
-        cand = (family.index(SchurFamily.index(x, y), ei), klass)
-        if best is None or cand < best:
-            best = cand
-    if best is None:
+        table = bytearray(256)
+        table[c] = 1
+        lane = int.from_bytes(carr.translate(table), "little")
+        for n, (start, j, offsets) in enumerate(free + todo.get(c, [])):
+            if n % 256 == 0:
+                budget.check()
+            mask = lane
+            for o in offsets:
+                if not mask:
+                    break
+                mask &= lane << 8 * o
+            mask >>= 8 * start
+            if mask:
+                m = start + ((mask & -mask).bit_length() - 1) // 8
+                if c not in first or (m, j) < first[c]:
+                    first[c] = m, j
+    return first
+
+
+# (carr, class ranks, lo, hi, budget) -> (index, class rank) of the first
+# monochromatic row with largest element in [lo, hi], or None
+WindowSearch = Callable[[bytearray, range, int, int, _Budget],
+                        Optional[Tuple[int, int]]]
+
+
+def _translate_search(family: InstanceFamily) -> WindowSearch:
+    """Search of a family whose rows at each largest element m are the
+    translates to m of its ``_shifts`` patterns, in the patterns' order."""
+    def search(carr, classes, lo, hi, budget):
+        shifts = family._shifts(hi)
+        first = _first_translates(carr, classes, shifts, lo, hi, budget)
+        if not first:
+            return None
+        (m, j), c = min((mj, c) for c, mj in first.items())
+        return family._shift_index(m, shifts[j]), c
+    return search
+
+
+def _joint_search(family: SchurPlusExpFamily) -> WindowSearch:
+    """Class decomposition: a joint instance is monochromatic exactly when
+    one colour class holds both its sum triple and its power triple. The
+    joint order is monotone in each part's index, so the first joint
+    instance pairs some class's first sum triple with its first power
+    triple. Power triples are read off ``carr`` in order of their power;
+    a class's sum triples are searched by the shift-and kernel, restricted
+    to that class, once it has a power triple, from 1 on at first and then
+    window by window, so a colouring with no monochromatic power triple
+    never searches them."""
+    pairs, schur = family.exp._pairs, family.schur
+    exp_first: Dict[int, int] = {}  # class rank -> first power triple
+    sum_first: Dict[int, int] = {}  # class rank -> first sum triple
+    next_pair = 0
+
+    def search(carr, classes, lo, hi, budget):
+        nonlocal next_pair
+        fresh = []
+        while next_pair < len(pairs) and pairs[next_pair][0] <= hi:
+            p, a, b = pairs[next_pair]
+            if carr[a] == carr[b] == carr[p] and carr[p] not in exp_first:
+                exp_first[carr[p]] = next_pair
+                fresh.append(carr[p])
+            next_pair += 1
+        waiting = [c for c in exp_first if c not in sum_first and c not in fresh]
+        shifts = schur._shifts(hi) if fresh or waiting else []
+        for cs, start in ((fresh, 1), (waiting, lo)):
+            for c, (m, j) in _first_translates(carr, cs, shifts, start, hi, budget).items():
+                sum_first[c] = schur._shift_index(m, shifts[j])
+        return min(((family.index(sum_first[c], ei), c)
+                    for c, ei in exp_first.items() if c in sum_first), default=None)
+    return search
+
+
+def _window_scan(colouring: Colouring, family: InstanceFamily, budget: _Budget,
+                 search: WindowSearch) -> Tuple[Optional[int], Optional[dict]]:
+    """First monochromatic row of a family whose rows come in order of their
+    largest element m, every element in [1, m], as (index, witness).
+
+    The values are coloured in ascending order into ``carr`` as class ranks,
+    the colours numbered 1, 2, ... by first appearance, in windows of m that
+    double, so an early counterexample colours at most about twice the
+    values a row walk colours. The budget is checked at each window and
+    every 4096 values coloured, and by the search every 256 patterns.
+
+    A value whose colouring raises, or whose colour would be a 256th class,
+    ends the windows: the rows whose largest element is below it are
+    searched, and the rows from there on are walked by ``_mono_rows``, so
+    what raises or returns is what the row walk raises or returns."""
+    if family.count() == 0:
         return None, None
-    idx, klass = best
-    return idx, family.nth(idx).witness_json(klass)
+    carr, ranks = bytearray(1), {}
+    colour, rank, append = colouring.colour, ranks.get, carr.append
+    lo, hi = 1, 8
+    while lo <= family.bound:
+        budget.check()
+        top = min(hi, family.bound)
+        for v in range(lo, top + 1):
+            if v % 4096 == 0:
+                budget.check()
+            try:
+                c = colour(v)
+            except Exception:  # whatever it is, the walk below meets it at v
+                break
+            r = rank(c)
+            if r is None:
+                if len(ranks) == 255:
+                    break
+                r = ranks[c] = len(ranks) + 1
+            append(r)
+        end = len(carr) - 1
+        got = (search(carr, range(1, len(ranks) + 1), lo, end, budget)
+               if end >= lo else None)
+        if got is not None:
+            idx, r = got
+            return idx, family.nth(idx).witness_json(list(ranks)[r - 1])
+        if end < top:
+            start = family._upto(end)
+            rows = map(family._row, range(start, family.count()))
+            for j, c in _mono_rows(colouring, rows, budget):
+                return start + j, family.nth(start + j).witness_json(c)
+            return None, None
+        lo, hi = top + 1, 2 * hi
+    return None, None
 
 
 def find_monochromatic(colouring: Union[Colouring, str],
@@ -866,8 +1031,14 @@ def find_monochromatic(colouring: Union[Colouring, str],
     """First monochromatic instance in enumeration order, or avoidance.
 
     The result is a certificate; its wall_time attribute is measured but not
-    serialized. With ``threads`` > 1 the walk runs in that many processes,
-    each over the indices of one residue class.
+    serialized. diffpair, schur and grid go through the shift-and kernel,
+    schurplusexp through its class decomposition (both in ``_window_scan``),
+    expquad under a log-star colouring through its level-run scan, and
+    every other family through the row walk. With ``threads`` > 1 the row
+    walk runs in that many processes, each over the indices of one residue
+    class; the other scans start no pool, as one pass of them costs less
+    than starting it. The certificate bytes are the same for any thread
+    count.
     """
     t0 = time.perf_counter()
     if isinstance(colouring, str):
@@ -882,7 +1053,11 @@ def find_monochromatic(colouring: Union[Colouring, str],
     if isinstance(family, ExpQuadrupleFamily) and isinstance(colouring, LogStarColouring):
         first_idx, witness = _find_mono_quad_logstar(colouring, family, budget)
     elif isinstance(family, SchurPlusExpFamily):
-        first_idx, witness = _find_mono_schurplusexp(colouring, family, budget)
+        first_idx, witness = _window_scan(colouring, family, budget,
+                                          _joint_search(family))
+    elif isinstance(family, (DifferencePairFamily, SchurFamily, GridFamily)):
+        first_idx, witness = _window_scan(colouring, family, budget,
+                                          _translate_search(family))
     elif threads > 1:
         # imported here: the pool pulls in multiprocessing, which would cost
         # every other process (each CLI call, say) import time for nothing
@@ -1174,22 +1349,27 @@ def _threshold(kind: str, k: int, params: dict, n_max: int, seed: int,
 
 def exp_ramsey_number(k: int, n_max: int = 10**5, *, seed: int = 0) -> RamseyComputation:
     """Least N such that every k-colouring of [N] has a monochromatic
-    {a, b, a^b}. The largest candidate power value <= ``n_max`` is solved
-    first, and a colouring there means value None at once; otherwise a
-    binary search over the candidates below it finds the least unsolvable
-    one. Each probe's triples are a prefix of those at ``n_max``. The
-    witness colouring of [N-1] is re-checked and a second branching order
-    must refute [N] for ``methods_agree``. ``seed`` is recorded only.
+    {a, b, a^b}. Ceilings that climb to ``n_max``, each the integer square
+    root of the one above it and the least below 16, are solved in turn; a
+    colouring at ``n_max`` means value None, and otherwise a binary search
+    over the candidate power values between the last solvable ceiling and
+    the first unsolvable one finds the least unsolvable one. Only the
+    triples up to that ceiling are listed, and each probe's triples are a
+    prefix of them.
+    The witness colouring of [N-1] is re-checked and a second branching
+    order must refute [N] for ``methods_agree``. ``seed`` is recorded only.
 
-    More than ``_TRIPLE_CAP`` triples, at an ``n_max`` above about 3.9 * 10^12
-    (k = 1 at 10^12 peaks at 1.1 GB), raise BudgetExceeded before any is
-    listed."""
+    The ceiling below the first unsolvable one is below the answer, so the
+    triples listed lie below the answer's square: below 16 for k = 1 and
+    below 2^32 for k = 2. More than ``_TRIPLE_CAP`` triples up to ``n_max``,
+    at an ``n_max`` above about 3.9 * 10^12, raise BudgetExceeded before
+    any is listed."""
     if k < 1 or n_max < 1:
         raise ValueError(f"need k >= 1 and n_max >= 1, got k={k}, n_max={n_max}")
     t0 = time.perf_counter()
-    triples = _exp_triples_upto(n_max, _TRIPLE_CAP)
-    powers = [p for _, _, p in triples]
-    candidates = sorted(set(powers))
+    _exp_tops(n_max, _TRIPLE_CAP)
+    triples: List[Tuple[int, int, int]] = []
+    powers: List[int] = []
 
     def problem(n: int) -> Tuple[List[int], List[Tuple[int, ...]]]:
         cut = triples[:bisect.bisect_right(powers, n)]
@@ -1199,11 +1379,21 @@ def exp_ramsey_number(k: int, n_max: int = 10**5, *, seed: int = 0) -> RamseyCom
         return _backtrack_colouring(*problem(n), k) is None
 
     # unsolvability is monotone in N: a valid colouring of [N] restricts to
-    # any smaller range, so bisect for the first unsolvable candidate
-    value = None
-    if candidates and unsolvable(candidates[-1]):
-        value = candidates[bisect.bisect_left(
-            candidates, True, hi=len(candidates) - 1, key=unsolvable)]
+    # any smaller range. A ceiling costs about the square root of the next
+    # one up, so the climb costs little more than its last solve.
+    ceilings = [n_max]
+    while ceilings[-1] >= 16:
+        ceilings.append(math.isqrt(ceilings[-1]))
+    value, solved = None, 0
+    for ceiling in reversed(ceilings):
+        triples = _exp_triples_upto(ceiling)
+        powers = [p for _, _, p in triples]
+        if unsolvable(ceiling):
+            candidates = sorted({p for p in powers if p > solved})
+            value = candidates[bisect.bisect_left(
+                candidates, True, hi=len(candidates) - 1, key=unsolvable)]
+            break
+        solved = ceiling
     assign = None if value is None else _backtrack_colouring(*problem(value - 1), k)
     return _threshold("exptriple", k, {}, n_max, seed, t0, value, assign, problem)
 

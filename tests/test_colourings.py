@@ -1,5 +1,7 @@
 """Explicit colouring constructions and the colouring mini-language."""
 
+import hashlib
+import itertools
 import json
 import pickle
 import random
@@ -28,12 +30,15 @@ from expramsey.colourings import (
     parse_seq,
     product_colouring,
 )
+from expramsey import colourings, tower
 from expramsey.errors import (
+    ExpRamseyError,
     OutOfDomain,
     ParseError,
     SequenceNotSufficientlyLacunary,
+    UncertifiableComparison,
 )
-from expramsey.tower import literal, power, product
+from expramsey.tower import literal, parse_term, power, product
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +204,36 @@ def test_abbb_forbidden_pair_certified():
     f = AbbbColouring(8)
     assert f.colour(3**16) != f.colour(3)
     assert f.colour(power(4, power(2, power(2, 2)))) != f.colour(4)
+
+
+# every tower of height 3 to 6 over the bases 2 and 3, the terms on which
+# abbb refuses; the SHA-256 of the JSON list of each one's colour, or the
+# name of the error it raises, as computed before the early refusal
+ABBB_TOWERS = ["^".join(bases) for h in range(3, 7)
+               for bases in itertools.product("23", repeat=h)]
+ABBB_TOWER_OUTCOMES = "c814a7f1769affb67803696ca65cae53eae6017d5532edc0da7353380f9f5180"
+
+
+def test_abbb_tower_colours_and_refusals_are_unchanged(monkeypatch):
+    f = parse_colouring("abbb:nmax=8")
+    calls = []
+    real = colourings.log2_scaled_bounds
+    for module in (colourings, tower):
+        monkeypatch.setattr(module, "log2_scaled_bounds",
+                            lambda n, prec: calls.append(prec) or real(n, prec))
+    outcomes, eager = [], []
+    for text in ABBB_TOWERS:
+        del calls[:]
+        try:
+            outcomes.append(f(parse_term(text)))
+        except ExpRamseyError as exc:
+            outcomes.append(type(exc).__name__)
+            if isinstance(exc, UncertifiableComparison) and not calls:
+                eager.append(text)
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert digest == ABBB_TOWER_OUTCOMES
+    # y = log2 log2 x = 2^6561 * log2 3 for the first: no precision can help
+    assert eager == ["2^3^2^3^2^3", "2^3^2^3^3^2", "2^3^3^3^2^3", "2^3^3^3^3^2"]
 
 
 # ---------------------------------------------------------------------------

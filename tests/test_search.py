@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import time
 import tracemalloc
 from typing import Dict, List, Optional, Tuple
 
@@ -11,13 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expramsey.colourings import (
+    Colouring,
     ConstColouring,
     LogStarColouring,
     TableColouring,
     parse_colouring,
 )
 from expramsey.errors import (
-    BudgetExceeded, ExpRamseyError, ParseError, WeightUndefined,
+    BudgetExceeded, ExpRamseyError, OutOfDomain, ParseError, WeightUndefined,
 )
 from expramsey.patterns import WeightFn, fep, shape_pattern
 from expramsey.search import (
@@ -524,6 +526,175 @@ def test_scan_matches_plain_walk_under_random_tables(spec, bound):
     assert "Counterexample" in outcomes
 
 
+# the families the shift-and kernel scans
+KERNEL_SPECS = ["diffpair:seq=3^n,nmax=4", "diffpair:seq=n*2^n,nmax=5", "schur",
+                "grid:len=2", "grid:len=3", "schurplusexp"]
+
+
+def _walk_outcome(colouring, family):
+    """The certificate bytes of the plain row walk, or the type of what it
+    raises."""
+    try:
+        idx, witness = search._walk(colouring, family, search._Budget(None))
+    except Exception as exc:
+        return type(exc)
+    if witness is None:
+        checked, result = family.count(), {"type": "AvoidanceVerified"}
+    else:
+        checked, result = idx + 1, {"type": "Counterexample", "witness": witness}
+    return Certificate(family=family.descriptor(), colouring=colouring.spec,
+                       bound=family.bound, instances_checked=checked,
+                       result=result, seed=0).to_json()
+
+
+def _scan_outcome(colouring, family, threads=1):
+    try:
+        return find_monochromatic(colouring, family, threads=threads).to_json()
+    except Exception as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(KERNEL_SPECS), st.integers(1, 60), st.data())
+@example("diffpair:seq=3^n,nmax=4", 60, None)
+def test_kernel_matches_the_row_walk(spec, bound, data):
+    """Same bytes, instances_checked included, or the same exception type,
+    with tables that may stop short of the bound so that colouring raises
+    mid-scan; threads=2 changes nothing."""
+    if data is None:  # blocks of three alternate, so no 3^n is a difference
+        k, table = 2, [(v - 1) // 3 % 2 + 1 for v in range(1, bound + 1)]
+    else:
+        k = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(max(1, bound - 30), bound))
+        table = data.draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
+    f = TableColouring(table, k=k)
+    fam = parse_family(spec, bound)
+    want = _walk_outcome(f, fam)
+    assert _scan_outcome(f, fam) == want
+    assert _scan_outcome(f, fam, threads=2) == want
+
+
+# schurplusexp takes the same hand-over, with raising tables in the test
+# above; its walk over the joint rows below a 256th class runs for seconds
+@pytest.mark.parametrize("spec, bound", [
+    ("diffpair:seq=3^n,nmax=5", 400), ("schur", 400), ("grid:len=2", 320),
+])
+def test_kernel_hands_the_rows_past_the_255th_class_to_the_walk(spec, bound):
+    """A 256th colour class does not fit a byte lane: the rows below it are
+    searched by the kernel and the rest walked, as a walk would find them."""
+    rng = random.Random(spec)
+    outcomes = set()
+    # a table short of the bound with colours that rarely repeat raises in
+    # the walk; three colours past the distinct ones give a counterexample
+    for short, top in ((0, 3), (20, 10**6)):
+        for cut in (270, 300):
+            table = list(range(1, cut + 1)) + [rng.randint(1, top)
+                                                for _ in range(bound - cut - short)]
+            f = TableColouring(table, k=10**6)
+            fam = parse_family(spec, bound)
+            want = _walk_outcome(f, fam)
+            assert _scan_outcome(f, fam) == want, (short, cut)
+            outcomes.add(want if isinstance(want, type) else json.loads(want)["result"]["type"])
+    assert len(outcomes) > 1
+
+
+@pytest.mark.parametrize("spec", ["schur", "diffpair:seq=3^n,nmax=5",
+                                  "diffpair:seq=n*2^n,nmax=6", "grid:len=1",
+                                  "grid:len=3"])
+@pytest.mark.parametrize("bound", [1, 2, 9, 28, 90])
+def test_translates_in_order_are_the_rows(spec, bound):
+    """At each largest element m, the translates to m of the kernel's
+    patterns, in pattern order, are the rows in enumeration order."""
+    fam = parse_family(spec, bound)
+    shifts, got = fam._shifts(bound), []
+    for m in range(1, bound + 1):
+        for shift in shifts:
+            m_min, offsets, pin = shift
+            if m >= m_min:
+                i = fam._shift_index(m, shift)
+                translate = {m, *(m - o for o in offsets)} | ({pin} - {None})
+                assert set(fam.nth(i).values) == translate
+                got.append(i)
+    assert got == list(range(fam.count()))
+
+
+def test_schurplusexp_certifies_no_colouring_undefined_below_the_bound():
+    """No power triple is monochromatic under this table, which stops at 36:
+    the walk colours every x and y below the bound and fails at 37, and so
+    does the scan, where the class decomposition once returned avoidance."""
+    table = [1, 3, 1, 2, 2, 1, 2, 2, 1, 1, 2, 1, 2, 2, 3, 3, 1, 3, 3, 3, 2, 1,
+             2, 2, 2, 2, 3, 2, 1, 2, 2, 3, 1, 1, 2, 1]
+    f, fam = TableColouring(table, k=3), parse_family("schurplusexp", 60)
+    assert _walk_outcome(f, fam) is OutOfDomain
+    with pytest.raises(OutOfDomain):
+        find_monochromatic(f, fam)
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS)
+def test_kernel_checks_the_budget(spec):
+    with pytest.raises(BudgetExceeded):
+        find_monochromatic("const:k=3", spec, 200, budget_secs=1e-9)
+
+
+class _SlowBlocks(Colouring):
+    """Blocks of three alternate, so no power of 3 is a difference; each
+    value sleeps about 50 microseconds or more."""
+    kind, k = "slowblocks", 2
+
+    def _colour(self, x):
+        time.sleep(5e-5)
+        return (x - 1) // 3 % 2 + 1
+
+
+def test_kernel_stops_a_slow_colouring_near_the_budget():
+    # colouring all of [1, 10^6] takes a minute or more
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        find_monochromatic(_SlowBlocks(), "diffpair:seq=3^n,nmax=12", 10**6,
+                           budget_secs=0.25)
+    assert time.perf_counter() - t0 < 2
+
+
+def test_kernel_search_checks_the_budget_every_256_patterns():
+    class Counting:
+        calls = 0
+
+        def check(self):
+            self.calls += 1
+
+    fam, budget = parse_family("grid:len=2", 2000), Counting()
+    shifts = fam._shifts(2000)  # 999 patterns, each checked by both classes
+    carr = bytearray([0] + [1, 2] * 1000)
+    search._first_translates(carr, [1, 2], shifts, 1, 2000, budget)
+    assert len(shifts) == 999 and budget.calls == 2 * 4
+
+
+def test_kernel_starts_no_process_pool(monkeypatch):
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel family started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    for spec in KERNEL_SPECS:
+        one = find_monochromatic("lacunary:seq=3^n,nmax=6", spec, 300)
+        assert find_monochromatic("lacunary:seq=3^n,nmax=6", spec, 300,
+                                  threads=2).to_json() == one.to_json()
+
+
+def test_kernel_colours_about_twice_what_the_walk_colours():
+    """Windows of the largest element double from 8, so an early
+    counterexample colours at most twice the values below its largest
+    element, and never fewer than the walk."""
+    walked, scanned = parse_colouring("schurexp"), parse_colouring("schurexp")
+    fam = parse_family("schur", 2000)
+    idx, witness = search._walk(walked, fam, search._Budget(None))
+    cert = find_monochromatic(scanned, fam)
+    assert cert.instances_checked == idx + 1 and cert.result["witness"] == witness
+    s = max(int(e["value"]) for e in witness["elements"])
+    assert len(walked._memo) <= len(scanned._memo) <= max(8, 2 * s)
+
+
 class _LevelTableColouring(LogStarColouring):
     """A log-star colouring whose colour is an arbitrary function of the
     level L(x), coarser than L mod (r+2), so that the run scan meets
@@ -1015,6 +1186,24 @@ def test_exp_ramsey_one_colour():
     assert comp.methods_agree
     # below the threshold there are no triples at all
     assert _exp_triples_upto(3) == []
+
+
+def test_exp_ramsey_lists_triples_only_below_the_answer_squared(monkeypatch):
+    # {2, 4} decides k = 1 at any ceiling: 159 s and 1.1 GB at 10^12 when
+    # every triple up to the ceiling was listed first
+    listed, real = [], search._exp_triples_upto
+    monkeypatch.setattr(search, "_exp_triples_upto",
+                        lambda n, cap=None: listed.append(n) or real(n, cap))
+    t0 = time.perf_counter()
+    comp = exp_ramsey_number(1, n_max=10**12)
+    assert time.perf_counter() - t0 < 1
+    assert comp.value == 4 and comp.methods_agree is True and max(listed) < 16
+    assert comp.to_json_obj() == {**exp_ramsey_number(1).to_json_obj(), "n_max": 10**12}
+    listed.clear()
+    comp = exp_ramsey_number(2, n_max=3 * 10**12)
+    assert comp.value == 65536 and comp.methods_agree is True and max(listed) < 2**32
+    assert comp.to_json_obj() == {**exp_ramsey_number(2).to_json_obj(), "n_max": 3 * 10**12}
+    assert exp_ramsey_number(1, n_max=3).value is None
 
 
 def test_exp_ramsey_two_colours():
