@@ -9,9 +9,10 @@ that reconstructs how it was built.
 Deduplication follows the term module's convention: exact value below the
 cutoff, canonical structure above it.
 
-The shape and fep recipes are written once, as ``shape_row`` and
-``fep_row``, over pieces kept in bounded lru caches: a shape edge's power,
-fep's candidate recipes per exponent caps and its factors. ``shape_pattern``/``fep`` and the search families' rows share them.
+The shape and fep recipes are written once, as lazy candidate generators
+over pieces kept in bounded lru caches: a shape edge's power, fep's candidate
+recipes per exponent caps and its factors. ``shape_row``/``fep_row``
+deduplicate them; ``shape_values``/``fep_values`` hand them to scans.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     ArityMismatch,
@@ -249,17 +250,13 @@ class WeightFn:
         return cls(table=table)
 
 
-def _suffix_values(xs: Tuple[ExpTerm, ...], i: int) -> FrozenSet[int]:
-    """Exact values of x_{i+1}..x_m (1-based i); weight lookups need them."""
-    out = []
-    for x in xs[i:]:
-        bv = eval_exact(x)
-        if bv.is_huge:
-            raise ExactnessRequired(
-                "weight lookups need exactly evaluable generators"
-            )
-        out.append(bv.exact)
-    return frozenset(out)
+@lru_cache(maxsize=1 << 16)
+def _exact(x) -> int:
+    """A generator's exact value, which weight lookups need."""
+    bv = eval_exact(x)
+    if bv.is_huge:
+        raise ExactnessRequired("weight lookups need exactly evaluable generators")
+    return bv.exact
 
 
 def weighted_products(S, W: WeightFn, xs) -> PatternSet:
@@ -274,7 +271,7 @@ def weighted_products(S, W: WeightFn, xs) -> PatternSet:
     for i in S:
         if not 1 <= i <= m:
             raise ValueError(f"index {i} outside [1, {m}]")
-    caps = {i: W.lookup(_suffix_values(xs, i)) for i in S}
+    caps = {i: W.lookup(frozenset(map(_exact, xs[i:]))) for i in S}
     b = _Builder("fpw", xs)
     for ps in itertools.product(*(range(caps[i] + 1) for i in S)):
         factors = [power(xs[i - 1], p) for i, p in zip(S, ps) if p >= 1]
@@ -287,7 +284,7 @@ def fep_caps(W: WeightFn, xs) -> Tuple[int, ...]:
     """fep's exponent caps: W(values of x_{j+1}..x_m) for j = 1..m, with the
     weight normalized to be monotone first."""
     Wn = W.normalized()
-    return tuple(Wn.lookup(_suffix_values(xs, j)) for j in range(1, len(xs) + 1))
+    return tuple(Wn.lookup(frozenset(map(_exact, xs[j:]))) for j in range(1, len(xs) + 1))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -318,15 +315,9 @@ def _fep_factor(x, pairs: tuple) -> Tuple[ExpTerm, Optional[int]]:
     return t, eval_exact(t).exact
 
 
-def fep_row(caps: Tuple[int, ...], xs, cap: int = DEFAULT_ELEMENT_CAP
-            ) -> Tuple[Tuple[ExpTerm, ...], tuple]:
-    """fep's deduplicated elements on generators xs (ints or terms, each
-    > 1) with exponent caps ``caps``, and the recipe (B, exponent choice per
-    base) of each. A new distinct element past the ``cap``-th raises
-    BudgetExceeded."""
-    seen: set = set()
-    elements: List[ExpTerm] = []
-    recipes = []
+def _fep_candidates(caps: Tuple[int, ...], xs) -> Iterator[tuple]:
+    """fep's candidates on xs with exponent caps ``caps`` in recipe order,
+    built one at a time: (element, dedup key, (B, exponent choice per base))."""
     for B, choices in _fep_recipes(len(xs), caps):
         pools = [[_fep_factor(xs[i - 1], tuple((xs[j - 1], p) for j, p in exps if p))
                   for exps in pool] for i, pool in zip(B, choices)]
@@ -334,14 +325,31 @@ def fep_row(caps: Tuple[int, ...], xs, cap: int = DEFAULT_ELEMENT_CAP
             terms, values = zip(*combo)
             t = product(*terms)
             # a Huge factor makes the product Huge
-            key = value_key(t, None if None in values else math.prod(values))
-            if key not in seen:
-                if len(elements) >= cap:
-                    raise BudgetExceeded(f"fep generation exceeded the element cap {cap}")
-                seen.add(key)
-                elements.append(t)
-                recipes.append((B, choice))
-    return tuple(elements), tuple(recipes)
+            yield t, value_key(t, None if None in values else math.prod(values)), (B, choice)
+
+
+def fep_row(caps: Tuple[int, ...], xs, cap: int = DEFAULT_ELEMENT_CAP
+            ) -> Tuple[Tuple[ExpTerm, ...], tuple]:
+    """fep's deduplicated elements on generators xs (ints or terms, each
+    > 1) with exponent caps ``caps``, and the recipe (B, exponent choice per
+    base) of each. A new distinct element past the ``cap``-th raises
+    BudgetExceeded."""
+    first: dict = {}  # dedup key -> (element, recipe), in insertion order
+    for t, key, recipe in _fep_candidates(caps, xs):
+        if key not in first:
+            if len(first) >= cap:
+                raise BudgetExceeded(f"fep generation exceeded the element cap {cap}")
+            first[key] = t, recipe
+    return tuple(zip(*first.values())) if first else ((), ())
+
+
+def fep_values(caps: Tuple[int, ...], xs, cap: int = DEFAULT_ELEMENT_CAP) -> Iterable:
+    """fep's elements on xs, built when asked for: the generators as given,
+    then the candidates of ``fep_row`` in order, repeats included. A row of
+    more than ``cap`` candidates is built by ``fep_row``, which may raise."""
+    if sum(math.prod(map(len, c)) for _, c in _fep_recipes(len(xs), caps)) > cap:
+        return fep_row(caps, xs, cap)[0]
+    return itertools.chain(xs, (t for t, _, _ in _fep_candidates(caps, xs)))
 
 
 def fep(W: WeightFn, xs, cap: int = DEFAULT_ELEMENT_CAP) -> PatternSet:
@@ -395,25 +403,30 @@ def parse_edges(text: str, sep: str) -> List[Tuple[int, int]]:
 
 @lru_cache(maxsize=1 << 16)
 def _keyed(a, b=1) -> Tuple[ExpTerm, object]:
-    """a^b with its dedup key: a generator when b is 1, else the element of
-    a shape edge."""
+    """a^b with its dedup key: a shape element when b is 1, else the
+    element of a shape edge."""
     t = power(a, b)
     return t, dedup_key(t)
+
+
+def shape_values(edges: Sequence[Tuple[int, int]], xs) -> Iterator:
+    """The shape pattern's elements on xs, built when asked for: the
+    generators as given, then x_i^{x_j} per edge (i, j), repeats included."""
+    return itertools.chain(xs, (_keyed(xs[i - 1], xs[j - 1])[0] for i, j in edges))
 
 
 def shape_row(edges: Sequence[Tuple[int, int]], xs
               ) -> Tuple[Tuple[ExpTerm, ...], tuple]:
     """The shape pattern's deduplicated elements on generators xs (ints or
-    terms, each > 1) over ``edges`` in sorted order: the generators, then
-    x_i^{x_j} per edge; with the source of each, a generator's 1-based
-    index or an edge (i, j)."""
-    pieces = list(zip(range(1, len(xs) + 1), map(_keyed, xs)))
-    pieces += [((i, j), _keyed(xs[i - 1], xs[j - 1])) for i, j in edges]
+    terms, each > 1) over ``edges`` in sorted order: ``shape_values`` by
+    first occurrence, with the source of each, a generator's 1-based index
+    or an edge (i, j)."""
     first: dict = {}  # dedup key -> (element, source), in insertion order
-    for src, (t, key) in pieces:
+    sources = itertools.chain(range(1, len(xs) + 1), edges)
+    for src, x in zip(sources, shape_values(edges, xs)):
+        t, key = _keyed(x)
         first.setdefault(key, (t, src))
-    elements, sources = zip(*first.values())
-    return elements, sources
+    return tuple(zip(*first.values()))
 
 
 def shape_pattern(R: ShapeRelation, xs) -> PatternSet:

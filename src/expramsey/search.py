@@ -23,7 +23,7 @@ import random
 import time
 from dataclasses import dataclass, field, fields
 from typing import (
-    Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
 )
 
 from ._arith import iroot
@@ -31,7 +31,8 @@ from ._spec import BOOL, INT, STR, Param, ParamType, read_spec, write_spec
 from .colourings import Colouring, LogStarColouring, parse_colouring, parse_seq
 from .errors import BudgetError, BudgetExceeded, ParseError
 from .patterns import (
-    ShapeRelation, WeightFn, fep_caps, fep_row, parse_edges, shape_row,
+    ShapeRelation, WeightFn, fep_caps, fep_row, fep_values, parse_edges,
+    shape_row, shape_values,
 )
 # not called here: bench/spans.py traces fep and shape_pattern through these
 # bindings, and the families build their rows from the same pieces
@@ -123,9 +124,10 @@ class InstanceFamily:
     A row is the (values, generators) pair of one instance. Each family
     gives ``_row(i)``, the row at index i, in closed form or by bisecting a
     cumulative count, and may override ``rows()`` with a cheaper walk in
-    the same order. ``instances()`` and ``nth`` add the role labels; scans
-    and the sampled re-check of ``verify_certificate`` read rows, and an
-    Instance is built only for a witness.
+    the same order. ``instances()`` and ``nth`` give value tuples with role
+    labels; scans and the sampled re-check of ``verify_certificate`` read
+    ``scan_rows()`` and ``_scan_row(i)``, whose values may be a lazy
+    iterable over the instance's, and an Instance is built only for a witness.
 
     ``params`` declares the parameters besides the bound, in constructor
     order; each is kept as the attribute of its descriptor key, from which
@@ -150,6 +152,12 @@ class InstanceFamily:
 
     def _row(self, i: int) -> Row:
         raise NotImplementedError
+
+    def scan_rows(self) -> Iterator[Row]:
+        return self.rows()
+
+    def _scan_row(self, i: int) -> Row:
+        return self._row(i)
 
     def _instance(self, values: Tuple[Value, ...],
                   generators: Tuple[int, ...]) -> Instance:
@@ -178,6 +186,25 @@ class InstanceFamily:
         """Spec text that ``parse_family`` reads back to this descriptor
         (at the same bound)."""
         return write_spec(self)
+
+
+class _BuiltFamily(InstanceFamily):
+    """Rows built from generator tuples g, walked by ``_tuples()`` and found
+    by ``_tuple(i)``. Scans read ``_lazy(g)``, generators first, so nothing
+    past a row's first colour mismatch is built; instances read
+    ``_elements(g)``, by default the same values as a tuple."""
+
+    def _elements(self, g: Tuple[int, ...]) -> Tuple[Value, ...]:
+        return tuple(self._lazy(g))
+
+    def _row(self, i: int) -> Row:
+        return self._elements(g := self._tuple(i)), g
+
+    def scan_rows(self) -> Iterator[Row]:
+        return ((self._lazy(g), g) for g in self._tuples())
+
+    def _scan_row(self, i: int) -> Row:
+        return self._lazy(g := self._tuple(i)), g
 
 
 def _exp_tops(bound: int, cap: Optional[int] = None,
@@ -270,7 +297,7 @@ class ExpTripleLogCondFamily(InstanceFamily):
         return (b, p), (a, b)
 
 
-class ExpQuadrupleFamily(InstanceFamily):
+class ExpQuadrupleFamily(_BuiltFamily):
     """Instances {a, b, a^b, b^a} for 2 <= a <= b <= bound.
 
     The bound caps the generators; the power elements stay symbolic when
@@ -288,20 +315,18 @@ class ExpQuadrupleFamily(InstanceFamily):
         return n * (n + 1) // 2
 
     @staticmethod
-    def _values(a: int, b: int) -> Tuple[Value, ...]:
-        return (a, b, _materialize(a, b), _materialize(b, a))
+    def _lazy(g: Tuple[int, int]) -> Iterator[Value]:
+        # a, b, then a^b and b^a, each power built when it is reached
+        return itertools.chain(g, map(_materialize, g, g[::-1]))
 
-    def rows(self) -> Iterator[Row]:
-        for b in range(2, self.bound + 1):
-            for a in range(2, b + 1):
-                yield self._values(a, b), (a, b)
+    def _tuples(self) -> Iterator[Tuple[int, int]]:
+        return ((a, b) for b in range(2, self.bound + 1) for a in range(2, b + 1))
 
-    def _row(self, i: int) -> Row:
+    def _tuple(self, i: int) -> Tuple[int, int]:
         # b(b-1)/2 pairs have second coordinate <= b; take the least b
         # with more than i of them
         b = (1 + math.isqrt(8 * i + 1)) // 2 + 1
-        a = 2 + i - (b - 1) * (b - 2) // 2
-        return self._values(a, b), (a, b)
+        return 2 + i - (b - 1) * (b - 2) // 2, b
 
 
 def _schur_upto(s: int) -> int:
@@ -467,10 +492,10 @@ def _tuples_with_max(M: int, m: int) -> Iterator[Tuple[int, ...]]:
             yield prefix + (M,)
 
 
-class _TupleFamily(InstanceFamily):
+class _TupleFamily(_BuiltFamily):
     """Pattern instances over every generator tuple in [2, bound]^m, ordered
-    by (max generator, generator tuple); ``_elements`` gives the pattern's
-    elements on one tuple."""
+    by (max generator, generator tuple); ``_elements`` and ``_lazy`` give
+    the pattern's elements on one tuple."""
 
     capped = True
 
@@ -485,17 +510,11 @@ class _TupleFamily(InstanceFamily):
     def count(self) -> int:
         return self._count
 
-    def _elements(self, xs: Tuple[int, ...]) -> Tuple[Value, ...]:
-        raise NotImplementedError
+    def _tuples(self) -> Iterator[Tuple[int, ...]]:
+        return (xs for M in range(2, self.bound + 1) for xs in _tuples_with_max(M, self.m))
 
-    def rows(self) -> Iterator[Row]:
-        for M in range(2, self.bound + 1):
-            for xs in _tuples_with_max(M, self.m):
-                yield self._elements(xs), xs
-
-    def _row(self, i: int) -> Row:
-        xs = _nth_tuple(i, self.m)
-        return self._elements(xs), xs
+    def _tuple(self, i: int) -> Tuple[int, ...]:
+        return _nth_tuple(i, self.m)
 
 
 class ShapeFamily(_TupleFamily):
@@ -518,6 +537,9 @@ class ShapeFamily(_TupleFamily):
 
     def _elements(self, xs: Tuple[int, ...]) -> Tuple[Value, ...]:
         return shape_row(self._sorted_edges, xs)[0]
+
+    def _lazy(self, xs: Tuple[int, ...]) -> Iterator[Value]:
+        return shape_values(self._sorted_edges, xs)
 
     def _instance(self, values: Tuple[Value, ...],
                   xs: Tuple[int, ...]) -> Instance:
@@ -547,6 +569,9 @@ class FepFamily(_TupleFamily):
 
     def _elements(self, xs: Tuple[int, ...]) -> Tuple[Value, ...]:
         return fep_row(fep_caps(self._weight, xs), xs, self.cap)[0]
+
+    def _lazy(self, xs: Tuple[int, ...]) -> Iterable[Value]:
+        return fep_values(fep_caps(self._weight, xs), xs, self.cap)
 
     def _instance(self, values: Tuple[Value, ...],
                   xs: Tuple[int, ...]) -> Instance:
@@ -807,7 +832,7 @@ def _walk(colouring: Colouring, family: InstanceFamily, budget: _Budget,
     """First monochromatic row among the indices offset, offset + step, ...
     as (index, witness), or (None, None); an Instance is built only for the
     witness."""
-    rows = itertools.islice(family.rows(), offset, None, step)
+    rows = itertools.islice(family.scan_rows(), offset, None, step)
     for j, c in _mono_rows(colouring, rows, budget):
         i = offset + j * step
         return i, family.nth(i).witness_json(c)
@@ -1034,8 +1059,10 @@ def find_monochromatic(colouring: Union[Colouring, str],
     serialized. diffpair, schur and grid go through the shift-and kernel,
     schurplusexp through its class decomposition (both in ``_window_scan``),
     expquad under a log-star colouring through its level-run scan, and
-    every other family through the row walk. With ``threads`` > 1 the row
-    walk runs in that many processes, each over the indices of one residue
+    every other family through the row walk, which builds a shape, fep or
+    expquad row lazily, generators first, only while its colours agree;
+    witnesses are tuples from ``nth``. With ``threads`` > 1 the row walk
+    runs in that many processes, each over the indices of one residue
     class; the other scans start no pool, as one pass of them costs less
     than starting it. The certificate bytes are the same for any thread
     count.
@@ -1139,7 +1166,7 @@ def verify_certificate(cert: Certificate) -> bool:
             return True
         n = min(_SAMPLE_CAP, max(1, int(total * _SAMPLE_RATE)))
         rng = random.Random(cert.seed)
-        rows = map(family._row, sorted(rng.sample(range(total), min(n, total))))
+        rows = map(family._scan_row, sorted(rng.sample(range(total), min(n, total))))
         return next(_mono_rows(colouring, rows, budget), None) is None
     return False
 

@@ -44,7 +44,8 @@ from expramsey.search import (
     _methods_agree,
 )
 from expramsey.tower import (
-    compare_iter_log, dedup_key, eval_exact, parse_term, to_text,
+    compare_iter_log, dedup_key, eval_exact, eval_mod, log_star, parse_term,
+    to_text,
 )
 
 
@@ -755,6 +756,134 @@ def test_expquad_run_scan_matches_plain_walk():
     for width in (1, 2, 3, 4):
         for colours in maps:
             _assert_scans_match_reference(_BitLengthColouring(colours, width), fam)
+
+
+# ---------------------------------------------------------------------------
+# lazy rows: shape, fep and expquad hand the row kernel their generators
+# first and build the rest only while the colours agree
+
+class _LevelMapColouring(Colouring):
+    """Colours each value by a table of its log-star level and by its
+    residue mod q, so it is total on huge terms and is not a
+    LogStarColouring, whose expquad scan is the run scan. The residue tells
+    a^b from b^a where their levels agree. The spec names both, for
+    verify_certificate to find the colouring."""
+    kind = "levelmap"
+
+    def __init__(self, colours, q):
+        self.colours, self.q = colours, q
+        self.k = max(colours) * q
+
+    def _colour(self, x):
+        c = self.colours[min(log_star(x), len(self.colours) - 1)]
+        return (c - 1) * self.q + eval_mod(x, self.q) + 1
+
+    @property
+    def spec(self):
+        return f"levelmap:q={self.q}:" + "-".join(map(str, self.colours))
+
+
+LAZY_SPECS = [("shape:m=2,edges=1-2", 10), ("shape:m=2,edges=1-2;2-1;2-2", 8),
+              ("shape:m=3,edges=1-2;2-3", 5), ("shape:m=3,edges=3-1;1-1", 5),
+              ("fep:m=2,w=1", 8), ("fep:m=2,w=2", 6), ("fep:m=3,w=1", 4),
+              ("fep:m=3,w=2", 4), ("expquad", 16)]
+
+
+@pytest.mark.parametrize("spec, bound", LAZY_SPECS)
+def test_lazy_rows_match_the_instance_walk(spec, bound, monkeypatch):
+    """Same bytes as the walk over instances(), and every certificate
+    verifies, under products of log-star and lacunary colourings and random
+    level tables; threads=2 changes nothing."""
+    rng = random.Random(spec)
+    colourings = [parse_colouring("product:logstar:r=1+lacunary:seq=n*2^n,nmax=12"),
+                  parse_colouring("product:logstar:r=2+lacunary:seq=3^n,nmax=6")]
+    colourings += [_LevelMapColouring([rng.randint(1, 2 + n % 2) for _ in range(6)],
+                                      1 + 2 * (n >= 8)) for n in range(16)]
+    # expquad's row (2, 5) agrees on 2, 5 and 2^5 but not on 5^2
+    colourings.append(_LevelMapColouring([1, 1, 2, 1, 1, 1], 3))
+    by_spec = {c.spec: c for c in colourings}
+    monkeypatch.setattr(search, "parse_colouring",
+                        lambda spec: by_spec.get(spec) or parse_colouring(spec))
+    fam, outcomes = parse_family(spec, bound), set()
+    for n, colouring in enumerate(colourings):
+        want = _reference_certificate(colouring, fam).to_json()
+        for threads in (1, 2) if n < 4 else (1,):
+            cert = find_monochromatic(colouring, fam, threads=threads)
+            assert cert.to_json() == want, (colouring.spec, threads)
+        assert verify_certificate(cert), colouring.spec
+        outcomes.add(cert.result["type"])
+    assert outcomes == {"AvoidanceVerified", "Counterexample"}
+
+
+def test_expquad_builds_no_power_past_a_generator_mismatch(monkeypatch):
+    """The walk and the sampled verify colour a, b and a^b before b^a is
+    built, and build neither power when colour(a) != colour(b)."""
+    colouring = parse_colouring("product:logstar:r=1+const:k=2")
+    built = []
+
+    def counted(base, exp):
+        built.append((base, exp))
+        return materialize(base, exp)
+
+    materialize = search._materialize
+    monkeypatch.setattr(search, "_materialize", counted)
+    fam = parse_family("expquad", 40)
+    cert = find_monochromatic(colouring, fam)
+    assert cert.verified and verify_certificate(cert)
+    rows = {(min(p), max(p)) for p in built}
+    assert rows and any(colouring(a) != colouring(b) for a, b in fam._tuples())
+    for a, b in rows:
+        assert colouring(a) == colouring(b), (a, b)
+    for base, exp in built:
+        if base > exp:  # b^a, built only once a^b took colour(a)
+            assert colouring(materialize(exp, base)) == colouring(exp)
+
+
+class _GeneratorsOnly(Colouring):
+    """Colours 2 and 3 apart and each x^x by 1; raises on anything else, as
+    a table colouring does past its end."""
+    kind, k = "generatorsonly", 4
+
+    def _colour(self, x):
+        v = x if isinstance(x, int) else eval_exact(x).exact
+        if v in (2, 3):
+            return v
+        if v in (4, 27):
+            return 1
+        raise OutOfDomain(f"{v} is neither a generator nor x^x")
+
+
+def test_fep_rows_colour_generators_before_built_elements():
+    """fep's instance order puts x1^x2 before x2, so the walk over
+    instances() colours 8 on the row (2, 3) and raises; the scan colours
+    2 and 3 first, ends the row there and certifies avoidance."""
+    fam, colouring = parse_family("fep:m=2,w=1", 3), _GeneratorsOnly()
+    assert [inst.values[:2] for inst in fam.instances()][1] == (
+        parse_term("2"), parse_term("2^3"))
+    with pytest.raises(OutOfDomain):
+        _reference_certificate(colouring, fam)
+    for threads in (1, 2):
+        cert = find_monochromatic(colouring, fam, threads=threads)
+        assert cert.verified and cert.instances_checked == 4
+
+
+def test_fep_rows_over_the_element_cap_are_built_before_colouring():
+    """A row with more candidates than the cap may have more distinct
+    elements, so it is built whole and raises where the instance walk
+    raises, although its generators' colours differ; with the cap at its
+    candidate count no row is built whole."""
+    # fep:m=2,w=2 on (x1, x2): x1, x1^x2, x1^(x2^2), x2, x1*x2
+    table = [1, 1, 2, 2] + [3] * 26  # 2 and 4 differ, so (2, 2) is not monochromatic
+    colouring = TableColouring(table, k=3)
+    over = parse_family("fep:m=2,w=2", 3, cap=4)
+    with pytest.raises(BudgetExceeded, match="element cap 4"):
+        _reference_certificate(colouring, over)
+    for threads in (1, 2):
+        with pytest.raises(BudgetExceeded, match="element cap 4"):
+            find_monochromatic(colouring, over, threads=threads)
+    # at cap 5 the rows are lazy: (2, 3) ends at 3 before 2^9 is built
+    cert = find_monochromatic(colouring, parse_family("fep:m=2,w=2", 3, cap=5))
+    assert cert.verified and cert.instances_checked == 4
 
 
 def test_budget_exhaustion_raises():
