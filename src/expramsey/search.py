@@ -19,6 +19,7 @@ import bisect
 import itertools
 import json
 import math
+import os
 import random
 import time
 from dataclasses import dataclass, field, fields
@@ -95,7 +96,10 @@ Row = Tuple[Tuple[Value, ...], Tuple[int, ...]]
 # An offset pattern of the shift-and kernel: (least largest element m, the
 # offsets o > 0 such that m - o are the other free elements, a value whose
 # colour class is pinned or None). The row at m holds m, each m - o and the
-# pinned value.
+# pinned value. A family's ``_shifts(hi)`` lists its patterns by
+# non-increasing least largest element, so the rows of largest element m are
+# the translates to m of the patterns whose least largest element is <= m,
+# in list order; ``_translate_index`` reads a row's index off that.
 Shift = Tuple[int, Tuple[int, ...], Optional[int]]
 
 
@@ -358,21 +362,11 @@ class SchurFamily(InstanceFamily):
         # pinned; y >= x needs s >= 2x, and y ascends as x descends
         return [(2 * x, (x,), x) for x in range(hi // 2, 0, -1)]
 
-    def _shift_index(self, m: int, shift: Shift) -> int:
-        x = shift[2]
-        return self.index(x, m - x)
-
     def _row(self, i: int) -> Row:
         # the least s with more than i triples of sum <= s
         s = math.isqrt(4 * i + 3) + 1
         y = (s + 1) // 2 + i - _schur_upto(s - 1)
         return (s - y, y, s), (s - y, y)
-
-    @staticmethod
-    def index(x: int, y: int) -> int:
-        """Enumeration index of the triple {x, y, x+y} with x <= y."""
-        s = x + y
-        return _schur_upto(s - 1) + y - (s + 1) // 2
 
 
 class SchurPlusExpFamily(InstanceFamily):
@@ -640,17 +634,8 @@ class DifferencePairFamily(InstanceFamily):
         n, v = self._diffs[len(self._diffs) - j + r]
         return (m - v, m), (n, m - v)
 
-    def _index_at(self, m: int, v: int) -> int:
-        # after the pairs of larger element below m come those of m with a
-        # larger difference, which is below m
-        a = self._ascending
-        return self._upto(m - 1) + bisect.bisect_left(a, m) - bisect.bisect_right(a, v)
-
     def _shifts(self, hi: int) -> List[Shift]:
         return [(v + 1, (v,), None) for _, v in self._diffs]
-
-    def _shift_index(self, m: int, shift: Shift) -> int:
-        return self._index_at(m, shift[1][0])
 
 
 class GridFamily(InstanceFamily):
@@ -691,19 +676,10 @@ class GridFamily(InstanceFamily):
         m = _first_above(self._upto, i, self.len + 1, self.bound)
         return self._progression(m, (m - 1) // self.len - (i - self._upto(m - 1)))
 
-    def index(self, s: int, d: int) -> int:
-        """Enumeration index of the progression with start s, difference d."""
-        m = s + self.len * d
-        return self._upto(m - 1) + (m - 1) // self.len - d
-
     def _shifts(self, hi: int) -> List[Shift]:
         L = self.len
         return [(L * d + 1, tuple(i * d for i in range(L, 0, -1)), None)
                 for d in range((hi - 1) // L, 0, -1)]
-
-    def _shift_index(self, m: int, shift: Shift) -> int:
-        d = shift[1][-1]
-        return self.index(m - self.len * d, d)
 
 
 FAMILIES: Dict[str, type] = {cls.kind: cls for cls in (
@@ -941,6 +917,16 @@ def _first_translates(carr: bytearray, classes: Sequence[int],
     return first
 
 
+def _translate_index(family: InstanceFamily, shifts: List[Shift],
+                     m: int, j: int) -> int:
+    """Enumeration index of the translate to m of pattern j of ``shifts``:
+    the rows of largest element below m come first, then those of m, one
+    per pattern of least largest element <= m. The patterns past that bound
+    head the list, by the order stated at ``Shift``."""
+    return family._upto(m - 1) + j - bisect.bisect_left(
+        shifts, -m, key=lambda s: -s[0])
+
+
 # (carr, class ranks, lo, hi, budget) -> (index, class rank) of the first
 # monochromatic row with largest element in [lo, hi], or None
 WindowSearch = Callable[[bytearray, range, int, int, _Budget],
@@ -956,7 +942,7 @@ def _translate_search(family: InstanceFamily) -> WindowSearch:
         if not first:
             return None
         (m, j), c = min((mj, c) for c, mj in first.items())
-        return family._shift_index(m, shifts[j]), c
+        return _translate_index(family, shifts, m, j), c
     return search
 
 
@@ -988,7 +974,7 @@ def _joint_search(family: SchurPlusExpFamily) -> WindowSearch:
         shifts = schur._shifts(hi) if fresh or waiting else []
         for cs, start in ((fresh, 1), (waiting, lo)):
             for c, (m, j) in _first_translates(carr, cs, shifts, start, hi, budget).items():
-                sum_first[c] = schur._shift_index(m, shifts[j])
+                sum_first[c] = _translate_index(schur, shifts, m, j)
         return min(((family.index(sum_first[c], ei), c)
                     for c, ei in exp_first.items() if c in sum_first), default=None)
     return search
@@ -1062,12 +1048,15 @@ def find_monochromatic(colouring: Union[Colouring, str],
     every other family through the row walk, which builds a shape, fep or
     expquad row lazily, generators first, only while its colours agree;
     witnesses are tuples from ``nth``. With ``threads`` > 1 the row walk
-    runs in that many processes, each over the indices of one residue
-    class; the other scans start no pool, as one pass of them costs less
-    than starting it. The certificate bytes are the same for any thread
-    count.
+    runs in that many processes, at most ``os.cpu_count()``, each over the
+    indices of one residue class; the other scans start no pool, as one
+    pass of them costs less than starting it. The certificate bytes are the
+    same for any thread count; ``threads`` < 1 raises ValueError.
     """
     t0 = time.perf_counter()
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    workers = min(threads, os.cpu_count() or 1)
     if isinstance(colouring, str):
         colouring = parse_colouring(colouring)
     if isinstance(family, str):
@@ -1085,11 +1074,11 @@ def find_monochromatic(colouring: Union[Colouring, str],
     elif isinstance(family, (DifferencePairFamily, SchurFamily, GridFamily)):
         first_idx, witness = _window_scan(colouring, family, budget,
                                           _translate_search(family))
-    elif threads > 1:
+    elif workers > 1:
         # imported here: the pool pulls in multiprocessing, which would cost
         # every other process (each CLI call, say) import time for nothing
         from concurrent.futures import ProcessPoolExecutor
-        first_idx, witness, n = None, None, threads
+        first_idx, witness, n = None, None, workers
         with ProcessPoolExecutor(max_workers=n) as pool:
             shards = pool.map(_walk, [colouring] * n, [family] * n,
                               [budget] * n, range(n), [n] * n)
@@ -1128,6 +1117,8 @@ def verify_certificate(cert: Certificate) -> bool:
     ``instances_checked`` must be the family's count, and a 1% sample of the
     rows, at most 10,000, drawn by ``random.Random(cert.seed)``, is read
     through ``_row`` and recoloured; any monochromatic row rejects it.
+    Either claim is rejected unless its ``bound`` is its family's and its
+    ``schema`` is ``SCHEMA_VERSION``.
 
     The family is rebuilt under the default element cap of 10^6, so a
     descriptor over it, such as that of a certificate made with ``--cap``
@@ -1136,6 +1127,8 @@ def verify_certificate(cert: Certificate) -> bool:
         colouring = parse_colouring(cert.colouring)
         family = family_from_descriptor(cert.family)
     except (ParseError, ValueError, BudgetError):
+        return False
+    if cert.schema != SCHEMA_VERSION or cert.bound != family.bound:
         return False
     result, budget = cert.result, _Budget(None)
     if result.get("type") == "Counterexample":
@@ -1485,85 +1478,3 @@ def export_dimacs(values: Sequence[int], constraints: Sequence[Tuple[int, ...]],
     for cl in clauses:
         lines.append(" ".join(map(str, cl)) + " 0")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# grids and ordered unions
-
-def find_monochromatic_grid(colouring: Callable, n: int, length: int,
-                            bound: int, *, cap: int = 10**6
-                            ) -> Optional[Tuple[Tuple[int, ...], int]]:
-    """Corner s and difference d with the colouring constant on
-    s + d*[0, length]^n inside [1, bound]^n, or None.
-
-    For n = 1 this is progression search; the colouring is called on ints.
-    For n >= 2 the colouring is called on point tuples.
-    """
-    if bound**n > cap:
-        raise BudgetExceeded(f"{bound}^{n} grid points exceed the cap {cap}")
-
-    def colour_at(pt: Tuple[int, ...]) -> int:
-        return colouring(pt[0]) if n == 1 else colouring(pt)
-
-    offsets = list(itertools.product(range(length + 1), repeat=n))
-    for d in range(1, (bound - 1) // length + 1):
-        top = bound - length * d
-        for s in itertools.product(range(1, top + 1), repeat=n):
-            c0 = colour_at(tuple(s[i] + d * offsets[0][i] for i in range(n)))
-            if all(
-                colour_at(tuple(s[i] + d * off[i] for i in range(n))) == c0
-                for off in offsets[1:]
-            ):
-                return (tuple(s), d)
-    return None
-
-
-def ordered_fu_search(colouring: Callable, m: int, n: int
-                      ) -> Optional[List[Tuple[int, ...]]]:
-    """Ordered blocks A_1 < ... < A_m of [1, n] with every nonempty union of
-    blocks the same colour, or None. The colouring is called on bitmasks
-    (bit i-1 set means element i is in the set).
-    """
-    if n > 20:
-        raise BudgetExceeded("ordered union search is capped at n = 20")
-    if m < 1:
-        raise ValueError("need at least one block")
-    masks_by_min: List[List[int]] = [[] for _ in range(n + 2)]
-    for mask in range(1, 1 << n):
-        masks_by_min[(mask & -mask).bit_length()].append(mask)
-
-    def unions_ok(blocks: List[int], target: int) -> bool:
-        # every union involving the newly added block must match
-        new = blocks[-1]
-        rest = blocks[:-1]
-        for bits in range(1 << len(rest)):
-            u = new
-            for i in range(len(rest)):
-                if bits >> i & 1:
-                    u |= rest[i]
-            if colouring(u) != target:
-                return False
-        return True
-
-    def extend(blocks: List[int], target: int) -> Optional[List[int]]:
-        if len(blocks) == m:
-            return blocks
-        start = blocks[-1].bit_length() + 1 if blocks else 1
-        for lo in range(start, n + 1):
-            for mask in masks_by_min[lo]:
-                blocks.append(mask)
-                if unions_ok(blocks, target):
-                    got = extend(blocks, target)
-                    if got is not None:
-                        return got
-                blocks.pop()
-        return None
-
-    for first_min in range(1, n + 1):
-        for mask in masks_by_min[first_min]:
-            got = extend([mask], colouring(mask))
-            if got is not None:
-                return [
-                    tuple(i + 1 for i in range(n) if b >> i & 1) for b in got
-                ]
-    return None

@@ -265,6 +265,13 @@ def test_threads_flag_output_identical(capsys):
     assert one == two
 
 
+def test_threads_below_one_exit_parse(capsys):
+    for cmd, threads in (("verify", "0"), ("search", "-3")):
+        code, out, err = run(capsys, cmd, "logstar:r=1", "exptriple",
+                             "--bound", "64", "--threads", threads)
+        assert code == EXIT_PARSE and out == "" and "threads" in err
+
+
 # ---------------------------------------------------------------------------
 # ramsey
 

@@ -52,3 +52,12 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports("import os  # noqa: F401\n") == []
     assert unused_imports("from a import (\n    b,  # noqa: F401\n)\n") == []
     assert unused_imports("import os\n__all__ = ['os']\n") == []
+
+
+def test_the_public_surface_resolves():
+    namespace: dict = {}
+    exec("from expramsey import *", namespace)
+    assert all(hasattr(expramsey, name) for name in expramsey.__all__)
+    assert set(expramsey.__all__) <= set(namespace)
+    # removed: they served no family, colouring or command
+    assert not {"find_monochromatic_grid", "ordered_fu_search"} & set(expramsey.__all__)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from expramsey.colourings import (
     Colouring,
-    ConstColouring,
     LogStarColouring,
     TableColouring,
     parse_colouring,
@@ -28,8 +27,6 @@ from expramsey.search import (
     exp_ramsey_number,
     family_from_descriptor,
     find_monochromatic,
-    find_monochromatic_grid,
-    ordered_fu_search,
     parse_family,
     vdw_number,
     verify_certificate,
@@ -490,6 +487,41 @@ def test_threads_do_not_change_the_certificate():
     assert a.to_json() == b.to_json()
 
 
+@pytest.mark.parametrize("cpus, workers", [(3, [3]), (None, [])])
+def test_threads_run_at_most_the_cpu_count_of_workers(monkeypatch, cpus, workers):
+    """A stand-in pool records max_workers and maps in this process, so no
+    worker starts however many threads are asked for."""
+    import concurrent.futures
+    import os
+
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    one = find_monochromatic("logstar:r=1", "exptriple", 4096)
+    many = find_monochromatic("logstar:r=1", "exptriple", 4096, threads=100_000)
+    assert started == workers
+    assert many.to_json() == one.to_json()
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_threads_below_one_are_refused(threads):
+    with pytest.raises(ValueError):
+        find_monochromatic("logstar:r=1", "exptriple", 100, threads=threads)
+
+
 def _reference_certificate(colouring, family):
     """The plain walk: _plain_colour over instances(), in order."""
     checked, result = family.count(), {"type": "AvoidanceVerified"}
@@ -607,16 +639,21 @@ def test_translates_in_order_are_the_rows(spec, bound):
     """At each largest element m, the translates to m of the kernel's
     patterns, in pattern order, are the rows in enumeration order."""
     fam = parse_family(spec, bound)
-    shifts, got = fam._shifts(bound), []
-    for m in range(1, bound + 1):
-        for shift in shifts:
-            m_min, offsets, pin = shift
-            if m >= m_min:
-                i = fam._shift_index(m, shift)
-                translate = {m, *(m - o for o in offsets)} | ({pin} - {None})
-                assert set(fam.nth(i).values) == translate
-                got.append(i)
-    assert got == list(range(fam.count()))
+    # patterns built at the bound, as the scan of one window builds them,
+    # and at a window top below it, as the joint search builds them
+    for top in (bound, bound // 2):
+        shifts, got = fam._shifts(top), []
+        least = [m_min for m_min, _, _ in shifts]
+        assert least == sorted(least, reverse=True)
+        for m in range(1, top + 1):
+            for j, (m_min, offsets, pin) in enumerate(shifts):
+                if m >= m_min:
+                    i = search._translate_index(fam, shifts, m, j)
+                    translate = {m, *(m - o for o in offsets)} | ({pin} - {None})
+                    assert set(fam.nth(i).values) == translate
+                    got.append(i)
+        assert got == list(range(fam._upto(top)))
+    assert fam._upto(bound) == fam.count()
 
 
 def test_schurplusexp_certifies_no_colouring_undefined_below_the_bound():
@@ -909,6 +946,24 @@ def test_verify_rejects_tampered_avoidance_count():
     assert verify_certificate(cert)
     cert.instances_checked += 1
     assert not verify_certificate(cert)
+
+
+@pytest.mark.parametrize("spec, bound", [("schur", 4), ("exptriple", 8)])
+def test_verify_rejects_a_forged_top_level_bound(spec, bound):
+    """The family's own bound is what was scanned; a larger top-level bound
+    would read as avoidance far past it."""
+    cert = find_monochromatic("logstar:r=1", spec, bound)
+    assert cert.verified and verify_certificate(cert)
+    obj = json.loads(cert.to_json())
+    obj["bound"] = 10**9
+    assert not verify_certificate(Certificate.from_json_obj(obj))
+
+
+def test_verify_rejects_another_schema():
+    cert = find_monochromatic("logstar:r=1", "schur", 4)
+    obj = json.loads(cert.to_json())
+    obj["schema"] = search.SCHEMA_VERSION + 1
+    assert not verify_certificate(Certificate.from_json_obj(obj))
 
 
 def test_verify_rejects_tampered_witness():
@@ -1386,57 +1441,7 @@ def test_exp_ramsey_refuses_a_ceiling_over_the_cap_before_listing():
 
 
 # ---------------------------------------------------------------------------
-# grids, ordered unions, DIMACS
-
-def test_grid_progression_search():
-    assert find_monochromatic_grid(ConstColouring(1), 1, 3, 10) == ((1,), 1)
-    assert find_monochromatic_grid(lambda x: x % 2, 1, 3, 10) == ((1,), 2)
-    assert find_monochromatic_grid(ConstColouring(1), 2, 1, 4) == ((1, 1), 1)
-
-
-def test_grid_respects_cap():
-    with pytest.raises(BudgetExceeded):
-        find_monochromatic_grid(ConstColouring(1), 3, 2, 1000, cap=10**6)
-
-
-def test_grid_none_when_absent():
-    # 3 points of a length-2 progression cannot all differ mod 2 unless d even
-    f = lambda x: x % 3
-    got = find_monochromatic_grid(f, 1, 2, 9)
-    assert got == ((1,), 3)
-    assert find_monochromatic_grid(f, 1, 2, 6) is None
-
-
-def test_ordered_fu_search_shapes():
-    assert ordered_fu_search(ConstColouring(1), 1, 2) == [(1,)]
-    assert ordered_fu_search(ConstColouring(1), 2, 2) == [(1,), (2,)]
-    blocks = ordered_fu_search(lambda m: bin(m).count("1") % 2 + 1, 2, 8)
-    if blocks is not None:
-        flat = [x for b in blocks for x in b]
-        assert max(blocks[0]) < min(blocks[1])
-
-
-def test_ordered_fu_blocks_are_monochromatic_unions():
-    rng = random.Random(59)
-    table = {m: rng.randint(1, 2) for m in range(1, 1 << 6)}
-    f = lambda mask: table[mask]
-    blocks = ordered_fu_search(f, 2, 6)
-    if blocks is not None:
-        masks = [sum(1 << (x - 1) for x in b) for b in blocks]
-        target = f(masks[0])
-        for bits in range(1, 4):
-            u = 0
-            if bits & 1:
-                u |= masks[0]
-            if bits & 2:
-                u |= masks[1]
-            assert f(u) == target
-
-
-def test_ordered_fu_cap():
-    with pytest.raises(BudgetExceeded):
-        ordered_fu_search(ConstColouring(1), 2, 21)
-
+# DIMACS
 
 def test_export_dimacs_golden():
     out = export_dimacs([1, 2, 4], [(1, 2, 4)], 2)
