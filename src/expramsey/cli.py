@@ -87,11 +87,11 @@ def cmd_gen(args) -> int:
     gens = [parse_term(g) for g in args.generators]
     kind = args.pattern
     if kind == "fs":
-        ps = finite_sums(gens)
+        ps = finite_sums(gens, cap=args.cap)
     elif kind == "fp":
-        ps = finite_products(gens)
+        ps = finite_products(gens, cap=args.cap)
     elif kind == "fe":
-        ps = finite_exponentials(gens)
+        ps = finite_exponentials(gens, cap=args.cap)
     elif kind == "fpw":
         weight = _weight_from_args(args)
         if args.s:
@@ -101,13 +101,13 @@ def cmd_gen(args) -> int:
                 raise ParseError(f"bad index set {args.s!r}") from None
         else:
             s = list(range(1, len(gens) + 1))
-        ps = weighted_products(s, weight, gens)
+        ps = weighted_products(s, weight, gens, cap=args.cap)
     elif kind == "fep":
         ps = fep(_weight_from_args(args), gens, cap=args.cap)
     elif kind == "shape":
         # an edge outside [m]x[m] raises ValueError: a parse error in main
         rel = ShapeRelation(len(gens), tuple(parse_edges(args.edges, ",")))
-        ps = shape_pattern(rel, gens)
+        ps = shape_pattern(rel, gens, cap=args.cap)
     else:
         raise ParseError(f"unknown pattern kind {args.pattern!r}")
     obj = ps.to_json()

@@ -2,15 +2,15 @@
 
 Each construction is a class with a colour count ``k``, a machine-readable
 ``rule`` descriptor, and a ``colour`` method accepting plain integers or
-tower terms. Instances are immutable apart from the int memo and are safe to
-share across worker processes.
+tower terms. Instances are immutable and are safe to share across worker
+processes.
 
 A subclass declares ``kind`` and ``params`` (the grammar families use),
-keeps each parameter as the attribute of its key and implements
-``_colour``, the uncached rule. The base class writes ``spec`` and ``rule``
-from ``params``, and its ``colour`` memoizes ``_colour`` on ints in
-``_memo``, so each int is coloured once per object; a pickle leaves the
-memo behind.
+keeps each parameter as the attribute of its key and implements ``colour``,
+its rule; calling the colouring calls ``colour``. The base class writes
+``spec`` and ``rule`` from ``params``. A colouring caches nothing: the scan
+that colours a value many times keeps its own table for the length of one
+call (``search._mono_rows``, or the colour array of a window scan).
 
 The lacunary constructions keep alpha as an exact rational, so every
 fractional-part test on integer inputs is exact integer arithmetic. Real
@@ -66,28 +66,7 @@ class Colouring:
     params: Tuple[Param, ...] = ()
     k: int
 
-    def __new__(cls, *args, **kwargs):
-        # made here, not in __init__, so no subclass can leave it out
-        self = super().__new__(cls)
-        self._memo: Dict[int, int] = {}
-        return self
-
-    def __getstate__(self) -> dict:
-        # the memo is a cache: a worker process unpickles through __new__,
-        # which gives it a fresh one, so it is not sent along
-        state = self.__dict__.copy()
-        del state["_memo"]
-        return state
-
     def colour(self, x: Value) -> int:
-        if not isinstance(x, int):
-            return self._colour(x)
-        got = self._memo.get(x)
-        if got is None:
-            got = self._memo[x] = self._colour(x)
-        return got
-
-    def _colour(self, x: Value) -> int:
         raise NotImplementedError
 
     def __call__(self, x: Value) -> int:
@@ -113,7 +92,7 @@ class ConstColouring(Colouring):
             raise ValueError("need at least one colour")
         self.k = k
 
-    def _colour(self, x: Value) -> int:
+    def colour(self, x: Value) -> int:
         return 1
 
 
@@ -132,7 +111,7 @@ class LogStarColouring(Colouring):
     def _of_count(self, L: int) -> int:
         return ((L - 1) % (self.r + 2)) + 1
 
-    def _colour(self, x: Value) -> int:
+    def colour(self, x: Value) -> int:
         if isinstance(x, int):
             return self.k if x == 1 else self._of_count(log_star_int(x))
         t = as_term(x)
@@ -173,7 +152,7 @@ class SchurExpColouring(Colouring):
         t = as_term(x)
         return (eval_mod(t, 4), max_root_exponent_mod(t, 4))
 
-    def _colour(self, x: Value) -> int:
+    def colour(self, x: Value) -> int:
         p = self.pair(x)
         return 4 * p[0] + p[1] + 1
 
@@ -422,7 +401,7 @@ class LacunaryColouring(Colouring):
                 )
         return best if best is not None else Fraction(5)
 
-    def _colour(self, x: Value) -> int:
+    def colour(self, x: Value) -> int:
         # {p/q * x} = (p * (x mod q) mod q) / q, so x mod q suffices
         if isinstance(x, int):
             if x < 0:
@@ -481,7 +460,7 @@ class Pow2AbbColouring(Colouring):
         self.nmax = nmax
         self.k = self.inner.k + 1
 
-    def _colour(self, x: Value) -> int:
+    def colour(self, x: Value) -> int:
         t = as_term(x)
         bv = eval_exact(t)
         if bv.is_exact and bv.exact == 1:
@@ -512,7 +491,7 @@ class AbbbColouring(Colouring):
         self.nmax = nmax
         self.k = self.inner.k + 1
 
-    def _colour(self, x: Value) -> int:
+    def colour(self, x: Value) -> int:
         t = as_term(x)
         bv = eval_exact(t)
         if bv.is_exact:
@@ -595,7 +574,7 @@ class TableColouring(Colouring):
             raise ValueError("table colours must lie in [1, k]")
         self.path = path
 
-    def _colour(self, x: Value) -> int:
+    def colour(self, x: Value) -> int:
         t = as_term(x)
         bv = eval_exact(t)
         if bv.is_huge or not 1 <= bv.exact <= len(self.table):
@@ -627,7 +606,7 @@ class ProductColouring(Colouring):
         for p in parts:
             self.k *= p.k
 
-    def _colour(self, x: Value) -> int:
+    def colour(self, x: Value) -> int:
         out, base = 0, 1
         for p in self.parts:
             out += (p.colour(x) - 1) * base

@@ -116,15 +116,25 @@ class _Builder:
         )
 
 
+def _check_candidates(family: str, n: int, cap: int) -> None:
+    """Refuse a generation of ``n`` candidates above ``cap`` before any is
+    built."""
+    if n > cap:
+        raise BudgetExceeded(
+            f"{family} generation has {n} candidates, over the element cap {cap}")
+
+
 def _nonempty_subsets(m: int) -> Iterable[Tuple[int, ...]]:
     """Index subsets of range(m), by increasing size then lexicographically."""
     for size in range(1, m + 1):
         yield from itertools.combinations(range(m), size)
 
 
-def finite_sums(xs) -> PatternSet:
-    """All nonempty-subset sums of literal generators."""
+def finite_sums(xs, cap: int = DEFAULT_ELEMENT_CAP) -> PatternSet:
+    """All nonempty-subset sums of literal generators; more than ``cap``
+    subsets raise BudgetExceeded."""
     xs = _as_terms(xs)
+    _check_candidates("fs", (1 << len(xs)) - 1, cap)
     for x in xs:
         if not isinstance(x, Literal):
             raise SymbolicUnsupported("subset sums of symbolic towers are not defined")
@@ -135,9 +145,11 @@ def finite_sums(xs) -> PatternSet:
     return b.done()
 
 
-def finite_products(xs) -> PatternSet:
-    """All nonempty-subset products; symbolic generators allowed."""
+def finite_products(xs, cap: int = DEFAULT_ELEMENT_CAP) -> PatternSet:
+    """All nonempty-subset products; symbolic generators allowed. More than
+    ``cap`` subsets raise BudgetExceeded."""
     xs = _as_terms(xs)
+    _check_candidates("fp", (1 << len(xs)) - 1, cap)
     b = _Builder("fp", xs)
     for idx in _nonempty_subsets(len(xs)):
         t = product(*(xs[i] for i in idx))
@@ -145,12 +157,14 @@ def finite_products(xs) -> PatternSet:
     return b.done()
 
 
-def finite_exponentials(xs) -> PatternSet:
+def finite_exponentials(xs, cap: int = DEFAULT_ELEMENT_CAP) -> PatternSet:
     """The order-respecting exponential compositions of the generators.
 
     Recursive structure: the block at index i consists of x_i raised to the
     product e_{i+1}*...*e_m, where each e_j is either omitted or drawn from
     the full suffix family starting at j; the block at m is x_m itself.
+    The candidates of the blocks are counted before each block is built,
+    and more than ``cap`` in all raise BudgetExceeded.
     """
     xs = _as_terms(xs)
     _require_gt1(xs, "fe")
@@ -158,7 +172,10 @@ def finite_exponentials(xs) -> PatternSet:
     # suffix[j] = all elements of the family over xs[j:], built bottom-up
     suffix: List[List[Tuple[ExpTerm, dict]]] = [[] for _ in range(m)]
     blocks: List[List[Tuple[ExpTerm, dict]]] = [[] for _ in range(m)]
+    candidates = 0
     for i in range(m - 1, -1, -1):
+        candidates += math.prod(1 + len(suffix[j]) for j in range(i + 1, m))
+        _check_candidates("fe", candidates, cap)
         block: List[Tuple[ExpTerm, dict]] = []
         pools = []
         for j in range(i + 1, m):
@@ -259,11 +276,11 @@ def _exact(x) -> int:
     return bv.exact
 
 
-def weighted_products(S, W: WeightFn, xs) -> PatternSet:
+def weighted_products(S, W: WeightFn, xs, cap: int = DEFAULT_ELEMENT_CAP) -> PatternSet:
     """Products x_i^{p_i} over i in S with 0 <= p_i <= W(suffix values of i).
 
     Includes the empty product 1 (all exponents zero). S uses 1-based indices
-    into xs.
+    into xs. More than ``cap`` exponent tuples raise BudgetExceeded.
     """
     xs = _as_terms(xs)
     m = len(xs)
@@ -272,6 +289,7 @@ def weighted_products(S, W: WeightFn, xs) -> PatternSet:
         if not 1 <= i <= m:
             raise ValueError(f"index {i} outside [1, {m}]")
     caps = {i: W.lookup(frozenset(map(_exact, xs[i:]))) for i in S}
+    _check_candidates("fpw", math.prod(caps[i] + 1 for i in S), cap)
     b = _Builder("fpw", xs)
     for ps in itertools.product(*(range(caps[i] + 1) for i in S)):
         factors = [power(xs[i - 1], p) for i, p in zip(S, ps) if p >= 1]
@@ -429,11 +447,13 @@ def shape_row(edges: Sequence[Tuple[int, int]], xs
     return tuple(zip(*first.values()))
 
 
-def shape_pattern(R: ShapeRelation, xs) -> PatternSet:
-    """Generators plus x_i^{x_j} for every edge (i, j)."""
+def shape_pattern(R: ShapeRelation, xs, cap: int = DEFAULT_ELEMENT_CAP) -> PatternSet:
+    """Generators plus x_i^{x_j} for every edge (i, j); more than ``cap``
+    generators and edges raise BudgetExceeded."""
     xs = _as_terms(xs)
     if len(xs) != R.m:
         raise ArityMismatch(f"relation expects {R.m} generators, got {len(xs)}")
+    _check_candidates("shape", R.m + len(R.edges), cap)
     _require_gt1(xs, "shape")
     elements, sources = shape_row(sorted(R.edges), xs)
     provenance = tuple({"generator": s} if isinstance(s, int) else {"edge": list(s)}

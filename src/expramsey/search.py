@@ -766,8 +766,8 @@ class Certificate(_Record):
             bound=obj["bound"],
             instances_checked=obj["instances_checked"],
             result=obj["result"],
-            seed=obj.get("seed", 0),
-            schema=obj.get("schema", SCHEMA_VERSION),
+            seed=obj["seed"],
+            schema=obj["schema"],
         )
 
 
@@ -784,7 +784,9 @@ def _mono_rows(colouring: Colouring, rows: Iterator[Row], budget: _Budget
                ) -> Iterator[Tuple[int, int]]:
     """(position, colour) of each row among ``rows`` whose values all take
     one colour. Each distinct value is coloured once per call, through a
-    local cache, and a row stops at its first colour mismatch."""
+    table of ints and terms that lives as long as the call; colourings
+    cache nothing, so this table is the walk's only colour cache. A row
+    stops at its first colour mismatch."""
     cache: Dict[Value, int] = {}
     get = cache.get
     for j, (values, _) in enumerate(rows):
@@ -1117,8 +1119,9 @@ def verify_certificate(cert: Certificate) -> bool:
     ``instances_checked`` must be the family's count, and a 1% sample of the
     rows, at most 10,000, drawn by ``random.Random(cert.seed)``, is read
     through ``_row`` and recoloured; any monochromatic row rejects it.
-    Either claim is rejected unless its ``bound`` is its family's and its
-    ``schema`` is ``SCHEMA_VERSION``.
+    Either claim is rejected unless its ``bound`` is its family's, its
+    ``seed`` and ``schema`` are ints (not bools) and its ``schema`` is
+    ``SCHEMA_VERSION``.
 
     The family is rebuilt under the default element cap of 10^6, so a
     descriptor over it, such as that of a certificate made with ``--cap``
@@ -1128,7 +1131,8 @@ def verify_certificate(cert: Certificate) -> bool:
         family = family_from_descriptor(cert.family)
     except (ParseError, ValueError, BudgetError):
         return False
-    if cert.schema != SCHEMA_VERSION or cert.bound != family.bound:
+    if (type(cert.seed) is not int or type(cert.schema) is not int
+            or cert.schema != SCHEMA_VERSION or cert.bound != family.bound):
         return False
     result, budget = cert.result, _Budget(None)
     if result.get("type") == "Counterexample":

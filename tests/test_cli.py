@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -76,6 +77,22 @@ def test_gen_csv_format(capsys):
     lines = out.strip().split("\n")
     assert lines[0].startswith("element")
     assert len(lines) == 4
+
+
+def test_gen_cap_bounds_every_pattern(capsys):
+    # fs, fp: 2^m - 1 candidates; fpw: prod(W_i + 1); shape: m + |edges|;
+    # fe: each block's candidates, counted before the block is built
+    code, out, err = run(capsys, "gen", "fe", "2", "3", "4", "5", "6", "--cap", "100")
+    assert (code, out) == (EXIT_BUDGET, "") and "element cap 100" in err
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "gen", "fe", "2", "3", "4", "5", "6", "7")
+    assert (code, out) == (EXIT_BUDGET, "") and time.perf_counter() - t0 < 5
+    for argv, fits in ((["fs", "2", "3", "4"], 7), (["fp", "2", "3", "4"], 7),
+                       (["fpw", "--w", "2", "2", "3"], 9),
+                       (["shape", "--edges", "1-2", "2", "3"], 3)):
+        assert run(capsys, "gen", *argv, "--cap", str(fits))[0] == EXIT_OK, argv
+        code, out, _ = run(capsys, "gen", *argv, "--cap", str(fits - 1))
+        assert (code, out) == (EXIT_BUDGET, ""), argv
 
 
 # ---------------------------------------------------------------------------

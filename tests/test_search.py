@@ -5,6 +5,7 @@ import json
 import random
 import time
 import tracemalloc
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from expramsey.colourings import (
     Colouring,
     LogStarColouring,
+    SchurExpColouring,
     TableColouring,
     parse_colouring,
 )
@@ -679,7 +681,7 @@ class _SlowBlocks(Colouring):
     value sleeps about 50 microseconds or more."""
     kind, k = "slowblocks", 2
 
-    def _colour(self, x):
+    def colour(self, x):
         time.sleep(5e-5)
         return (x - 1) // 3 % 2 + 1
 
@@ -724,13 +726,39 @@ def test_kernel_colours_about_twice_what_the_walk_colours():
     """Windows of the largest element double from 8, so an early
     counterexample colours at most twice the values below its largest
     element, and never fewer than the walk."""
-    walked, scanned = parse_colouring("schurexp"), parse_colouring("schurexp")
+    walked, scanned = _RecordingSchurExp(), _RecordingSchurExp()
     fam = parse_family("schur", 2000)
     idx, witness = search._walk(walked, fam, search._Budget(None))
     cert = find_monochromatic(scanned, fam)
     assert cert.instances_checked == idx + 1 and cert.result["witness"] == witness
     s = max(int(e["value"]) for e in witness["elements"])
-    assert len(walked._memo) <= len(scanned._memo) <= max(8, 2 * s)
+    assert len(walked.seen) <= len(scanned.seen) <= max(8, 2 * s)
+
+
+class _RecordingSchurExp(SchurExpColouring):
+    """The schurexp colouring, counting how often each value is coloured."""
+
+    def __init__(self):
+        self.seen = Counter()
+
+    def colour(self, x):
+        self.seen[x] += 1
+        return super().colour(x)
+
+
+@pytest.mark.parametrize("spec, bound", [
+    ("exptriple", 4096), ("expquad", 40), ("shape:m=2,edges=1-2", 30),
+    ("exptriple-logcond:r=1", 1 << 16),
+])
+def test_walk_colours_each_row_value_once(spec, bound):
+    """The row walk's per-call table is the only colour cache: each distinct
+    value of the rows it reads is handed to the colouring once."""
+    colouring = _RecordingSchurExp()
+    fam = parse_family(spec, bound)
+    idx, _ = search._walk(colouring, fam, search._Budget(None))
+    assert colouring.seen and set(colouring.seen.values()) == {1}, spec
+    read = itertools.islice(fam.scan_rows(), None if idx is None else idx + 1)
+    assert set(colouring.seen) <= {v for values, _ in read for v in values}
 
 
 class _LevelTableColouring(LogStarColouring):
@@ -811,7 +839,7 @@ class _LevelMapColouring(Colouring):
         self.colours, self.q = colours, q
         self.k = max(colours) * q
 
-    def _colour(self, x):
+    def colour(self, x):
         c = self.colours[min(log_star(x), len(self.colours) - 1)]
         return (c - 1) * self.q + eval_mod(x, self.q) + 1
 
@@ -881,7 +909,7 @@ class _GeneratorsOnly(Colouring):
     a table colouring does past its end."""
     kind, k = "generatorsonly", 4
 
-    def _colour(self, x):
+    def colour(self, x):
         v = x if isinstance(x, int) else eval_exact(x).exact
         if v in (2, 3):
             return v
@@ -946,6 +974,25 @@ def test_verify_rejects_tampered_avoidance_count():
     assert verify_certificate(cert)
     cert.instances_checked += 1
     assert not verify_certificate(cert)
+
+
+@pytest.mark.parametrize("key, forged", [("seed", "x"), ("schema", True),
+                                         ("seed", [1])])
+def test_verify_rejects_a_seed_or_schema_of_the_wrong_type(key, forged):
+    # the schema requires an integer seed and schema 1; True == 1 in Python
+    cert = find_monochromatic("logstar:r=1", "schur", 4)
+    assert verify_certificate(cert)
+    obj = json.loads(cert.to_json())
+    obj[key] = forged
+    assert verify_certificate(Certificate.from_json_obj(obj)) is False
+
+
+@pytest.mark.parametrize("key", ["seed", "schema"])
+def test_certificate_needs_its_seed_and_schema(key):
+    obj = json.loads(find_monochromatic("logstar:r=1", "schur", 4).to_json())
+    del obj[key]
+    with pytest.raises(KeyError):
+        Certificate.from_json_obj(obj)
 
 
 @pytest.mark.parametrize("spec, bound", [("schur", 4), ("exptriple", 8)])

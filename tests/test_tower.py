@@ -542,8 +542,8 @@ def _kernel_corpus(seed: int):
 
 
 def _kernel_outcomes(texts, compares, ints):
-    """Each call's ("ok", value) or ("refused", error class), with fresh
-    colouring memos."""
+    """Each call's ("ok", value) or ("refused", error class), with freshly
+    parsed colourings."""
     cols = [parse_colouring(spec) for spec in KERNEL_COLOURINGS]
 
     def call(f, *args):
