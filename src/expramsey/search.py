@@ -35,12 +35,13 @@ from .patterns import (
     ShapeRelation, WeightFn, fep_caps, fep_row, fep_values, parse_edges,
     shape_row, shape_values,
 )
-# not called here: bench/spans.py traces fep and shape_pattern through these
-# bindings, and the families build their rows from the same pieces
+# not called here: bench/spans.py traces fep, shape_pattern and
+# compare_iter_log through these bindings (the families build their rows
+# from the same pieces, and _last_a solves compare_iter_log's condition)
 from .patterns import fep, shape_pattern  # noqa: F401
+from .tower import compare_iter_log  # noqa: F401
 from .tower import (
     ExpTerm,
-    compare_iter_log,
     equal_value,
     eval_exact,
     parse_term,
@@ -79,17 +80,6 @@ class Instance:
             ],
             "colour": colour,
         }
-
-
-def _first_above(cum: Callable[[int], int], i: int, lo: int, hi: int) -> int:
-    """Least m in [lo, hi] with cum(m) > i, for cum non-decreasing."""
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if cum(mid) > i:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 Row = Tuple[Tuple[Value, ...], Tuple[int, ...]]
@@ -282,16 +272,21 @@ class ExpTripleLogCondFamily(InstanceFamily):
     capped = True
 
     def __init__(self, bound: int, r: int, *, cap: int = 10**6):
+        if r < 0:
+            raise ValueError("r must be non-negative")
         self.bound = bound
         self.r = r
         self._pairs = _exp_pairs(bound, cap=cap, last_a=self._last_a)
 
     def _last_a(self, b: int, top: int) -> int:
-        """Largest a in [1, top] with log_(r) a <= b. log_(r) is
-        non-decreasing, so the condition holds on a prefix of a and one
-        bisection finds the first a past it."""
-        return _first_above(lambda a: not compare_iter_log(a, self.r, b),
-                            0, 2, top + 1) - 1
+        """Largest a in [1, top] with log_(r) a <= b. log2 increases, so
+        that is a <= 2^2^...^b with r twos, built only while below top."""
+        t = b
+        for _ in range(self.r):
+            if t >= top.bit_length():
+                return top
+            t = 1 << t
+        return min(t, top)
 
     def count(self) -> int:
         return len(self._pairs)
@@ -314,9 +309,13 @@ class ExpQuadrupleFamily(_BuiltFamily):
     def __init__(self, bound: int):
         self.bound = bound
 
-    def count(self) -> int:
-        n = max(0, self.bound - 1)
+    def _upto(self, m: int) -> int:
+        """Number of pairs with b <= m."""
+        n = max(0, m - 1)
         return n * (n + 1) // 2
+
+    def count(self) -> int:
+        return self._upto(self.bound)
 
     @staticmethod
     def _lazy(g: Tuple[int, int]) -> Iterator[Value]:
@@ -673,8 +672,13 @@ class GridFamily(InstanceFamily):
                 yield self._progression(m, d)
 
     def _row(self, i: int) -> Row:
-        m = _first_above(self._upto, i, self.len + 1, self.bound)
-        return self._progression(m, (m - 1) // self.len - (i - self._upto(m - 1)))
+        # the L*q progressions of largest element in [qL + 1, qL + L], q of
+        # each, follow the L*q*(q-1)/2 of largest element <= qL; q is the
+        # largest with L*q*(q-1)/2 <= i
+        L = self.len
+        q = (1 + math.isqrt(4 * (2 * i // L) + 1)) // 2
+        j = i - L * q * (q - 1) // 2
+        return self._progression(q * L + 1 + j // q, q - j % q)
 
     def _shifts(self, hi: int) -> List[Shift]:
         L = self.len
@@ -817,60 +821,6 @@ def _walk(colouring: Colouring, family: InstanceFamily, budget: _Budget,
     return None, None
 
 
-def _level_run_end(level: Callable[[int], int], lev: int, lo: int, hi: int) -> int:
-    """Largest x in [lo, hi] with level(x) == lev, where level is
-    non-decreasing on [lo, hi] and level(lo) == lev: gallop, then bisect."""
-    step = 1
-    while lo + step <= hi and level(lo + step) == lev:
-        lo += step
-        step *= 2
-    hi = min(hi, lo + step - 1)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if level(mid) == lev:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
-def _find_mono_quad_logstar(colouring: LogStarColouring,
-                            family: ExpQuadrupleFamily,
-                            budget: _Budget) -> Tuple[Optional[int], Optional[dict]]:
-    """Run scan of {a, b, a^b, b^a} under the log-star colouring, in the
-    (b, a) enumeration order of the generic walk.
-
-    For fixed b the levels L(a^b) and L(b^a) are non-decreasing in a, so
-    [2, b] splits into runs on which both are constant; each run's end is
-    found by galloping and bisection on the levels (the colours repeat with
-    period r + 2, so they are not monotone). Only runs whose two power
-    colours equal colour(b) are walked against the colours of a.
-    """
-    carr = [0, 0] + [colouring(v) for v in range(2, family.bound + 1)]
-    level, of_count = colouring.level_power, colouring._of_count
-    base = 0  # index of the instance (2, b)
-    for b in range(2, family.bound + 1):
-        budget.check()
-        cb = carr[b]
-        a, end_ab, end_ba = 2, 1, 1
-        while a <= b:
-            if end_ab < a:
-                lev_ab = level(a, b)
-                end_ab = _level_run_end(lambda x: level(x, b), lev_ab, a, b)
-            if end_ba < a:
-                lev_ba = level(b, a)
-                end_ba = _level_run_end(lambda x: level(b, x), lev_ba, a, b)
-            end = min(end_ab, end_ba)
-            if of_count(lev_ab) == cb == of_count(lev_ba):
-                for x in range(a, end + 1):
-                    if carr[x] == cb:
-                        idx = base + x - 2
-                        return idx, family.nth(idx).witness_json(cb)
-            a = end + 1
-        base += b - 1
-    return None, None
-
-
 def _first_translates(carr: bytearray, classes: Sequence[int],
                       shifts: List[Shift], lo: int, hi: int, budget: _Budget
                       ) -> Dict[int, Tuple[int, int]]:
@@ -929,17 +879,18 @@ def _translate_index(family: InstanceFamily, shifts: List[Shift],
         shifts, -m, key=lambda s: -s[0])
 
 
-# (carr, class ranks, lo, hi, budget) -> (index, class rank) of the first
-# monochromatic row with largest element in [lo, hi], or None
-WindowSearch = Callable[[bytearray, range, int, int, _Budget],
+# (carr, the rank of each colour, lo, hi, budget) -> (index, class rank) of
+# the first monochromatic row with m (see _window_scan) in [lo, hi], or None
+WindowSearch = Callable[[bytearray, Dict[int, int], int, int, _Budget],
                         Optional[Tuple[int, int]]]
 
 
 def _translate_search(family: InstanceFamily) -> WindowSearch:
     """Search of a family whose rows at each largest element m are the
     translates to m of its ``_shifts`` patterns, in the patterns' order."""
-    def search(carr, classes, lo, hi, budget):
+    def search(carr, ranks, lo, hi, budget):
         shifts = family._shifts(hi)
+        classes = range(1, len(ranks) + 1)
         first = _first_translates(carr, classes, shifts, lo, hi, budget)
         if not first:
             return None
@@ -963,7 +914,7 @@ def _joint_search(family: SchurPlusExpFamily) -> WindowSearch:
     sum_first: Dict[int, int] = {}  # class rank -> first sum triple
     next_pair = 0
 
-    def search(carr, classes, lo, hi, budget):
+    def search(carr, ranks, lo, hi, budget):
         nonlocal next_pair
         fresh = []
         while next_pair < len(pairs) and pairs[next_pair][0] <= hi:
@@ -982,21 +933,61 @@ def _joint_search(family: SchurPlusExpFamily) -> WindowSearch:
     return search
 
 
+def _level_run_search(colouring: LogStarColouring,
+                      family: ExpQuadrupleFamily) -> WindowSearch:
+    """Run scan of {a, b, a^b, b^a} under a log-star colouring, whose rows
+    of largest generator b come in order of a.
+
+    For fixed b the levels L(a^b) and L(b^a) are non-decreasing in a, so
+    [2, b] splits into runs on which both are constant; each run's end is
+    found by bisecting the level (the colours repeat with period r + 2, so
+    they are not monotone). Only runs whose two power colours rank as b's
+    class are searched in ``carr`` for an a of that class. The budget is
+    checked at each b."""
+    level, of_count = colouring.level_power, colouring._of_count
+
+    def search(carr, ranks, lo, hi, budget):
+        for b in range(max(lo, 2), hi + 1):
+            budget.check()
+            cb, a, end_ab, end_ba = carr[b], 2, 1, 1
+            while a <= b:
+                # the last x in [a, b] at a's level
+                if end_ab < a:
+                    lev_ab = level(a, b)
+                    end_ab = a + bisect.bisect_right(
+                        range(a + 1, b + 1), lev_ab, key=lambda x: level(x, b))
+                if end_ba < a:
+                    lev_ba = level(b, a)
+                    end_ba = a + bisect.bisect_right(
+                        range(a + 1, b + 1), lev_ba, key=lambda x: level(b, x))
+                end = min(end_ab, end_ba)
+                if ranks.get(of_count(lev_ab)) == cb == ranks.get(of_count(lev_ba)):
+                    x = carr.find(cb, a, end + 1)
+                    if x >= 0:
+                        return family._upto(b - 1) + x - 2, cb
+                a = end + 1
+        return None
+    return search
+
+
 def _window_scan(colouring: Colouring, family: InstanceFamily, budget: _Budget,
                  search: WindowSearch) -> Tuple[Optional[int], Optional[dict]]:
-    """First monochromatic row of a family whose rows come in order of their
-    largest element m, every element in [1, m], as (index, witness).
+    """First monochromatic row of a family whose rows come in order of an
+    integer m, every integer element of the row in [1, m], as (index,
+    witness); m is the largest element, or for expquad the largest
+    generator.
 
     The values are coloured in ascending order into ``carr`` as class ranks,
     the colours numbered 1, 2, ... by first appearance, in windows of m that
     double, so an early counterexample colours at most about twice the
     values a row walk colours. The budget is checked at each window and
-    every 4096 values coloured, and by the search every 256 patterns.
+    every 4096 values coloured, and by the search: every 256 patterns by
+    the shift-and kernel, at each b by the level-run search.
 
     A value whose colouring raises, or whose colour would be a 256th class,
-    ends the windows: the rows whose largest element is below it are
-    searched, and the rows from there on are walked by ``_mono_rows``, so
-    what raises or returns is what the row walk raises or returns."""
+    ends the windows: the rows whose m is below it are searched, and the
+    rows from there on are walked by ``_mono_rows``, so what raises or
+    returns is what the row walk raises or returns."""
     if family.count() == 0:
         return None, None
     carr, ranks = bytearray(1), {}
@@ -1019,14 +1010,13 @@ def _window_scan(colouring: Colouring, family: InstanceFamily, budget: _Budget,
                 r = ranks[c] = len(ranks) + 1
             append(r)
         end = len(carr) - 1
-        got = (search(carr, range(1, len(ranks) + 1), lo, end, budget)
-               if end >= lo else None)
+        got = search(carr, ranks, lo, end, budget) if end >= lo else None
         if got is not None:
             idx, r = got
             return idx, family.nth(idx).witness_json(list(ranks)[r - 1])
         if end < top:
             start = family._upto(end)
-            rows = map(family._row, range(start, family.count()))
+            rows = map(family._scan_row, range(start, family.count()))
             for j, c in _mono_rows(colouring, rows, budget):
                 return start + j, family.nth(start + j).witness_json(c)
             return None, None
@@ -1044,20 +1034,24 @@ def find_monochromatic(colouring: Union[Colouring, str],
     """First monochromatic instance in enumeration order, or avoidance.
 
     The result is a certificate; its wall_time attribute is measured but not
-    serialized. diffpair, schur and grid go through the shift-and kernel,
-    schurplusexp through its class decomposition (both in ``_window_scan``),
-    expquad under a log-star colouring through its level-run scan, and
-    every other family through the row walk, which builds a shape, fep or
-    expquad row lazily, generators first, only while its colours agree;
-    witnesses are tuples from ``nth``. With ``threads`` > 1 the row walk
-    runs in that many processes, at most ``os.cpu_count()``, each over the
-    indices of one residue class; the other scans start no pool, as one
-    pass of them costs less than starting it. The certificate bytes are the
-    same for any thread count; ``threads`` < 1 raises ValueError.
+    serialized. Families whose rows come in order of an integer m, with
+    their integer elements in [1, m], are searched by ``_window_scan``:
+    diffpair, schur and grid through the shift-and kernel, schurplusexp
+    through its class decomposition and expquad under a log-star colouring
+    through its level-run search. Every other family goes through the row
+    walk, which builds a shape, fep or expquad row lazily, generators
+    first, only while its colours agree; witnesses are tuples from ``nth``.
+    With ``threads`` > 1 the row walk runs in that many processes, at most
+    ``os.cpu_count()``, each over the indices of one residue class; the
+    window scans start no pool, as one pass of them costs less than
+    starting it. The certificate bytes are the same for any thread count;
+    ``threads`` < 1 or a NaN ``budget_secs`` raises ValueError.
     """
     t0 = time.perf_counter()
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
+    if budget_secs is not None and math.isnan(budget_secs):
+        raise ValueError("budget_secs must be a number of seconds, got nan")
     workers = min(threads, os.cpu_count() or 1)
     if isinstance(colouring, str):
         colouring = parse_colouring(colouring)
@@ -1068,14 +1062,16 @@ def find_monochromatic(colouring: Union[Colouring, str],
         family = parse_family(family, bound, cap=cap, default_r=default_r)
     budget = _Budget(budget_secs)
 
+    search: Optional[WindowSearch] = None
     if isinstance(family, ExpQuadrupleFamily) and isinstance(colouring, LogStarColouring):
-        first_idx, witness = _find_mono_quad_logstar(colouring, family, budget)
+        search = _level_run_search(colouring, family)
     elif isinstance(family, SchurPlusExpFamily):
-        first_idx, witness = _window_scan(colouring, family, budget,
-                                          _joint_search(family))
+        search = _joint_search(family)
     elif isinstance(family, (DifferencePairFamily, SchurFamily, GridFamily)):
-        first_idx, witness = _window_scan(colouring, family, budget,
-                                          _translate_search(family))
+        search = _translate_search(family)
+
+    if search is not None:
+        first_idx, witness = _window_scan(colouring, family, budget, search)
     elif workers > 1:
         # imported here: the pool pulls in multiprocessing, which would cost
         # every other process (each CLI call, say) import time for nothing

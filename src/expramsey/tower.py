@@ -221,15 +221,7 @@ def equal_value(s: ExpTerm, t: ExpTerm, cutoff: Optional[int] = None) -> bool:
     (distinct canonical forms can denote the same integer); callers that care
     record which regime applied.
     """
-    s = as_term(s)
-    t = as_term(t)
-    sv = eval_exact(s, cutoff)
-    tv = eval_exact(t, cutoff)
-    if sv.is_exact and tv.is_exact:
-        return sv.exact == tv.exact
-    if sv.is_exact != tv.is_exact:
-        return False
-    return s == t
+    return dedup_key(as_term(s), cutoff) == dedup_key(as_term(t), cutoff)
 
 
 def dedup_key(t: ExpTerm, cutoff: Optional[int] = None):

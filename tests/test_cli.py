@@ -180,6 +180,14 @@ def test_verify_budget_exit(capsys):
     assert code == EXIT_BUDGET
 
 
+def test_verify_nan_budget_is_a_parse_error(capsys):
+    verify = ["verify", "logstar:r=1", "schur", "--bound", "100"]
+    code, out, err = run(capsys, *verify, "--budget-secs", "nan")
+    assert code == EXIT_PARSE and out == "" and "nan" in err
+    # a negative budget is spent before the scan starts
+    assert run(capsys, *verify, "--budget-secs", "-1")[0] == EXIT_BUDGET
+
+
 def test_verify_unknown_colouring_key_exit(capsys):
     code, out, err = run(capsys, "verify", "logstar:rr=3", "exptriple",
                          "--bound", "64")

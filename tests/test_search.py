@@ -234,6 +234,14 @@ def test_nth_is_the_enumeration_order(spec, bound):
     assert [fam.nth(i) for i in range(len(insts))] == insts
 
 
+def test_grid_rows_past_a_machine_word():
+    """A grid row is found from its index in closed form, so a bound past
+    2^63 indexes as a small one does."""
+    fam = parse_family("grid:len=3", 10**30)
+    assert fam.nth(0).values == (1, 2, 3, 4)
+    assert fam.nth(fam.count() - 1).generators == (10**30 - 3, 1)
+
+
 DIFF_SEQS = {"n*2^n": lambda n: n << n, "2^n": lambda n: 2**n, "3^n": lambda n: 3**n}
 # bounds just below, at and just above each difference up to 5 * 10^4
 NEAR_DIFFS = sorted({f(n) + d for f in DIFF_SEQS.values() for n in range(1, 13)
@@ -676,6 +684,32 @@ def test_kernel_checks_the_budget(spec):
         find_monochromatic("const:k=3", spec, 200, budget_secs=1e-9)
 
 
+class _SpendsTheBudget(LogStarColouring):
+    """logstar:r=1, counting the values it colours, that sleeps past a
+    0.2 s budget at the value ``at``."""
+
+    def __init__(self, at):
+        super().__init__(1)
+        self.at, self.calls = at, 0
+
+    def colour(self, x):
+        self.calls += 1
+        if x == self.at:
+            time.sleep(0.25)
+        return super().colour(x)
+
+
+@pytest.mark.parametrize("at", [9, 5000])
+def test_level_run_search_checks_the_budget(at):
+    """expquad under a log-star colouring is searched window by window, so
+    a spent budget raises at the next window or within 4,096 values, not
+    once all of [1, bound] is coloured."""
+    f = _SpendsTheBudget(at)
+    with pytest.raises(BudgetExceeded):
+        find_monochromatic(f, "expquad", 10**5, budget_secs=0.2)
+    assert f.calls <= at + 4096
+
+
 class _SlowBlocks(Colouring):
     """Blocks of three alternate, so no power of 3 is a difference; each
     value sleeps about 50 microseconds or more."""
@@ -823,6 +857,22 @@ def test_expquad_run_scan_matches_plain_walk():
             _assert_scans_match_reference(_BitLengthColouring(colours, width), fam)
 
 
+def test_level_runs_end_by_bisection(monkeypatch):
+    """Acceptance criterion 2's scan bisects each level run's end: fewer
+    than 100,000 levels for its 8,386,560 quadruples."""
+    calls = Counter()
+    level = LogStarColouring.level_power
+
+    def counted(self, a, b):
+        calls[None] += 1
+        return level(self, a, b)
+
+    monkeypatch.setattr(LogStarColouring, "level_power", counted)
+    cert = find_monochromatic("logstar:r=1", "expquad", 2**12)
+    assert cert.verified and cert.instances_checked == 8386560
+    assert calls[None] < 100_000
+
+
 # ---------------------------------------------------------------------------
 # lazy rows: shape, fep and expquad hand the row kernel their generators
 # first and build the rest only while the colours agree
@@ -955,6 +1005,12 @@ def test_budget_exhaustion_raises():
     with pytest.raises(BudgetExceeded):
         find_monochromatic("logstar:r=1", "exptriple", 10**5,
                            budget_secs=1e-9)
+
+
+def test_nan_budget_raises_value_error():
+    # NaN never compares above the clock: it would mean no budget at all
+    with pytest.raises(ValueError, match="nan"):
+        find_monochromatic("logstar:r=1", "schur", 100, budget_secs=float("nan"))
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,8 @@ def test_equal_value_across_structures():
     assert equal_value(power(2, 4), literal(16))
     assert equal_value(product(4, 4), power(2, 4))
     assert not equal_value(power(2, 4), literal(17))
+    # past the cutoff an int and its literal are the same structure
+    assert equal_value(2**100, literal(2**100))
 
 
 def test_dedup_key_merges_equal_exact_values():
@@ -328,6 +330,24 @@ def test_compare_iter_log_symbolic():
     assert compare_iter_log(big, 2, literal(16))
     # huge bound swallows anything exact
     assert compare_iter_log(literal(10**9), 1, big)
+    # two huge terms at r = 0 are ordered by their log2 enclosures
+    assert compare_iter_log(power(2, 100), 0, power(3, 100))
+    assert not compare_iter_log(power(3, 100), 0, power(2, 100))
+    assert compare_iter_log(power(2, 100), 0, power(2, 100))
+    # log2 3^(10^6) is about 1.6 * 10^6, below 2^100 but above the cutoff
+    assert compare_iter_log(power(3, 10**6), 1, power(2, 100))
+    # log2 3^(2^80) = 2^80 * 1.58...: one more log of both sides orders it
+    # against 2^81 and 2^80
+    assert compare_iter_log(power(3, power(2, 80)), 1, power(2, 81))
+    assert not compare_iter_log(power(3, power(2, 80)), 1, power(2, 80))
+
+
+def test_iter_log_le_refines_an_enclosure_that_straddles_1():
+    # log2^(4) 65537 is about 1 + 5.2 * 10^-7, which 16 bits cannot tell
+    # from 1; log2^(4) 65535 is just below 1
+    assert iter_log_le(65537, 5, 1)
+    assert not iter_log_le(65537, 4, 1)
+    assert iter_log_le(65535, 4, 1)
 
 
 def test_iter_log_le_matches_float_reference():
