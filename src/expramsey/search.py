@@ -1218,6 +1218,7 @@ def _backtrack_colouring(values: List[int],
     m = len(values)
     if m == 0:
         return {}
+    k = min(k, m)  # first-use order never opens more than m classes
     index = {v: i for i, v in enumerate(values)}
     cons = {frozenset([index[v] for v in c]) for c in constraints}
     if any(len(pos) == 1 for pos in cons):
@@ -1324,6 +1325,35 @@ def _backtrack_colouring(values: List[int],
             undo(marks[r])
 
 
+def _core(constraints: List[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
+    """The 2-core, in input order: while one is left, drop a constraint with
+    two or more distinct members, one in no other kept constraint. For
+    k >= 2 any colouring of the rest extends to it (that member takes a
+    colour unlike another's), so the core, the constraints and every family
+    between them are k-colourable together. The core is unique."""
+    # held[v] xors the indices of v's kept constraints: at degree 1, that index
+    degree: Dict[int, int] = {}
+    held: Dict[int, int] = {}
+    for i, c in enumerate(constraints):
+        for v in set(c):
+            degree[v] = degree.get(v, 0) + 1
+            held[v] = held.get(v, 0) ^ i
+    kept = [True] * len(constraints)
+    lone = [v for v, d in degree.items() if d == 1]
+    while lone:
+        v = lone.pop()
+        i = held[v]
+        if degree[v] != 1 or len(set(constraints[i])) < 2:
+            continue
+        kept[i] = False
+        for v in set(constraints[i]):
+            degree[v] -= 1
+            held[v] ^= i
+            if degree[v] == 1:
+                lone.append(v)
+    return [c for c, keep in zip(constraints, kept) if keep]
+
+
 def _colouring_is_free(colours: List[int],
                        constraints: List[Tuple[int, ...]]) -> bool:
     """No constraint is monochromatic under ``colours`` (v's at v - 1)."""
@@ -1334,8 +1364,10 @@ def _methods_agree(colours: List[int], cons_below: List[Tuple[int, ...]],
                    values_at: List[int], cons_at: List[Tuple[int, ...]],
                    k: int) -> bool:
     """Two exact checks of a threshold: the witness colouring of [value-1]
-    leaves no constraint monochromatic, and the alternate order refutes the
-    constraints at value. A second solve out of nodes has not agreed."""
+    leaves no constraint of ``cons_below`` monochromatic, and the alternate
+    order refutes ``cons_at``, which may be peeled by ``_core``'s rule: for
+    k >= 2 a colouring of the rest extends to a constraint with a member in
+    no other. A second solve out of nodes has not agreed."""
     if not _colouring_is_free(colours, cons_below):
         return False
     try:
@@ -1346,18 +1378,19 @@ def _methods_agree(colours: List[int], cons_below: List[Tuple[int, ...]],
 
 def _threshold(kind: str, k: int, params: dict, n_max: int, seed: int,
                t0: float, value: Optional[int],
-               assign: Optional[Dict[int, int]], problem: Callable
-               ) -> RamseyComputation:
+               assign: Optional[Dict[int, int]], problem: Callable,
+               refuted: Optional[Callable] = None) -> RamseyComputation:
     """The record of a threshold search begun at ``t0``: ``value`` is the
     least n whose ``problem(n)`` (values, constraints) has no k-colouring,
     or None past ``n_max``. The witness colours [value - 1] by ``assign``,
-    values it leaves out in colour 1; ``_methods_agree`` re-checks it."""
+    values it leaves out in colour 1; ``_methods_agree`` re-checks it and
+    refutes ``refuted(value)``, by default ``problem(value)``."""
     witness, agree = None, None
     if value is not None:
         colours = [1] * (value - 1)
         for v, c in (assign or {}).items():
             colours[v - 1] = c
-        agree = _methods_agree(colours, problem(value - 1)[1], *problem(value), k)
+        agree = _methods_agree(colours, problem(value - 1)[1], *(refuted or problem)(value), k)
         witness = {"n": value - 1, "colours": colours}
     comp = RamseyComputation(
         kind=kind, k=k, params=params, value=value, n_max=n_max,
@@ -1375,9 +1408,14 @@ def exp_ramsey_number(k: int, n_max: int = 10**5, *, seed: int = 0) -> RamseyCom
     over the candidate power values between the last solvable ceiling and
     the first unsolvable one finds the least unsolvable one. Only the
     triples up to that ceiling are listed, and each probe's triples are a
-    prefix of them.
-    The witness colouring of [N-1] is re-checked and a second branching
-    order must refute [N] for ``methods_agree``. ``seed`` is recorded only.
+    prefix of them. For k >= 2, ``_core`` peels each ceiling's triples
+    once: a triple with a member in no other kept triple goes, as any
+    colouring of the rest gives that member a colour unlike another's. A
+    probe at n, and the second order's refutation behind ``methods_agree``,
+    solve the core's triples with power <= n, which lie between the 2-core
+    of the triples up to n and those triples: all three are k-colourable
+    together, so only core powers can be the answer. The witness colouring
+    of [N-1] is solved and re-checked on every triple. ``seed`` is recorded only.
 
     The ceiling below the first unsolvable one is below the answer, so the
     triples listed lie below the answer's square: below 16 for k = 1 and
@@ -1389,14 +1427,15 @@ def exp_ramsey_number(k: int, n_max: int = 10**5, *, seed: int = 0) -> RamseyCom
     t0 = time.perf_counter()
     _exp_tops(n_max, _TRIPLE_CAP)
     triples: List[Tuple[int, int, int]] = []
-    powers: List[int] = []
+    core = triples
 
-    def problem(n: int) -> Tuple[List[int], List[Tuple[int, ...]]]:
-        cut = triples[:bisect.bisect_right(powers, n)]
+    def problem(n: int, peeled: bool = False) -> Tuple[List[int], List[Tuple[int, ...]]]:
+        cons = core if peeled else triples
+        cut = cons[:bisect.bisect_right(cons, n, key=lambda t: t[2])]
         return sorted({v for t in cut for v in t}), cut
 
     def unsolvable(n: int) -> bool:
-        return _backtrack_colouring(*problem(n), k) is None
+        return _backtrack_colouring(*problem(n, True), k) is None
 
     # unsolvability is monotone in N: a valid colouring of [N] restricts to
     # any smaller range. A ceiling costs about the square root of the next
@@ -1407,15 +1446,16 @@ def exp_ramsey_number(k: int, n_max: int = 10**5, *, seed: int = 0) -> RamseyCom
     value, solved = None, 0
     for ceiling in reversed(ceilings):
         triples = _exp_triples_upto(ceiling)
-        powers = [p for _, _, p in triples]
+        core = triples if k == 1 else _core(triples)
         if unsolvable(ceiling):
-            candidates = sorted({p for p in powers if p > solved})
+            candidates = sorted({p for _, _, p in core if p > solved})
             value = candidates[bisect.bisect_left(
                 candidates, True, hi=len(candidates) - 1, key=unsolvable)]
             break
         solved = ceiling
     assign = None if value is None else _backtrack_colouring(*problem(value - 1), k)
-    return _threshold("exptriple", k, {}, n_max, seed, t0, value, assign, problem)
+    return _threshold("exptriple", k, {}, n_max, seed, t0, value, assign, problem,
+                      lambda n: problem(n, True))
 
 
 def _ap_constraints(n: int, length: int) -> List[Tuple[int, ...]]:

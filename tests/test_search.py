@@ -39,6 +39,7 @@ from expramsey.search import (
     _ap_constraints,
     _backtrack_colouring,
     _colouring_is_free,
+    _core,
     _exp_triples_upto,
     _methods_agree,
 )
@@ -1441,6 +1442,27 @@ def test_backtrack_refutes_w33_and_w24_in_few_nodes(n, length, k):
             _reference_backtrack(values, cons, k, 1000, alternate=alternate)
 
 
+@settings(max_examples=200, deadline=None)
+@given(colouring_problems(), st.booleans())
+def test_backtrack_with_more_colours_than_values(problem, alternate):
+    # the solver opens at most one class per value, so it caps k there
+    values, cons = problem
+    k = len(values) + 5
+    assert (_backtrack_colouring(values, cons, k, alternate=alternate)
+            == _reference_backtrack(values, cons, k, alternate=alternate))
+
+
+def test_backtrack_memory_does_not_grow_with_k():
+    # 992 progressions at n = 64 once needed about 16 GB of slots at k = 10^6
+    tracemalloc.start()
+    try:
+        comp = vdw_number(10**6, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert comp.value is None and peak < 8 * 2**20
+
+
 def test_backtrack_depth_not_bounded_by_recursion_limit():
     assign = _backtrack_colouring(list(range(1, 3001)), [], 2)
     assert assign is not None and len(assign) == 3000
@@ -1511,6 +1533,49 @@ def test_exp_ramsey_three_colours_exceed_a_high_ceiling():
     # the ceiling is solved first: one 3-colouring of the problem at 10^7
     comp = exp_ramsey_number(3, n_max=10**7)
     assert comp.value is None and comp.witness is None
+
+
+def _members(cons: List[Tuple[int, ...]]) -> List[int]:
+    return sorted({v for c in cons for v in c})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.integers(1, 12), min_size=2, max_size=4)
+                .filter(lambda c: len(set(c)) > 1).map(tuple), max_size=24),
+       st.sampled_from([2, 3]), st.randoms(use_true_random=False))
+def test_core_is_an_equisatisfiable_two_core(cons, k, rng):
+    core = _core(cons)
+    rest = iter(cons)
+    assert all(c in rest for c in core)  # an order-preserving sub-list
+    held = Counter(v for c in core for v in set(c))
+    assert all(held[v] >= 2 for c in core for v in c)
+    assert ((_reference_backtrack(_members(core), core, k) is None)
+            == (_reference_backtrack(_members(cons), cons, k) is None))
+    shuffled = rng.sample(cons, len(cons))
+    assert Counter(_core(shuffled)) == Counter(core)  # whatever the peel order
+
+
+def test_core_keeps_a_constraint_with_one_distinct_member():
+    assert _core([(5, 5), (1, 2), (2, 3, 3)]) == [(5, 5)]
+    assert _core([]) == []
+
+
+def test_exp_ramsey_probes_solve_only_the_core(monkeypatch):
+    sizes, solve = [], search._backtrack_colouring
+
+    def counted(values, constraints, k, *args, **kwargs):
+        sizes.append(len(constraints))
+        return solve(values, constraints, k, *args, **kwargs)
+
+    monkeypatch.setattr(search, "_backtrack_colouring", counted)
+    assert exp_ramsey_number(2).value == 65536
+    # the witness solve alone sees every triple of [65535]
+    assert len(_exp_triples_upto(65535)) == 334
+    assert sizes.count(334) == 1 and sorted(sizes)[-2] <= 100
+    sizes.clear()
+    # the top ceiling holds 32,967 triples
+    assert exp_ramsey_number(3, n_max=10**9).value is None
+    assert max(sizes) <= 800
 
 
 @pytest.mark.parametrize("n_max", [0, -5])
