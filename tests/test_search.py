@@ -1442,6 +1442,22 @@ def test_backtrack_refutes_w33_and_w24_in_few_nodes(n, length, k):
             _reference_backtrack(values, cons, k, 1000, alternate=alternate)
 
 
+@pytest.mark.parametrize("k, length, n, nodes, alternate_nodes", [
+    (2, 4, 34, 67, 88), (2, 4, 35, 236, 172),
+    (3, 3, 26, 129, 48), (3, 3, 27, 641, 471)])
+def test_backtrack_node_counts_are_pinned(k, length, n, nodes, alternate_nodes):
+    # the exact node count of each solve: a change to propagation that kept
+    # the answers but searched more (or fewer) nodes would show here
+    values, cons = list(range(1, n + 1)), _ap_constraints(n, length)
+    for alternate, count in ((False, nodes), (True, alternate_nodes)):
+        expected = _backtrack_colouring(values, cons, k, alternate=alternate)
+        assert (expected is None) == (n in (27, 35))
+        assert _backtrack_colouring(values, cons, k, count,
+                                    alternate=alternate) == expected
+        with pytest.raises(BudgetExceeded):
+            _backtrack_colouring(values, cons, k, count - 1, alternate=alternate)
+
+
 @settings(max_examples=200, deadline=None)
 @given(colouring_problems(), st.booleans())
 def test_backtrack_with_more_colours_than_values(problem, alternate):
