@@ -2,8 +2,7 @@
 
 Each construction is a class with a colour count ``k``, a machine-readable
 ``rule`` descriptor, and a ``colour`` method accepting plain integers or
-tower terms. Instances are immutable and are safe to share across worker
-processes.
+tower terms. Instances are immutable.
 
 A subclass declares ``kind`` and ``params`` (the grammar families use),
 keeps each parameter as the attribute of its key and implements ``colour``,

@@ -19,7 +19,6 @@ import bisect
 import itertools
 import json
 import math
-import os
 import random
 import time
 from dataclasses import dataclass, field, fields
@@ -809,14 +808,11 @@ def _mono_rows(colouring: Colouring, rows: Iterator[Row], budget: _Budget
             yield j, c
 
 
-def _walk(colouring: Colouring, family: InstanceFamily, budget: _Budget,
-          offset: int = 0, step: int = 1) -> Tuple[Optional[int], Optional[dict]]:
-    """First monochromatic row among the indices offset, offset + step, ...
-    as (index, witness), or (None, None); an Instance is built only for the
-    witness."""
-    rows = itertools.islice(family.scan_rows(), offset, None, step)
-    for j, c in _mono_rows(colouring, rows, budget):
-        i = offset + j * step
+def _walk(colouring: Colouring, family: InstanceFamily, budget: _Budget
+          ) -> Tuple[Optional[int], Optional[dict]]:
+    """First monochromatic row as (index, witness), or (None, None); an
+    Instance is built only for the witness."""
+    for i, c in _mono_rows(colouring, family.scan_rows(), budget):
         return i, family.nth(i).witness_json(c)
     return None, None
 
@@ -1041,18 +1037,15 @@ def find_monochromatic(colouring: Union[Colouring, str],
     through its level-run search. Every other family goes through the row
     walk, which builds a shape, fep or expquad row lazily, generators
     first, only while its colours agree; witnesses are tuples from ``nth``.
-    With ``threads`` > 1 the row walk runs in that many processes, at most
-    ``os.cpu_count()``, each over the indices of one residue class; the
-    window scans start no pool, as one pass of them costs less than
-    starting it. The certificate bytes are the same for any thread count;
-    ``threads`` < 1 or a NaN ``budget_secs`` raises ValueError.
+    ``threads`` is checked but changes neither the certificate nor the
+    speed: every search runs in this process. ``threads`` < 1 or a NaN
+    ``budget_secs`` raises ValueError.
     """
     t0 = time.perf_counter()
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     if budget_secs is not None and math.isnan(budget_secs):
         raise ValueError("budget_secs must be a number of seconds, got nan")
-    workers = min(threads, os.cpu_count() or 1)
     if isinstance(colouring, str):
         colouring = parse_colouring(colouring)
     if isinstance(family, str):
@@ -1072,17 +1065,6 @@ def find_monochromatic(colouring: Union[Colouring, str],
 
     if search is not None:
         first_idx, witness = _window_scan(colouring, family, budget, search)
-    elif workers > 1:
-        # imported here: the pool pulls in multiprocessing, which would cost
-        # every other process (each CLI call, say) import time for nothing
-        from concurrent.futures import ProcessPoolExecutor
-        first_idx, witness, n = None, None, workers
-        with ProcessPoolExecutor(max_workers=n) as pool:
-            shards = pool.map(_walk, [colouring] * n, [family] * n,
-                              [budget] * n, range(n), [n] * n)
-            for idx, wit in shards:
-                if idx is not None and (first_idx is None or idx < first_idx):
-                    first_idx, witness = idx, wit
     else:
         first_idx, witness = _walk(colouring, family, budget)
 
@@ -1209,7 +1191,15 @@ def _backtrack_colouring(values: List[int],
     Colour classes open in first-use order, so the first value takes colour
     1; a forced colour beyond that order fails the branch. Propagation drops
     only colours no solution extending the partial assignment can take, so
-    solutions come in the order of plain branching: the first is the same.
+    solutions come in the order of plain branching: the first is the same,
+    whatever order the fixpoint is reached in.
+
+    The state is ``assign`` (colour per position, 0 if none), ``forbid`` (bit
+    c-1 set when c is ruled out) and the trail of both, in order. Each
+    position keeps, per constraint it lies in, the tuple of the other
+    members; placing c there reads their colours off ``assign``. No state is
+    kept per constraint, so undoing pops the trail and visits no constraint,
+    and memory grows with the total membership.
 
     ``alternate`` is a second, independent order for cross-checking a
     refutation: descending degree, ties to the largest value, no value
@@ -1223,61 +1213,55 @@ def _backtrack_colouring(values: List[int],
     cons = {frozenset([index[v] for v in c]) for c in constraints}
     if any(len(pos) == 1 for pos in cons):
         return None
-    degree = [0] * m
-    # constraint ci owns slots b = ci*(k+1) .. b+k of `state`: state[b] sums
-    # p+1 over its members not yet placed (the last one is read off it) and
-    # state[b+c] counts those placed in colour c; need[b] is its size less 1
-    k1, full = k + 1, (1 << k) - 1
-    state, need = [0] * (len(cons) * k1), [0] * (len(cons) * k1)
-    by_pos: List[List[int]] = [[] for _ in range(m)]
-    for b, pos in zip(range(0, len(state), k1), cons):
-        state[b], need[b] = sum(pos) + len(pos), len(pos) - 1
-        for p in pos:
-            degree[p] += 1
-            by_pos[p].append(b)
+    others: List[List[Tuple[int, ...]]] = [[] for _ in range(m)]
+    for pos in map(tuple, cons):
+        for i, p in enumerate(pos):
+            others[p].append(pos[:i] + pos[i + 1:])
     if alternate:
-        order = sorted(range(m), key=lambda p: (-degree[p], -p))
+        order = sorted(range(m), key=lambda p: (-len(others[p]), -p))
     else:
-        order = sorted(range(m), key=lambda p: (p != 0, -degree[p], p))
-    forbid, assign = [0] * m, [0] * m  # forbid: bit c-1 set = c impossible
-    # every position assigned (p >= 0) and colour forbidden (~(q*(k+1) + c)),
-    # in order; the positions not yet placed are the propagation queue
+        order = sorted(range(m), key=lambda p: (p != 0, -len(others[p]), p))
+    k1, full = k + 1, (1 << k) - 1
+    forbid, assign = [0] * m, [0] * m
+    # positions assigned (p >= 0) and colours forbidden (~(q*(k+1) + c)), in
+    # order; the positions from a placement's mark on are its queue
     trail: List[int] = []
 
     def place(p: int, c: int) -> bool:
         """Assign c at p and propagate; on a dead end undo all, return False."""
         mark = i = len(trail)
-        assign[p], ok = c, True
+        assign[p] = c
         trail.append(p)
         while i < len(trail):
             p, i = trail[i], i + 1
             if p < 0:
                 continue
-            c, p1 = assign[p], p + 1
-            for b in by_pos[p]:
-                state[b] -= p1
-                n = state[b + c] = state[b + c] + 1
-                if n < need[b] or not ok:
-                    continue
-                q = state[b] - 1
-                if n > need[b] or (q >= 0 and assign[q] == c):
-                    ok = False
-                elif q >= 0 and not assign[q] and not forbid[q] >> (c - 1) & 1:
-                    f = forbid[q] = forbid[q] | 1 << (c - 1)
+            c = assign[p]
+            bit = 1 << (c - 1)
+            for rest in others[p]:
+                q = -1
+                for o in rest:
+                    a = assign[o]
+                    if a != c:
+                        if a or q >= 0:
+                            break
+                        q = o
+                else:  # every member but q (if any) has colour c
+                    if q < 0:
+                        undo(mark)
+                        return False
+                    f = forbid[q]
+                    if f & bit:
+                        continue
+                    f = forbid[q] = f | bit
                     trail.append(~(q * k1 + c))
                     left = full ^ f
                     if not left:
-                        ok = False
-                    elif not left & (left - 1):
+                        undo(mark)
+                        return False
+                    if not left & (left - 1):
                         assign[q] = left.bit_length()
                         trail.append(q)
-            if not ok:  # the positions queued after p were never counted
-                for e in trail[i:]:
-                    if e >= 0:
-                        assign[e] = 0
-                trail[i:] = [e for e in trail[i:] if e < 0]
-                undo(mark)
-                return False
         return True
 
     def undo(mark: int) -> None:
@@ -1286,11 +1270,8 @@ def _backtrack_colouring(values: List[int],
             if e < 0:
                 q, c = divmod(~e, k1)
                 forbid[q] ^= 1 << (c - 1)
-                continue
-            c, p1, assign[e] = assign[e], e + 1, 0
-            for b in by_pos[e]:
-                state[b] += p1
-                state[b + c] -= 1
+            else:
+                assign[e] = 0
 
     # Depth-first search over `order`. Depth r holds the colour last tried at
     # order[r] (0 on entering, which counts one node; k+1 once forced), the

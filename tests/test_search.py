@@ -498,32 +498,15 @@ def test_threads_do_not_change_the_certificate():
     assert a.to_json() == b.to_json()
 
 
-@pytest.mark.parametrize("cpus, workers", [(3, [3]), (None, [])])
-def test_threads_run_at_most_the_cpu_count_of_workers(monkeypatch, cpus, workers):
-    """A stand-in pool records max_workers and maps in this process, so no
-    worker starts however many threads are asked for."""
+def test_threads_start_no_process_pool(monkeypatch):
     import concurrent.futures
-    import os
 
-    started = []
+    def refuse(*args, **kwargs):
+        raise AssertionError("the row walk started a process pool")
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        map = staticmethod(map)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     one = find_monochromatic("logstar:r=1", "exptriple", 4096)
     many = find_monochromatic("logstar:r=1", "exptriple", 4096, threads=100_000)
-    assert started == workers
     assert many.to_json() == one.to_json()
 
 
@@ -1451,7 +1434,7 @@ def test_backtrack_node_counts_are_pinned(k, length, n, nodes, alternate_nodes):
     values, cons = list(range(1, n + 1)), _ap_constraints(n, length)
     for alternate, count in ((False, nodes), (True, alternate_nodes)):
         expected = _backtrack_colouring(values, cons, k, alternate=alternate)
-        assert (expected is None) == (n in (27, 35))
+        assert (expected is None) == (n in (27, 35))  # W(3,3), W(2,4)
         assert _backtrack_colouring(values, cons, k, count,
                                     alternate=alternate) == expected
         with pytest.raises(BudgetExceeded):
@@ -1477,6 +1460,21 @@ def test_backtrack_memory_does_not_grow_with_k():
     finally:
         tracemalloc.stop()
     assert comp.value is None and peak < 8 * 2**20
+
+
+def test_backtrack_memory_is_linear_in_membership():
+    # the solver keeps, per position, each constraint's other members and
+    # nothing per constraint, so memory grows with the total membership:
+    # 19,998 triples peak at about 19 MB on CPython 3.11
+    values = list(range(1, 20001))
+    cons = [(1, i, i + 1) for i in range(2, 20000)]
+    tracemalloc.start()
+    try:
+        _backtrack_colouring(values, cons, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 def test_backtrack_depth_not_bounded_by_recursion_limit():
