@@ -498,15 +498,26 @@ def test_threads_do_not_change_the_certificate():
     assert a.to_json() == b.to_json()
 
 
-def test_threads_start_no_process_pool(monkeypatch):
+@pytest.mark.parametrize("cpus, workers", [(3, []), (None, [])])
+def test_threads_run_at_most_the_cpu_count_of_workers(monkeypatch, cpus, workers):
+    """A stand-in pool records max_workers and raises. The row walk runs in
+    this process, so however many threads are asked for and whatever the
+    cpu count, no pool starts and the certificate is the same."""
     import concurrent.futures
+    import os
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the row walk started a process pool")
+    started = []
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    class RefusingPool:
+        def __init__(self, max_workers=None, *args, **kwargs):
+            started.append(max_workers)
+            raise AssertionError("the row walk started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RefusingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     one = find_monochromatic("logstar:r=1", "exptriple", 4096)
     many = find_monochromatic("logstar:r=1", "exptriple", 4096, threads=100_000)
+    assert started == workers
     assert many.to_json() == one.to_json()
 
 
