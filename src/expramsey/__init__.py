@@ -1,169 +1,66 @@
 """Symbolic tower arithmetic, exponential pattern families, explicit
-colourings, and certificate-producing monochromatic-instance searches.
+colourings, certificate-producing monochromatic-instance searches and exact
+Ramsey-type numbers.
 
-The public surface is re-exported here; submodules stay importable for
-the long tail (parsers, DIMACS export, sequence classes).
+The public surface is re-exported here lazily (PEP 562): ``import
+expramsey`` loads no submodule, and a name's submodule is imported on its
+first access, so a caller compiles only the layers it reads. Submodules
+stay importable for the long tail (parsers, DIMACS export, sequence
+classes).
 """
 
-from .errors import (
-    ArityMismatch,
-    BudgetExceeded,
-    BudgetError,
-    EvaluationError,
-    ExactnessRequired,
-    ExpRamseyError,
-    FactorizationBudgetExceeded,
-    OutOfDomain,
-    ParseError,
-    SequenceNotSufficientlyLacunary,
-    SymbolicUnsupported,
-    UncertifiableComparison,
-    UncertifiableLogStar,
-    UnsupportedShape,
-    WeightUndefined,
-)
-from .tower import (
-    DEFAULT_CUTOFF,
-    BoundedValue,
-    ExpTerm,
-    Literal,
-    Power,
-    Product,
-    as_term,
-    compare_iter_log,
-    dedup_key,
-    equal_value,
-    eval_exact,
-    eval_mod,
-    literal,
-    log_star,
-    max_root_exponent,
-    max_root_exponent_mod,
-    nu_p,
-    parse_term,
-    power,
-    product,
-    to_text,
-)
-from .patterns import (
-    PatternSet,
-    ShapeRelation,
-    WeightFn,
-    fep,
-    finite_exponentials,
-    finite_products,
-    finite_sums,
-    has_directed_cycle,
-    shape_pattern,
-    weighted_products,
-)
-from .colourings import (
-    AbbbColouring,
-    Colouring,
-    ConstColouring,
-    GeometricSequence,
-    LacunaryColouring,
-    LogStarColouring,
-    NPowNLog2Sequence,
-    NTimesPow2Sequence,
-    Pow2AbbColouring,
-    ProductColouring,
-    SchurExpColouring,
-    TableColouring,
-    build_lacunary_alpha,
-    parse_colouring,
-    parse_seq,
-    product_colouring,
-)
-from .search import (
-    Certificate,
-    Instance,
-    InstanceFamily,
-    RamseyComputation,
-    exp_ramsey_number,
-    export_dimacs,
-    family_from_descriptor,
-    find_monochromatic,
-    parse_family,
-    vdw_number,
-    verify_certificate,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArityMismatch",
-    "BudgetExceeded",
-    "BudgetError",
-    "EvaluationError",
-    "ExactnessRequired",
-    "ExpRamseyError",
-    "FactorizationBudgetExceeded",
-    "OutOfDomain",
-    "ParseError",
-    "SequenceNotSufficientlyLacunary",
-    "SymbolicUnsupported",
-    "UncertifiableComparison",
-    "UncertifiableLogStar",
-    "UnsupportedShape",
-    "WeightUndefined",
-    "DEFAULT_CUTOFF",
-    "BoundedValue",
-    "ExpTerm",
-    "Literal",
-    "Power",
-    "Product",
-    "as_term",
-    "compare_iter_log",
-    "dedup_key",
-    "equal_value",
-    "eval_exact",
-    "eval_mod",
-    "literal",
-    "log_star",
-    "max_root_exponent",
-    "max_root_exponent_mod",
-    "nu_p",
-    "parse_term",
-    "power",
-    "product",
-    "to_text",
-    "PatternSet",
-    "ShapeRelation",
-    "WeightFn",
-    "fep",
-    "finite_exponentials",
-    "finite_products",
-    "finite_sums",
-    "has_directed_cycle",
-    "shape_pattern",
-    "weighted_products",
-    "AbbbColouring",
-    "Colouring",
-    "ConstColouring",
-    "GeometricSequence",
-    "LacunaryColouring",
-    "LogStarColouring",
-    "NPowNLog2Sequence",
-    "NTimesPow2Sequence",
-    "Pow2AbbColouring",
-    "ProductColouring",
-    "SchurExpColouring",
-    "TableColouring",
-    "build_lacunary_alpha",
-    "parse_colouring",
-    "parse_seq",
-    "product_colouring",
-    "Certificate",
-    "Instance",
-    "InstanceFamily",
-    "RamseyComputation",
-    "exp_ramsey_number",
-    "export_dimacs",
-    "family_from_descriptor",
-    "find_monochromatic",
-    "parse_family",
-    "vdw_number",
-    "verify_certificate",
-    "__version__",
-]
+# each public name -> the submodule that defines it
+_HOMES = {
+    **dict.fromkeys((
+        "ArityMismatch", "BudgetExceeded", "BudgetError", "EvaluationError",
+        "ExactnessRequired", "ExpRamseyError", "FactorizationBudgetExceeded",
+        "OutOfDomain", "ParseError", "SequenceNotSufficientlyLacunary",
+        "SymbolicUnsupported", "UncertifiableComparison",
+        "UncertifiableLogStar", "UnsupportedShape", "WeightUndefined",
+    ), "errors"),
+    **dict.fromkeys((
+        "DEFAULT_CUTOFF", "BoundedValue", "ExpTerm", "Literal", "Power",
+        "Product", "as_term", "compare_iter_log", "dedup_key", "equal_value",
+        "eval_exact", "eval_mod", "literal", "log_star", "max_root_exponent",
+        "max_root_exponent_mod", "nu_p", "parse_term", "power", "product",
+        "to_text",
+    ), "tower"),
+    **dict.fromkeys((
+        "PatternSet", "ShapeRelation", "WeightFn", "fep",
+        "finite_exponentials", "finite_products", "finite_sums",
+        "has_directed_cycle", "shape_pattern", "weighted_products",
+    ), "patterns"),
+    **dict.fromkeys((
+        "AbbbColouring", "Colouring", "ConstColouring", "GeometricSequence",
+        "LacunaryColouring", "LogStarColouring", "NPowNLog2Sequence",
+        "NTimesPow2Sequence", "Pow2AbbColouring", "ProductColouring",
+        "SchurExpColouring", "TableColouring", "build_lacunary_alpha",
+        "parse_colouring", "parse_seq", "product_colouring",
+    ), "colourings"),
+    **dict.fromkeys((
+        "Certificate", "Instance", "InstanceFamily", "family_from_descriptor",
+        "find_monochromatic", "parse_family", "verify_certificate",
+    ), "search"),
+    **dict.fromkeys((
+        "RamseyComputation", "exp_ramsey_number", "export_dimacs",
+        "vdw_number",
+    ), "ramsey"),
+}
+
+__all__ = [*_HOMES, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _HOMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

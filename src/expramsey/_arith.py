@@ -6,14 +6,17 @@ Factorization serves only ``totient`` (for ``eval_mod``) and the reference
 ``gcd_of_exponents``: trial division up to 10**6, then Brent's variant of
 Pollard's rho under an iteration budget whose exhaustion raises
 FactorizationBudgetExceeded rather than returning a partial answer.
+The power pairs a^b <= bound that the exponential families and the Ramsey
+solver read are counted from integer roots before any is listed.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, isqrt
+from typing import Callable, List, Optional, Tuple
 
-from .errors import FactorizationBudgetExceeded
+from .errors import BudgetExceeded, FactorizationBudgetExceeded
 
 TRIAL_LIMIT = 10**6
 DEFAULT_RHO_BUDGET = 2_000_000
@@ -38,6 +41,43 @@ def iroot(n: int, k: int) -> int:
         if s >= r:
             return r
         r = s
+
+
+def _exp_tops(bound: int, cap: Optional[int] = None,
+              last_a: Optional[Callable[[int, int], int]] = None
+              ) -> List[Tuple[int, int]]:
+    """(b, the last a) for each exponent b of the pairs of ``_exp_pairs``,
+    counted from integer roots without listing a pair."""
+    tops = []
+    total = 0
+    for b in range(2, bound.bit_length()):
+        top = iroot(bound, b)
+        if last_a is not None:
+            top = last_a(b, top)
+        tops.append((b, top))
+        total += top - 1
+        if cap is not None and total > cap:
+            raise BudgetExceeded(
+                f"power pairs a^b <= bound exceed the element cap {cap}"
+            )
+    return tops
+
+
+def _exp_pairs(bound: int, *, cap: Optional[int] = None,
+               last_a: Optional[Callable[[int, int], int]] = None
+               ) -> List[Tuple[int, int, int]]:
+    """All (p, a, b) with a, b >= 2 and p = a^b <= bound, sorted by
+    (p, max(a,b), min(a,b), a, b): element tuples descending, generator
+    tie-break.
+
+    ``last_a(b, top)`` shortens the range of a for each b to [2, last_a];
+    the pairs are counted from integer roots first, and more than ``cap``
+    of them raise BudgetExceeded before any list is built.
+    """
+    tops = _exp_tops(bound, cap, last_a)
+    out = [(a**b, a, b) for b, top in tops for a in range(2, top + 1)]
+    out.sort(key=lambda t: (t[0], max(t[1], t[2]), min(t[1], t[2]), t[1], t[2]))
+    return out
 
 
 @lru_cache(maxsize=256)

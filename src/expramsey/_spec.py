@@ -1,15 +1,21 @@
-"""The spec grammar shared by instance families and colourings.
+"""The spec grammar shared by instance families and colourings, and the
+byte form of every JSON output.
 
 Spec text is ``kind[:key=value,...]``; a kind is a class that declares its
 parameters as ``Param`` entries in ``params``, ``read_spec`` reads them and
-``write_spec`` writes them back.
+``write_spec`` writes them back. Certificates and Ramsey records are
+``_Record`` dataclasses written by ``canonical_json``.
 """
 
 from __future__ import annotations
 
+import json
+from dataclasses import fields
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from .errors import ParseError
+
+SCHEMA_VERSION = 1
 
 
 class ParamType(NamedTuple):
@@ -82,3 +88,21 @@ def write_spec(obj) -> str:
     parts = [f"{p.spec_key or p.key}={p.type.text(getattr(obj, p.key))}"
              for p in obj.params]
     return f"{obj.kind}:{','.join(parts)}" if parts else obj.kind
+
+
+def canonical_json(obj) -> str:
+    """The byte form of every JSON output: sorted keys, no whitespace and
+    one trailing newline, so identical runs are byte-identical."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+class _Record:
+    """A result record: its JSON holds every dataclass field but wall_time,
+    which stays out of the bytes so replays are byte-identical."""
+
+    def to_json_obj(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "wall_time"}
+
+    def to_json(self) -> str:
+        return canonical_json(self.to_json_obj())

@@ -6,6 +6,12 @@ exhausted, 4 evaluation error. An unexpected internal error also exits 4, so
 1 only ever means a counterexample. JSON output is canonical (sorted keys,
 no whitespace) so identical runs are byte-identical; CSV is derived from it
 with witness sets flattened to semicolon-joined tower-syntax strings.
+
+A subcommand imports the modules it calls when it runs, so a process
+compiles only those: ``colour`` loads ``colourings`` and ``tower``, ``gen``
+loads ``patterns`` and ``tower``, the ``ramsey`` subcommand loads the
+``ramsey`` module (not ``tower`` or the scan), and ``verify`` and ``search``
+load ``search``, which imports the rest.
 """
 
 from __future__ import annotations
@@ -16,10 +22,9 @@ import io
 import json
 import os
 import sys
-import traceback
+from importlib import import_module
 from typing import List, Optional
 
-from .colourings import parse_colouring
 from .errors import (
     BudgetError,
     EvaluationError,
@@ -27,26 +32,31 @@ from .errors import (
     ParseError,
     SequenceNotSufficientlyLacunary,
 )
-from .patterns import (
-    ShapeRelation,
-    WeightFn,
-    fep,
-    finite_exponentials,
-    finite_products,
-    finite_sums,
-    parse_edges,
-    shape_pattern,
-    weighted_products,
-)
-from .search import (
-    canonical_json,
-    exp_ramsey_number,
-    find_monochromatic,
-    vdw_number,
-)
+
+
+class _Lazy:
+    """A package function whose module is imported on its first call, so a
+    process compiles only the modules its subcommand calls. The subcommands
+    call the names bound below as globals of this module: a caller that
+    patches one here (bench/spans.py traces them) replaces what runs."""
+
+    def __init__(self, module: str, name: str):
+        self.module, self.name = module, name
+
+    def __call__(self, *args, **kwargs):
+        module = import_module(f".{self.module}", __package__)
+        return getattr(module, self.name)(*args, **kwargs)
+
+
+parse_colouring = _Lazy("colourings", "parse_colouring")
+fep = _Lazy("patterns", "fep")
+finite_exponentials = _Lazy("patterns", "finite_exponentials")
+shape_pattern = _Lazy("patterns", "shape_pattern")
+find_monochromatic = _Lazy("search", "find_monochromatic")
 # not called here: bench/spans.py traces parse_family through this binding
-from .search import parse_family  # noqa: F401
-from .tower import parse_term
+parse_family = _Lazy("search", "parse_family")
+exp_ramsey_number = _Lazy("ramsey", "exp_ramsey_number")
+vdw_number = _Lazy("ramsey", "vdw_number")
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -71,7 +81,9 @@ def _csv_rows(rows: List[List[str]]) -> str:
     return buf.getvalue()
 
 
-def _weight_from_args(args) -> WeightFn:
+def _weight_from_args(args):
+    from .patterns import WeightFn
+
     if getattr(args, "weights", None):
         try:
             with open(args.weights, "r", encoding="utf-8") as fh:
@@ -84,6 +96,12 @@ def _weight_from_args(args) -> WeightFn:
 
 
 def cmd_gen(args) -> int:
+    from ._spec import canonical_json
+    from .patterns import (
+        ShapeRelation, finite_products, finite_sums, parse_edges, weighted_products,
+    )
+    from .tower import parse_term
+
     gens = [parse_term(g) for g in args.generators]
     kind = args.pattern
     if kind == "fs":
@@ -123,6 +141,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_colour(args) -> int:
+    from ._spec import canonical_json
+    from .tower import parse_term
+
     colouring = parse_colouring(args.colouring)
     assignments = []
     for raw in args.values:
@@ -313,6 +334,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except Exception as exc:
         # exit 1 is reserved for "counterexample found"; a bug must not look
         # like one, so report it with its traceback as an evaluation error
+        import traceback
+
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         traceback.print_exc()
         return EXIT_EVALUATION

@@ -29,12 +29,10 @@ from expramsey.patterns import (
     finite_products,
     has_directed_cycle,
 )
+from expramsey.ramsey import _exp_triples_upto, exp_ramsey_number, vdw_number
 from expramsey.search import (
-    _exp_triples_upto,
-    exp_ramsey_number,
     find_monochromatic,
     parse_family,
-    vdw_number,
     verify_certificate,
 )
 from expramsey.tower import (

@@ -245,13 +245,25 @@ def test_verify_rejects_bound_below_one(capsys, bound):
     assert "--bound" in err
 
 
-def test_unexpected_exception_is_not_a_counterexample(capsys, monkeypatch):
+# a name expramsey.cli binds lazily -> a command that calls it
+LAZY_CALLS = {
+    "find_monochromatic": ["verify", "logstar:r=1", "exptriple", "--bound", "16"],
+    "vdw_number": ["ramsey", "vdw", "--k", "2", "--len", "3"],
+    "exp_ramsey_number": ["ramsey", "exptriple", "--k", "1"],
+    "finite_exponentials": ["gen", "fe", "2", "3"],
+    "parse_colouring": ["colour", "logstar:r=1", "2", "4"],
+}
+
+
+@pytest.mark.parametrize("name", LAZY_CALLS)
+def test_unexpected_exception_is_not_a_counterexample(capsys, monkeypatch, name):
+    # the subcommands import their modules when they run, but call these
+    # names as attributes of expramsey.cli, so a patch there takes effect
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr("expramsey.cli.find_monochromatic", broken)
-    code, out, err = run(capsys, "verify", "logstar:r=1", "exptriple",
-                         "--bound", "16")
+    monkeypatch.setattr(f"expramsey.cli.{name}", broken)
+    code, out, err = run(capsys, *LAZY_CALLS[name])
     assert code == EXIT_EVALUATION and out == ""
     assert err.startswith("internal error: RuntimeError: boom")
 

@@ -10,7 +10,8 @@ import pytest
 
 from expramsey.cli import main
 from expramsey.colourings import parse_colouring
-from expramsey.search import exp_ramsey_number, find_monochromatic, vdw_number
+from expramsey.ramsey import exp_ramsey_number, vdw_number
+from expramsey.search import find_monochromatic
 
 RECORDS = [
     (lambda: vdw_number(2, 3),

@@ -23,26 +23,26 @@ from expramsey.errors import (
     BudgetExceeded, ExpRamseyError, OutOfDomain, ParseError, WeightUndefined,
 )
 from expramsey.patterns import WeightFn, fep, shape_pattern
-from expramsey.search import (
-    Certificate,
-    export_dimacs,
-    exp_ramsey_number,
-    family_from_descriptor,
-    find_monochromatic,
-    parse_family,
-    vdw_number,
-    verify_certificate,
-)
-from expramsey import search
-from expramsey._arith import iroot
-from expramsey.search import (
+from expramsey.ramsey import (
     _ap_constraints,
     _backtrack_colouring,
     _colouring_is_free,
     _core,
     _exp_triples_upto,
     _methods_agree,
+    export_dimacs,
+    exp_ramsey_number,
+    vdw_number,
 )
+from expramsey.search import (
+    Certificate,
+    family_from_descriptor,
+    find_monochromatic,
+    parse_family,
+    verify_certificate,
+)
+from expramsey import _arith, ramsey, search
+from expramsey._arith import iroot
 from expramsey.tower import (
     compare_iter_log, dedup_key, eval_exact, eval_mod, log_star, parse_term,
     to_text,
@@ -133,7 +133,7 @@ def test_logcond_cutoff_matches_filtering_every_pair():
     for r in (0, 1, 2, 3):
         for bound in (16, 1000, 2**16):
             fam = parse_family(f"exptriple-logcond:r={r}", bound)
-            want = [t for t in search._exp_pairs(bound)
+            want = [t for t in _arith._exp_pairs(bound)
                     if compare_iter_log(t[1], r, t[2])]
             assert fam._pairs == want, (r, bound)
 
@@ -1503,13 +1503,13 @@ def test_methods_agree_needs_both_checks():
 
 
 def test_methods_agree_false_when_second_solve_exhausts_budget(monkeypatch):
-    solve = search._backtrack_colouring
+    solve = ramsey._backtrack_colouring
 
     def starved(values, constraints, k, node_cap=20_000_000, *, alternate=False):
         return solve(values, constraints, k, 1 if alternate else node_cap,
                      alternate=alternate)
 
-    monkeypatch.setattr(search, "_backtrack_colouring", starved)
+    monkeypatch.setattr(ramsey, "_backtrack_colouring", starved)
     comp = vdw_number(2, 3)
     assert comp.value == 9 and comp.methods_agree is False
 
@@ -1525,8 +1525,8 @@ def test_exp_ramsey_one_colour():
 def test_exp_ramsey_lists_triples_only_below_the_answer_squared(monkeypatch):
     # {2, 4} decides k = 1 at any ceiling: 159 s and 1.1 GB at 10^12 when
     # every triple up to the ceiling was listed first
-    listed, real = [], search._exp_triples_upto
-    monkeypatch.setattr(search, "_exp_triples_upto",
+    listed, real = [], ramsey._exp_triples_upto
+    monkeypatch.setattr(ramsey, "_exp_triples_upto",
                         lambda n, cap=None: listed.append(n) or real(n, cap))
     t0 = time.perf_counter()
     comp = exp_ramsey_number(1, n_max=10**12)
@@ -1586,13 +1586,13 @@ def test_core_keeps_a_constraint_with_one_distinct_member():
 
 
 def test_exp_ramsey_probes_solve_only_the_core(monkeypatch):
-    sizes, solve = [], search._backtrack_colouring
+    sizes, solve = [], ramsey._backtrack_colouring
 
     def counted(values, constraints, k, *args, **kwargs):
         sizes.append(len(constraints))
         return solve(values, constraints, k, *args, **kwargs)
 
-    monkeypatch.setattr(search, "_backtrack_colouring", counted)
+    monkeypatch.setattr(ramsey, "_backtrack_colouring", counted)
     assert exp_ramsey_number(2).value == 65536
     # the witness solve alone sees every triple of [65535]
     assert len(_exp_triples_upto(65535)) == 334
@@ -1630,7 +1630,7 @@ def test_exp_ramsey_refuses_a_ceiling_over_the_cap_before_listing():
     assert _exp_triples_upto(10**4, len(triples)) == triples
     with pytest.raises(BudgetExceeded):
         _exp_triples_upto(10**4, len(triples) - 1)
-    assert sum(iroot(10**12, b) - 1 for b in range(2, 40)) == 1_011_538 <= search._TRIPLE_CAP
+    assert sum(iroot(10**12, b) - 1 for b in range(2, 40)) == 1_011_538 <= ramsey._TRIPLE_CAP
 
 
 # ---------------------------------------------------------------------------
