@@ -68,7 +68,10 @@ def _exp_pairs(bound: int, *, cap: Optional[int] = None,
                ) -> List[Tuple[int, int, int]]:
     """All (p, a, b) with a, b >= 2 and p = a^b <= bound, sorted by
     (p, max(a,b), min(a,b), a, b): element tuples descending, generator
-    tie-break.
+    tie-break. The key (p, max(a,b), a) gives that order: for fixed p and
+    max M the pairs are at most (M, b) and (a', M) with a' < M, and
+    M^b = a'^M forces b >= a' (x / ln x increases from 3 on, and M = 3,
+    a' = 2 has no solution), so both keys put (a', M) first.
 
     ``last_a(b, top)`` shortens the range of a for each b to [2, last_a];
     the pairs are counted from integer roots first, and more than ``cap``
@@ -76,7 +79,7 @@ def _exp_pairs(bound: int, *, cap: Optional[int] = None,
     """
     tops = _exp_tops(bound, cap, last_a)
     out = [(a**b, a, b) for b, top in tops for a in range(2, top + 1)]
-    out.sort(key=lambda t: (t[0], max(t[1], t[2]), min(t[1], t[2]), t[1], t[2]))
+    out.sort(key=lambda t: (t[0], max(t[1], t[2]), t[1]))
     return out
 
 

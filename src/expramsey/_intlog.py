@@ -26,6 +26,7 @@ Facts this module relies on (each is load-bearing and tested):
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from math import isqrt
 from typing import Optional, Tuple
@@ -40,15 +41,17 @@ PREC_SCHEDULE = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
 
 
 def log_star_int(n: int) -> int:
-    """Exact iterated-log count: least k with log2^(k)(n) <= 1."""
+    """Exact iterated-log count: least k with log2^(k)(n) <= 1. Above the
+    last tower n steps to ceil(log2 n), which keeps the count since the
+    towers are ints; from there the count is n's place among the towers."""
     if n < 1:
         raise ValueError("log_star is defined for positive integers")
     k = 0
-    while n > 1:
+    while n > TOWERS[-1]:
         bl = n.bit_length()
         n = bl - 1 if n & (n - 1) == 0 else bl
         k += 1
-    return k
+    return k + bisect_left(TOWERS, n)
 
 
 @lru_cache(maxsize=None)

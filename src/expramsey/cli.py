@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="output file (default stdout)")
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized components")
+                        help="seed recorded in the output; no result depends on it")
     capped = argparse.ArgumentParser(add_help=False)
     capped.add_argument("--cap", type=int, default=10**6,
                         help="element / enumeration cap")

@@ -18,7 +18,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import random
 import time
 from dataclasses import dataclass, field
 from typing import (
@@ -121,9 +120,9 @@ class InstanceFamily:
     gives ``_row(i)``, the row at index i, in closed form or by bisecting a
     cumulative count, and may override ``rows()`` with a cheaper walk in
     the same order. ``instances()`` and ``nth`` give value tuples with role
-    labels; scans and the sampled re-check of ``verify_certificate`` read
-    ``scan_rows()`` and ``_scan_row(i)``, whose values may be a lazy
-    iterable over the instance's, and an Instance is built only for a witness.
+    labels; scans read ``scan_rows()`` and ``_scan_row(i)``, whose values
+    may be a lazy iterable over the instance's, and an Instance is built
+    only for a witness.
 
     ``params`` declares the parameters besides the bound, in constructor
     order; each is kept as the attribute of its descriptor key, from which
@@ -1034,20 +1033,17 @@ def find_monochromatic(colouring: Union[Colouring, str],
     return cert
 
 
-_SAMPLE_RATE, _SAMPLE_CAP = 0.01, 10_000
-
-
 def verify_certificate(cert: Certificate) -> bool:
     """Re-evaluate a certificate. A counterexample is checked exactly: its
     witness must be the instance at index ``instances_checked - 1``, rebuilt
     through ``nth``, with the same generators, roles and values, and that
-    instance is recoloured. An avoidance claim is re-checked on a sample:
-    ``instances_checked`` must be the family's count, and a 1% sample of the
-    rows, at most 10,000, drawn by ``random.Random(cert.seed)``, is read
-    through ``_row`` and recoloured; any monochromatic row rejects it.
-    Either claim is rejected unless its ``bound`` is its family's, its
-    ``seed`` and ``schema`` are ints (not bools) and its ``schema`` is
-    ``SCHEMA_VERSION``.
+    instance is recoloured. An avoidance claim is replayed: the search is
+    run again on the rebuilt family and colouring with the certificate's
+    seed, and the claim stands only if the replay's bytes are the
+    certificate's, so its count and its canonical colouring spec are
+    checked too; a replay that raises rejects it. Either claim is rejected
+    unless its ``bound`` is its family's, its ``seed`` and ``schema`` are
+    ints (not bools) and its ``schema`` is ``SCHEMA_VERSION``.
 
     The family is rebuilt under the default element cap of 10^6, so a
     descriptor over it, such as that of a certificate made with ``--cap``
@@ -1060,7 +1056,7 @@ def verify_certificate(cert: Certificate) -> bool:
     if (type(cert.seed) is not int or type(cert.schema) is not int
             or cert.schema != SCHEMA_VERSION or cert.bound != family.bound):
         return False
-    result, budget = cert.result, _Budget(None)
+    result = cert.result
     if result.get("type") == "Counterexample":
         i = cert.instances_checked
         wit = result.get("witness")
@@ -1077,18 +1073,14 @@ def verify_certificate(cert: Certificate) -> bool:
             for el, role, v in zip(elements, inst.roles, inst.values):
                 if el.get("role") != role or not equal_value(parse_term(el["value"]), v):
                     return False
-            mono = next(_mono_rows(colouring, [(inst.values, ())], budget), None)
+            mono = next(_mono_rows(colouring, [(inst.values, ())], _Budget(None)), None)
         except Exception:
             return False
         return mono is not None and mono[1] == wit.get("colour")
     if result.get("type") == "AvoidanceVerified":
-        total = family.count()
-        if cert.instances_checked != total:
+        try:
+            replay = find_monochromatic(colouring, family, seed=cert.seed)
+            return replay.to_json() == cert.to_json()
+        except Exception:
             return False
-        if total == 0:
-            return True
-        n = min(_SAMPLE_CAP, max(1, int(total * _SAMPLE_RATE)))
-        rng = random.Random(cert.seed)
-        rows = map(family._scan_row, sorted(rng.sample(range(total), min(n, total))))
-        return next(_mono_rows(colouring, rows, budget), None) is None
     return False

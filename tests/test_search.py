@@ -138,6 +138,17 @@ def test_logcond_cutoff_matches_filtering_every_pair():
             assert fam._pairs == want, (r, bound)
 
 
+def test_exp_pairs_order_is_the_five_field_sort():
+    """_exp_pairs sorts by (p, max, a); the documented order is
+    (p, max, min, a, b) over every pair a^b <= bound."""
+    for bound in (2**12, 10**6, 2**28):
+        every = [(a**b, a, b) for b in range(2, bound.bit_length())
+                 for a in range(2, iroot(bound, b) + 1)]
+        want = sorted(every, key=lambda t: (t[0], max(t[1], t[2]),
+                                            min(t[1], t[2]), t[1], t[2]))
+        assert _arith._exp_pairs(bound) == want, bound
+
+
 def _edges(m):
     pairs = st.tuples(st.integers(1, m), st.integers(1, m))
     return st.lists(pairs, max_size=m * m).map(lambda es: [list(e) for e in es])
@@ -1110,57 +1121,86 @@ def test_verify_rejects_forged_counterexample():
         assert not verify_certificate(moved), checked
 
 
-def _counterexamples():
-    """Counterexample certificates over every family kind and colouring."""
+def _certificates():
+    """Certificates over every family kind and colouring: both results."""
     specs = [("exptriple", 300), ("exptriple:strict=1", 300),
-             ("exptriple-logcond:r=1", 300), ("expquad", 12), ("schur", 40),
-             ("schurplusexp", 30), ("diffpair:seq=3^n,nmax=4", 60),
-             ("grid:len=2", 40), ("shape:m=2,edges=1-2", 6), ("fep:m=2,w=1", 5)]
+             ("exptriple-logcond:r=1", 300), ("expquad", 12), ("schur", 4),
+             ("schur", 40), ("schurplusexp", 30),
+             ("diffpair:seq=3^n,nmax=4", 60), ("grid:len=2", 40),
+             ("shape:m=2,edges=1-2", 6), ("fep:m=2,w=1", 5)]
     colourings = ["const:k=1", "logstar:r=1", "logstar:r=2", "schurexp",
                   "lacunary:seq=n*2^n,nmax=8", "pow2abb:nmax=6", "abbb:nmax=6",
                   "product:logstar:r=1+const:k=2"]
     for spec, bound in specs:
         for col in colourings:
             try:
-                cert = find_monochromatic(col, spec, bound)
+                yield find_monochromatic(col, spec, bound)
             except ExpRamseyError:
                 continue
-            if not cert.verified:
-                yield cert
+
+
+def _round_trip(cert):
+    return Certificate.from_json_obj(json.loads(cert.to_json()))
 
 
 def test_every_counterexample_verifies():
-    certs = list(_counterexamples())
+    certs = [c for c in _certificates() if not c.verified]
     kinds = {c.family["kind"] for c in certs}
     assert len(kinds) == 9, kinds
     assert any(c.instances_checked > 1 for c in certs)
     for cert in certs:
-        clone = Certificate.from_json_obj(json.loads(cert.to_json()))
+        clone = _round_trip(cert)
         assert verify_certificate(clone), cert.to_json()
         if cert.instances_checked > 1:
             clone.instances_checked -= 1
             assert not verify_certificate(clone), cert.to_json()
 
 
-# one family of each kind, small enough that a table colours every element
+def test_every_avoidance_verifies():
+    """Avoidance is replayed: the count must be the family's, and the
+    colouring text the canonical spec the replay writes."""
+    certs = [c for c in _certificates() if c.verified]
+    assert {c.family["kind"] for c in certs} == set(search.FAMILIES)
+    assert parse_colouring("logstar").spec == "logstar:r=1"
+    for cert in certs:
+        assert verify_certificate(_round_trip(cert)), cert.to_json()
+        for delta in (-1, 1):
+            moved = _round_trip(cert)
+            moved.instances_checked += delta
+            assert not verify_certificate(moved), (delta, cert.to_json())
+        if cert.colouring == "logstar:r=1":
+            loose = _round_trip(cert)
+            loose.colouring = "logstar"
+            assert not verify_certificate(loose), cert.to_json()
+
+
+@pytest.mark.parametrize("colouring", ["logstar:r=1", "schurexp"])
+def test_forged_avoidance_is_rejected_for_every_seed(colouring):
+    """A false avoidance claim for exptriple at 10^6 is rejected whatever
+    its seed, though logstar:r=1 colours only 240 of its 1,177 rows in one
+    colour and schurexp only 2."""
+    family = parse_family("exptriple", 10**6)
+    assert not find_monochromatic(colouring, family).verified
+    for seed in range(200):
+        forged = Certificate(family=family.descriptor(), colouring=colouring,
+                             bound=family.bound, instances_checked=family.count(),
+                             result={"type": "AvoidanceVerified"}, seed=seed)
+        assert not verify_certificate(forged), seed
+
+
+# one family of each kind, small enough that a table colours every element;
+# diffpair's elements pass 255, so a table with a colour per value ends the
+# window scan's classes there and the rest of its rows are walked
 VERIFY_FAMILIES = [
     ("exptriple", 2**12), ("exptriple-logcond:r=1", 2**12), ("expquad", 5),
     ("schur", 40), ("schurplusexp", 30), ("shape:m=3,edges=1-2;2-3", 4),
-    ("fep:m=2,w=1", 4), ("diffpair:seq=3^n,nmax=4", 120), ("grid:len=2", 60),
+    ("fep:m=2,w=1", 4), ("diffpair:seq=3^n,nmax=4", 300), ("grid:len=2", 60),
 ]
 
 
-def _sampled_verdict(colouring, family, seed):
-    """The sampled avoidance check written out: a seeded 1% of the indices,
-    at most 10,000, each instance rebuilt through nth and the colours of
-    its distinct values collected."""
-    total = family.count()
-    n = min(10_000, max(1, int(total * 0.01)))
-    picks = sorted(random.Random(seed).sample(range(total), min(n, total)))
-    return all(_plain_colour(colouring, family.nth(i)) is None for i in picks)
-
-
-def test_sampled_verify_matches_the_instance_check(tmp_path):
+def test_verify_matches_the_instance_check(tmp_path):
+    """A claimed avoidance is accepted exactly when no instance has all its
+    distinct values in one colour."""
     assert {parse_family(spec, 4).kind for spec, _ in VERIFY_FAMILIES} == set(search.FAMILIES)
     rng = random.Random(2024)
     verdicts: Dict[str, List[bool]] = {}
@@ -1168,21 +1208,25 @@ def test_sampled_verify_matches_the_instance_check(tmp_path):
         fam = parse_family(spec, bound)
         top = max(v if isinstance(v, int) else eval_exact(v).exact
                   for values, _ in fam.rows() for v in values)
-        for t in range(8):
-            k = 2 + t % 3
-            table = [rng.randint(1, k) for _ in range(top)]
+        # a colour per value, which no instance of two values meets in one
+        # colour, then random tables, which some instance nearly always does
+        tables = [(top, list(range(1, top + 1)))]
+        tables += [(k, [rng.randint(1, k) for _ in range(top)])
+                   for k in (2, 3, 4, 2, 3, 4, 2, 3)]
+        for t, (k, table) in enumerate(tables):
             path = tmp_path / f"{fam.kind}-{t}.json"
             path.write_text(json.dumps({"k": k, "map": table}))
             colouring = TableColouring(table, k=k)
+            want = all(_plain_colour(colouring, inst) is None
+                       for inst in fam.instances())
             for seed in [rng.randrange(2**31) for _ in range(3)]:
-                # claimed avoidance whether or not it holds, so that some
-                # samples meet monochromatic rows
+                # claimed avoidance whether or not it holds
                 cert = Certificate(
                     family=fam.descriptor(), colouring=f"table:{path}",
                     bound=bound, instances_checked=fam.count(),
                     result={"type": "AvoidanceVerified"}, seed=seed)
                 got = verify_certificate(cert)
-                assert got == _sampled_verdict(colouring, fam, seed), (spec, t, seed)
+                assert got == want, (spec, t, seed)
                 verdicts.setdefault(fam.kind, []).append(got)
     assert sum(map(len, verdicts.values())) >= 200
     # every kind is both accepted and rejected somewhere

@@ -193,10 +193,33 @@ def test_log_star_int_frozen_table():
 
 
 def test_log_star_int_jumps_exactly_above_towers():
-    for n in range(1, 5):
+    # n = 5 is the last tower in the table; above it the count steps down
+    for n in range(1, 6):
         t = TOWERS[n]
         assert log_star_int(t) == n
         assert log_star_int(t + 1) == n + 1
+
+
+def _log_star_by_steps(n):
+    """The count one step at a time: n -> ceil(log2 n) until n <= 1."""
+    k = 0
+    while n > 1:
+        n = n.bit_length() - (n & (n - 1) == 0)
+        k += 1
+    return k
+
+
+def test_log_star_int_matches_the_step_loop_above_the_last_tower():
+    rng = random.Random(5)
+    xs = [TOWERS[-1] + 1, 2 * TOWERS[-1], 4 * TOWERS[-1] - 1]
+    xs += [TOWERS[-1] + rng.getrandbits(rng.randrange(65536, 200_000))
+           for _ in range(30)]
+    for x in xs:
+        assert x > TOWERS[-1]
+        assert log_star_int(x) == _log_star_by_steps(x), x.bit_length()
+    # and below it, where the table answers
+    for x in range(1, 2**12):
+        assert log_star_int(x) == _log_star_by_steps(x), x
 
 
 def test_log_star_int_monotone_random():
