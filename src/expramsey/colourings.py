@@ -11,6 +11,11 @@ its rule; calling the colouring calls ``colour``. The base class writes
 that colours a value many times keeps its own table for the length of one
 call (``search._mono_rows``, or the colour array of a window scan).
 
+``colour_range`` colours an int range for the window scan: ``colour`` per
+value by default, one exact closed form where a class has one (lacunary). A
+subclass that overrides ``colour`` gets the default back, never a range
+rule that bypasses it.
+
 The lacunary constructions keep alpha as an exact rational, so every
 fractional-part test on integer inputs is exact integer arithmetic. Real
 inputs (the double-log colouring) go through certified dyadic intervals,
@@ -70,6 +75,22 @@ class Colouring:
 
     def __call__(self, x: Value) -> int:
         return self.colour(x)
+
+    def colour_range(self, lo: int, hi: int) -> List[int]:
+        """``colour(v)`` for the ints v in [lo, hi], lo >= 1, stopping
+        before the first v whose colour raises."""
+        colour, out = self.colour, []
+        try:
+            for v in range(lo, hi + 1):
+                out.append(colour(v))
+        except Exception:  # a caller that needs v's colour meets it again
+            pass
+        return out
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "colour" in vars(cls) and "colour_range" not in vars(cls):
+            cls.colour_range = Colouring.colour_range
 
     @property
     def spec(self) -> str:
@@ -378,6 +399,9 @@ class LacunaryColouring(Colouring):
             if not cls:
                 continue
             self.alphas.append(build_lacunary_alpha(seq, nmax, indices=cls))
+        # alpha_i = p/q, whose quarter index weighs 4^i in the colour
+        self._quarters = tuple((a.alpha.numerator, a.alpha.denominator, 4**i)
+                               for i, a in enumerate(self.alphas))
         self.k = 4 ** len(self.alphas)
 
     @property
@@ -412,19 +436,25 @@ class LacunaryColouring(Colouring):
             if bv.is_exact:
                 return self.colour(bv.exact)
             residue = lambda q: eval_mod(t, q)
-        cs = []
-        for a in self.alphas:
-            p, q = a.alpha.numerator, a.alpha.denominator
-            cs.append(4 * (p * residue(q) % q) // q + 1)
-        return self._combine(cs)
+        out = 1
+        for p, q, w in self._quarters:
+            out += w * (4 * (p * residue(q) % q) // q)
+        return out
+
+    def colour_range(self, lo: int, hi: int) -> List[int]:
+        xs = range(lo, hi + 1)
+        out = [1] * len(xs)
+        for p, q, w in self._quarters:
+            p4, q4 = 4 * p, 4 * q  # 4 * (p * x mod q) = 4p * x mod 4q
+            out = [c + w * (p4 * x % q4 // q) for c, x in zip(out, xs)]
+        return out
 
     def colour_scaled(self, ylo: int, yhi: int, prec: int) -> Optional[int]:
         """Colour of a real y enclosed by [ylo, yhi]/2**prec, or None."""
         if ylo < 0:
             raise OutOfDomain("difference colourings are defined for y >= 0")
-        cs = []
-        for a in self.alphas:
-            p, q = a.alpha.numerator, a.alpha.denominator
+        out = 1
+        for p, q, w in self._quarters:
             bigq = q << prec
             nlo, nhi = p * ylo, p * yhi
             if nlo // bigq != nhi // bigq:
@@ -433,15 +463,8 @@ class LacunaryColouring(Colouring):
             qlo, qhi = (4 * rlo) // bigq, (4 * rhi) // bigq
             if qlo != qhi:
                 return None
-            cs.append(qlo + 1)
-        return self._combine(cs)
-
-    def _combine(self, cs: Sequence[int]) -> int:
-        out, base = 0, 1
-        for c in cs:
-            out += (c - 1) * base
-            base *= 4
-        return out + 1
+            out += w * qlo
+        return out
 
 
 class Pow2AbbColouring(Colouring):
@@ -550,8 +573,7 @@ class AbbbColouring(Colouring):
         if v is None or not base.is_exact or base.exact & (base.exact - 1) == 0:
             return False
         top = PREC_SCHEDULE[-1]
-        return any(4 * a.alpha.numerator * v >= a.alpha.denominator << top
-                   for a in self.inner.alphas)
+        return any(4 * p * v >= q << top for p, q, _ in self.inner._quarters)
 
 
 class TableColouring(Colouring):

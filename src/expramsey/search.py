@@ -920,38 +920,37 @@ def _window_scan(colouring: Colouring, family: InstanceFamily, budget: _Budget,
     witness); m is the largest element, or for expquad the largest
     generator.
 
-    The values are coloured in ascending order into ``carr`` as class ranks,
-    the colours numbered 1, 2, ... by first appearance, in windows of m that
-    double, so an early counterexample colours at most about twice the
-    values a row walk colours. The budget is checked at each window and
-    every 4096 values coloured, and by the search: every 256 patterns by
-    the shift-and kernel, at each b by the level-run search.
+    The values are coloured in ascending order by ``colour_range``, in
+    blocks of at most 4096 that fill windows of m that double, into
+    ``carr`` as class ranks, the colours numbered 1, 2, ... by first
+    appearance; an early counterexample colours at most about twice the
+    values a row walk colours. The budget is checked before each block, and
+    by the search: every 256 patterns by the shift-and kernel, at each b by
+    the level-run search.
 
-    A value whose colouring raises, or whose colour would be a 256th class,
-    ends the windows: the rows whose m is below it are searched, and the
-    rows from there on are walked by ``_mono_rows``, so what raises or
-    returns is what the row walk raises or returns."""
+    A value whose colouring raises (its block ends short), or whose colour
+    would be a 256th class, ends the windows: the rows whose m is below it
+    are searched, and the rows from there on are walked by ``_mono_rows``,
+    so what raises or returns is what the row walk raises or returns."""
     if family.count() == 0:
         return None, None
     carr, ranks = bytearray(1), {}
-    colour, rank, append = colouring.colour, ranks.get, carr.append
     lo, hi = 1, 8
     while lo <= family.bound:
-        budget.check()
         top = min(hi, family.bound)
-        for v in range(lo, top + 1):
-            if v % 4096 == 0:
-                budget.check()
-            try:
-                c = colour(v)
-            except Exception:  # whatever it is, the walk below meets it at v
+        for a in range(lo, top + 1, 4096):
+            budget.check()
+            b = min(a + 4095, top)
+            cs = colouring.colour_range(a, b)
+            for c in dict.fromkeys(cs):
+                if c not in ranks:
+                    if len(ranks) == 255:
+                        cs = cs[:cs.index(c)]
+                        break
+                    ranks[c] = len(ranks) + 1
+            carr += bytes(map(ranks.__getitem__, cs))
+            if len(cs) <= b - a:
                 break
-            r = rank(c)
-            if r is None:
-                if len(ranks) == 255:
-                    break
-                r = ranks[c] = len(ranks) + 1
-            append(r)
         end = len(carr) - 1
         got = search(carr, ranks, lo, end, budget) if end >= lo else None
         if got is not None:

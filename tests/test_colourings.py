@@ -343,6 +343,49 @@ def test_spec_reads_back_to_the_same_colouring(f):
     assert [g(x) for x in range(1, 65)] == [f(x) for x in range(1, 65)]
 
 
+# where a range rule could slip: a scan block of 4096, the denominators of
+# the two alphas of lacunary:seq=n*2^n,nmax=12 (45,056 and 98,304, so a
+# range past them wraps each residue), and the towers 2, 4, 16 and 65536,
+# where log* steps
+RANGE_EDGES = [1, 4096, 45056, 98304, 2 * 98304, 4, 16, 65536]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(KINDS, st.lists(KINDS, min_size=2, max_size=2).map(ProductColouring),
+                 st.just(LacunaryColouring("n*2^n", 12))),
+       st.one_of(st.sampled_from(RANGE_EDGES), st.integers(1, 300_000)),
+       st.integers(-50, 50),
+       st.one_of(st.integers(0, 100), st.integers(4090, 4300), st.integers(0, 100_000)))
+def test_colour_range_is_the_colour_of_each_value(f, edge, shift, length):
+    lo = max(1, edge + shift)
+    # long ranges only where colouring each value is cheap
+    if length > 4300 and not isinstance(f, (LacunaryColouring, ConstColouring)):
+        length %= 4300
+    hi = lo + length
+    assert f.colour_range(lo, hi) == [f(v) for v in range(lo, hi + 1)]
+
+
+def test_colour_range_stops_before_the_first_value_that_raises():
+    f = TableColouring([1, 2, 2, 1, 3], k=3)
+    assert f.colour_range(2, 4) == [2, 2, 1]
+    assert f.colour_range(2, 9) == [2, 2, 1, 3]
+    assert f.colour_range(6, 9) == []
+    g = ProductColouring([LacunaryColouring("5^n", 6), f])
+    assert g.colour_range(1, 4100) == [g(v) for v in range(1, 6)]
+    with pytest.raises(OutOfDomain):
+        g(6)
+
+
+def test_a_colour_override_drops_an_inherited_range_rule():
+    class Shifted(LacunaryColouring):
+        def colour(self, x):
+            return super().colour(x + 1)
+
+    f = Shifted("5^n", 6)
+    assert f.colour_range(1, 500) == [f(v) for v in range(1, 501)]
+    assert f.colour_range(1, 500) != LacunaryColouring("5^n", 6).colour_range(1, 500)
+
+
 def test_each_kind_colours_an_int_once(tmp_path):
     table = tmp_path / "t.json"
     table.write_text(json.dumps({"k": 2, "map": [1, 2] * 20}))

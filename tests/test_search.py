@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from expramsey.colourings import (
     Colouring,
+    LacunaryColouring,
     LogStarColouring,
     SchurExpColouring,
     TableColouring,
@@ -621,6 +622,20 @@ def test_kernel_matches_the_row_walk(spec, bound, data):
     want = _walk_outcome(f, fam)
     assert _scan_outcome(f, fam) == want
     assert _scan_outcome(f, fam, threads=2) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KERNEL_SPECS), st.sampled_from(["3^n", "n*2^n", "5^n"]),
+       st.integers(1, 12), st.integers(1, 5000))
+@example("diffpair:seq=n*2^n,nmax=5", "n*2^n", 12, 5000)
+def test_kernel_matches_the_row_walk_under_lacunary_colourings(spec, seq, nmax, bound):
+    """The lacunary range rule fills the colour array in blocks of 4096,
+    where the row walk colours value by value: same bytes, or the same
+    exception type."""
+    if spec == "schurplusexp":  # its row walk grows as the cube of the bound
+        bound = bound % 120 + 1
+    f, fam = LacunaryColouring(seq, nmax), parse_family(spec, bound)
+    assert _scan_outcome(f, fam) == _walk_outcome(f, fam)
 
 
 # schurplusexp takes the same hand-over, with raising tables in the test
