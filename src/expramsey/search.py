@@ -876,40 +876,57 @@ def _joint_search(family: SchurPlusExpFamily) -> WindowSearch:
     return search
 
 
-def _level_run_search(colouring: LogStarColouring,
+def _level_box_search(colouring: LogStarColouring,
                       family: ExpQuadrupleFamily) -> WindowSearch:
-    """Run scan of {a, b, a^b, b^a} under a log-star colouring, whose rows
-    of largest generator b come in order of a.
+    """Box search of {a, b, a^b, b^a} under a log-star colouring, whose rows
+    come in order of (b, a).
 
-    For fixed b the levels L(a^b) and L(b^a) are non-decreasing in a, so
-    [2, b] splits into runs on which both are constant; each run's end is
-    found by bisecting the level (the colours repeat with period r + 2, so
-    they are not monotone). Only runs whose two power colours rank as b's
-    class are searched in ``carr`` for an a of that class. The budget is
-    checked at each b."""
+    The levels L(a^b) and L(b^a) are non-decreasing in a and in b, so on a
+    box a1 <= a <= min(a2, b), b1 <= b <= b2 both lie between their values
+    at the low corner (a1, max(b1, a1)) and the high corner (a2, b2). Where
+    the corners agree the two power colours are constant (the colours
+    repeat with period r + 2, so only the level is monotone): the box is
+    cleared unless both rank as one class c, and then its first row is the
+    first a of class c, paired with the first b >= a of class c. Any other
+    box is halved: along a where the levels change on its low-b edge,
+    along b where that edge is flat. The lower half of b is searched first;
+    the right half of a only for rows before the left half's first, so the
+    first row found is the walk's. Corner levels are memoized for one
+    window. The budget is checked at each box."""
     level, of_count = colouring.level_power, colouring._of_count
 
     def search(carr, ranks, lo, hi, budget):
-        for b in range(max(lo, 2), hi + 1):
+        memo: Dict[Tuple[int, int], Tuple[int, int]] = {}
+
+        def levels(a, b):
+            got = memo.get((a, b))
+            if got is None:
+                got = memo[a, b] = level(a, b), level(b, a)
+            return got
+
+        def first(a1, a2, b1, b2):
+            # (b, a) of the box's first monochromatic row, or None
+            b1, a2 = max(b1, a1), min(a2, b2)
+            if b1 > b2:
+                return None
             budget.check()
-            cb, a, end_ab, end_ba = carr[b], 2, 1, 1
-            while a <= b:
-                # the last x in [a, b] at a's level
-                if end_ab < a:
-                    lev_ab = level(a, b)
-                    end_ab = a + bisect.bisect_right(
-                        range(a + 1, b + 1), lev_ab, key=lambda x: level(x, b))
-                if end_ba < a:
-                    lev_ba = level(b, a)
-                    end_ba = a + bisect.bisect_right(
-                        range(a + 1, b + 1), lev_ba, key=lambda x: level(b, x))
-                end = min(end_ab, end_ba)
-                if ranks.get(of_count(lev_ab)) == cb == ranks.get(of_count(lev_ba)):
-                    x = carr.find(cb, a, end + 1)
-                    if x >= 0:
-                        return family._upto(b - 1) + x - 2, cb
-                a = end + 1
-        return None
+            low = levels(a1, b1)
+            if low == levels(a2, b2):
+                c = ranks.get(of_count(low[0]))
+                if c is None or c != ranks.get(of_count(low[1])):
+                    return None
+                x = carr.find(c, a1, a2 + 1)
+                b = -1 if x < 0 else carr.find(c, max(b1, x), b2 + 1)
+                return None if b < 0 else (b, x)
+            if low == levels(min(a2, b1), b1):
+                m = (b1 + b2) // 2
+                return first(a1, a2, b1, m) or first(a1, a2, m + 1, b2)
+            m = (a1 + a2) // 2
+            left = first(a1, m, b1, b2)
+            return first(m + 1, a2, b1, b2 if left is None else left[0] - 1) or left
+
+        got = first(2, hi, lo, hi)
+        return None if got is None else (family._upto(got[0] - 1) + got[1] - 2, carr[got[1]])
     return search
 
 
@@ -925,8 +942,8 @@ def _window_scan(colouring: Colouring, family: InstanceFamily, budget: _Budget,
     ``carr`` as class ranks, the colours numbered 1, 2, ... by first
     appearance; an early counterexample colours at most about twice the
     values a row walk colours. The budget is checked before each block, and
-    by the search: every 256 patterns by the shift-and kernel, at each b by
-    the level-run search.
+    by the search: every 256 patterns by the shift-and kernel, at each box
+    by the level box search.
 
     A value whose colouring raises (its block ends short), or whose colour
     would be a 256th class, ends the windows: the rows whose m is below it
@@ -980,9 +997,10 @@ def find_monochromatic(colouring: Union[Colouring, str],
     their integer elements in [1, m], are searched by ``_window_scan``:
     diffpair, schur and grid through the shift-and kernel, schurplusexp
     through its class decomposition and expquad under a log-star colouring
-    through its level-run search. Every other family goes through the row
-    walk, which builds a shape, fep or expquad row lazily, generators
-    first, only while its colours agree; witnesses are tuples from ``nth``.
+    through its level box search, which checks the budget at each box.
+    Every other family goes through the row walk, which builds a shape,
+    fep or expquad row lazily, generators first, only while its colours
+    agree; witnesses are tuples from ``nth``.
     ``threads`` is checked but changes neither the certificate nor the
     speed: every search runs in this process. ``threads`` < 1 or a NaN
     ``budget_secs`` raises ValueError.
@@ -1003,7 +1021,7 @@ def find_monochromatic(colouring: Union[Colouring, str],
 
     search: Optional[WindowSearch] = None
     if isinstance(family, ExpQuadrupleFamily) and isinstance(colouring, LogStarColouring):
-        search = _level_run_search(colouring, family)
+        search = _level_box_search(colouring, family)
     elif isinstance(family, SchurPlusExpFamily):
         search = _joint_search(family)
     elif isinstance(family, (DifferencePairFamily, SchurFamily, GridFamily)):

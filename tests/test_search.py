@@ -818,8 +818,8 @@ def test_walk_colours_each_row_value_once(spec, bound):
 
 class _LevelTableColouring(LogStarColouring):
     """A log-star colouring whose colour is an arbitrary function of the
-    level L(x), coarser than L mod (r+2), so that the run scan meets
-    counterexamples inside runs that start and end within one b."""
+    level L(x), coarser than L mod (r+2), so that the box search meets
+    counterexamples inside boxes of one level pair."""
 
     def __init__(self, colours):
         super().__init__(1)
@@ -831,25 +831,29 @@ class _LevelTableColouring(LogStarColouring):
 
 
 class _BitLengthColouring(LogStarColouring):
-    """Colours by another monotone level than L, the bit length divided by
-    ``width``, through a periodic map. One row of the run scan then spans
-    many levels, and the colour is not monotone along it."""
+    """Colours by another monotone level than L, the bit length plus
+    ``shift`` divided by ``width``, through a periodic map. One row of
+    expquad then spans many levels, and the colour is not monotone along
+    it."""
 
-    def __init__(self, colours, width):
+    def __init__(self, colours, width, shift=0):
         super().__init__(1)
         self.colours = colours
-        self.width = width
+        self.width, self.shift = width, shift
         self.k = max(colours)
 
     def _of_count(self, L):
         return self.colours[L % len(self.colours)]
 
+    def _level(self, v):
+        return (v.bit_length() + self.shift) // self.width
+
     def colour(self, x):
         v = x if isinstance(x, int) else eval_exact(x, cutoff=1 << 4096).exact
-        return self._of_count(v.bit_length() // self.width)
+        return self._of_count(self._level(v))
 
     def level_power(self, a, b):
-        return (a**b).bit_length() // self.width
+        return self._level(a**b)
 
 
 def test_expquad_run_scan_matches_plain_walk():
@@ -867,9 +871,9 @@ def test_expquad_run_scan_matches_plain_walk():
             firsts.add((a == 2, a == b))
     # witnesses at the start of a row, at its end and strictly inside
     assert {(True, False), (False, True), (False, False)} <= firsts
-    # bisecting the colour in place of the level merges two runs of one
-    # colour across the levels of another colour between them; at width 3
-    # the first two maps are cases where that changes the result
+    # comparing corner colours in place of corner levels clears a box of
+    # one colour at its corners and another colour between them; at width
+    # 3 the first two maps are cases where that changes the result
     rng = random.Random(11)
     maps = [[2, 1, 1], [1, 2, 2, 1, 2]] + [
         [rng.randint(1, 2) for _ in range(rng.randint(2, 5))] for _ in range(6)]
@@ -878,9 +882,62 @@ def test_expquad_run_scan_matches_plain_walk():
             _assert_scans_match_reference(_BitLengthColouring(colours, width), fam)
 
 
+class _ScatteredColouring(_BitLengthColouring):
+    """A shifted bit-length level colouring on the perfect powers, where
+    expquad's power elements lie, and on every other int x a colour of its
+    own below ``start`` and ``table[x % len(table)]`` from there on, so the
+    first monochromatic row can lie past the first window."""
+
+    def __init__(self, colours, width, shift, start, table):
+        super().__init__(colours, width, shift)
+        self.start, self.table = start, table
+        self.k = max(self.k, 5 + start)
+
+    def colour(self, x):
+        if isinstance(x, int) and x > 1 and _arith.root_exponent(x) == 1:
+            return 5 + x if x < self.start else self.table[x % len(self.table)]
+        return super().colour(x)
+
+
+_LEVEL_MAPS = (st.lists(st.integers(1, 5), min_size=1, max_size=6),
+               st.integers(1, 12), st.integers(0, 11))
+_BOX_COLOURINGS = st.one_of(
+    st.builds(LogStarColouring, st.integers(1, 3)),
+    st.builds(_BitLengthColouring, *_LEVEL_MAPS),
+    st.builds(_ScatteredColouring, *_LEVEL_MAPS, st.integers(2, 60),
+              st.lists(st.integers(1, 5), min_size=1, max_size=7)),
+)
+
+
+def test_box_search_matches_the_walk():
+    """expquad's box search gives the plain walk's index and witness bytes
+    under log-star colourings and periodic maps of a shifted bit-length
+    level, on every int or on the perfect powers only, at bounds whose rows
+    cross the window edges 8, 16 and 32; the examples meet both
+    outcomes."""
+    outcomes = Counter()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_BOX_COLOURINGS, st.integers(1, 60))
+    @example(LogStarColouring(1), 60)
+    @example(_BitLengthColouring([1, 2], 3, 1), 60)
+    @example(_ScatteredColouring([5, 3, 2, 2], 12, 8, 44, [2, 5]), 60)  # (46, 48)
+    def check(colouring, bound):
+        fam = parse_family("expquad", bound)
+        got = _scan_outcome(colouring, fam)
+        assert got == _walk_outcome(colouring, fam)
+        outcomes[json.loads(got)["result"]["type"]] += 1
+
+    check()
+    assert outcomes["Counterexample"] and outcomes["AvoidanceVerified"]
+
+
 def test_level_runs_end_by_bisection(monkeypatch):
-    """Acceptance criterion 2's scan bisects each level run's end: fewer
-    than 100,000 levels for its 8,386,560 quadruples."""
+    """expquad's box search clears whole boxes of generators from their
+    corner levels: fewer than 1,000 levels for acceptance criterion 2's
+    8,386,560 quadruples, and fewer than 150,000 at 10^5, where the level
+    boundaries b*log2(a) = 65536 and a*log2(b) = 65536 cross the (a, b)
+    plane and the boxes along them are split into small ones."""
     calls = Counter()
     level = LogStarColouring.level_power
 
@@ -891,7 +948,11 @@ def test_level_runs_end_by_bisection(monkeypatch):
     monkeypatch.setattr(LogStarColouring, "level_power", counted)
     cert = find_monochromatic("logstar:r=1", "expquad", 2**12)
     assert cert.verified and cert.instances_checked == 8386560
-    assert calls[None] < 100_000
+    assert calls[None] < 1_000
+    calls.clear()
+    cert = find_monochromatic("logstar:r=1", "expquad", 10**5)
+    assert cert.verified and cert.instances_checked == 4999950000
+    assert calls[None] < 150_000
 
 
 # ---------------------------------------------------------------------------
@@ -901,7 +962,7 @@ def test_level_runs_end_by_bisection(monkeypatch):
 class _LevelMapColouring(Colouring):
     """Colours each value by a table of its log-star level and by its
     residue mod q, so it is total on huge terms and is not a
-    LogStarColouring, whose expquad scan is the run scan. The residue tells
+    LogStarColouring, whose expquad scan is the box search. The residue tells
     a^b from b^a where their levels agree. The spec names both, for
     verify_certificate to find the colouring."""
     kind = "levelmap"
