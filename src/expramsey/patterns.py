@@ -361,11 +361,17 @@ def fep_row(caps: Tuple[int, ...], xs, cap: int = DEFAULT_ELEMENT_CAP
     return tuple(zip(*first.values())) if first else ((), ())
 
 
+def fep_candidate_count(caps: Tuple[int, ...]) -> int:
+    """fep's candidates, repeats included, on len(caps) generators with
+    exponent caps ``caps``."""
+    return sum(math.prod(map(len, c)) for _, c in _fep_recipes(len(caps), caps))
+
+
 def fep_values(caps: Tuple[int, ...], xs, cap: int = DEFAULT_ELEMENT_CAP) -> Iterable:
     """fep's elements on xs, built when asked for: the generators as given,
     then the candidates of ``fep_row`` in order, repeats included. A row of
     more than ``cap`` candidates is built by ``fep_row``, which may raise."""
-    if sum(math.prod(map(len, c)) for _, c in _fep_recipes(len(xs), caps)) > cap:
+    if fep_candidate_count(caps) > cap:
         return fep_row(caps, xs, cap)[0]
     return itertools.chain(xs, (t for t, _, _ in _fep_candidates(caps, xs)))
 

@@ -32,8 +32,8 @@ from ._spec import (
 from .colourings import Colouring, LogStarColouring, parse_colouring, parse_seq
 from .errors import BudgetError, BudgetExceeded, ParseError
 from .patterns import (
-    ShapeRelation, WeightFn, fep_caps, fep_row, fep_values, parse_edges,
-    shape_row, shape_values,
+    ShapeRelation, WeightFn, fep_candidate_count, fep_caps, fep_row,
+    fep_values, parse_edges, shape_row, shape_values,
 )
 # not called here: bench/spans.py traces fep, shape_pattern and
 # compare_iter_log through these bindings (the families build their rows
@@ -122,7 +122,8 @@ class InstanceFamily:
     the same order. ``instances()`` and ``nth`` give value tuples with role
     labels; scans read ``scan_rows()`` and ``_scan_row(i)``, whose values
     may be a lazy iterable over the instance's, and an Instance is built
-    only for a witness.
+    only for a witness. ``_search`` gives ``_window_scan``'s search, or None
+    for the row walk; ``_upto(m)`` counts the rows up to m of its order.
 
     ``params`` declares the parameters besides the bound, in constructor
     order; each is kept as the attribute of its descriptor key, from which
@@ -137,7 +138,7 @@ class InstanceFamily:
     capped = False
 
     def count(self) -> int:
-        raise NotImplementedError
+        return self._upto(self.bound)
 
     def rows(self) -> Iterator[Row]:
         """Every row in enumeration order; families with a cheaper
@@ -170,6 +171,9 @@ class InstanceFamily:
             raise IndexError(i)
         return self._instance(*self._row(i))
 
+    def _search(self, colouring: Colouring) -> Optional[WindowSearch]:
+        return None
+
     def descriptor(self) -> dict:
         desc = {"kind": self.kind, "bound": self.bound}
         for p in self.params:
@@ -184,10 +188,20 @@ class InstanceFamily:
 
 
 class _BuiltFamily(InstanceFamily):
-    """Rows built from generator tuples g, walked by ``_tuples()`` and found
-    by ``_tuple(i)``. Scans read ``_lazy(g)``, generators first, so nothing
-    past a row's first colour mismatch is built; instances read
-    ``_elements(g)``, by default the same values as a tuple."""
+    """Rows built from generator tuples g in order of the largest generator
+    M, those of M being ``_with_max(range(2, M + 1))``; ``_tuple(i)`` and
+    ``_rank(g)`` map an index to its tuple and back. Scans read
+    ``_lazy(g)``, generators first, so nothing past a row's first colour
+    mismatch is built; instances read ``_elements(g)``, by default the same
+    values as a tuple. The class search lists only the tuples of M inside
+    M's colour class, ``_with_max`` over the class's members up to M."""
+
+    def _tuples(self) -> Iterator[Tuple[int, ...]]:
+        return (g for M in range(2, self.bound + 1)
+                for g in self._with_max(range(2, M + 1)))
+
+    def _search(self, colouring: Colouring) -> Optional[WindowSearch]:
+        return _class_search(colouring, self)
 
     def _elements(self, g: Tuple[int, ...]) -> Tuple[Value, ...]:
         return tuple(self._lazy(g))
@@ -200,6 +214,14 @@ class _BuiltFamily(InstanceFamily):
 
     def _scan_row(self, i: int) -> Row:
         return self._lazy(g := self._tuple(i)), g
+
+
+class _TranslateFamily(InstanceFamily):
+    """Rows in order of their largest element m, those of m being the
+    translates to m of the ``_shifts`` patterns, in the patterns' order."""
+
+    def _search(self, colouring: Colouring) -> Optional[WindowSearch]:
+        return _translate_search(self)
 
 
 class ExpTripleFamily(InstanceFamily):
@@ -278,16 +300,21 @@ class ExpQuadrupleFamily(_BuiltFamily):
         n = max(0, m - 1)
         return n * (n + 1) // 2
 
-    def count(self) -> int:
-        return self._upto(self.bound)
-
     @staticmethod
     def _lazy(g: Tuple[int, int]) -> Iterator[Value]:
         # a, b, then a^b and b^a, each power built when it is reached
         return itertools.chain(g, map(_materialize, g, g[::-1]))
 
-    def _tuples(self) -> Iterator[Tuple[int, int]]:
-        return ((a, b) for b in range(2, self.bound + 1) for a in range(2, b + 1))
+    def _with_max(self, digits: Sequence[int]) -> Iterator[Tuple[int, int]]:
+        return ((a, digits[-1]) for a in digits)
+
+    def _rank(self, g: Tuple[int, int]) -> int:
+        return self._upto(g[1] - 1) + g[0] - 2
+
+    def _search(self, colouring: Colouring) -> Optional[WindowSearch]:
+        if isinstance(colouring, LogStarColouring):
+            return _level_box_search(colouring, self)
+        return super()._search(colouring)
 
     def _tuple(self, i: int) -> Tuple[int, int]:
         # b(b-1)/2 pairs have second coordinate <= b; take the least b
@@ -301,7 +328,7 @@ def _schur_upto(s: int) -> int:
     return max(0, s) ** 2 // 4
 
 
-class SchurFamily(InstanceFamily):
+class SchurFamily(_TranslateFamily):
     """Instances {x, y, x+y} with x <= y and x + y <= bound."""
 
     kind = "schur"
@@ -311,9 +338,6 @@ class SchurFamily(InstanceFamily):
         self.bound = bound
 
     _upto = staticmethod(_schur_upto)
-
-    def count(self) -> int:
-        return _schur_upto(self.bound)
 
     def rows(self) -> Iterator[Row]:
         for s in range(2, self.bound + 1):
@@ -360,11 +384,11 @@ class SchurPlusExpFamily(InstanceFamily):
         ends = [q - 1 for q in self._starts[1:]] + [bound]
         self._ends = [_schur_upto(m) * e for m, e in zip(ends, self._counts[1:])]
 
-    def count(self) -> int:
-        return self.schur.count() * self.exp.count()
-
     def _exp_upto(self, m: int) -> int:
         return bisect.bisect_right(self._powers, m)
+
+    def _search(self, colouring: Colouring) -> Optional[WindowSearch]:
+        return _joint_search(self)
 
     def _upto(self, m: int) -> int:
         """Number of joint instances with max element <= m."""
@@ -437,12 +461,25 @@ def _nth_tuple(i: int, m: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _tuples_with_max(M: int, m: int) -> Iterator[Tuple[int, ...]]:
-    """The tuples in [2, M]^m that contain M, lexicographically: each
-    prefix in [2, M]^(m-1) takes every last digit once it holds M, else
-    only M."""
-    lasts = [(d,) for d in range(2, M + 1)]
-    for prefix in itertools.product(range(2, M + 1), repeat=m - 1):
+def _tuple_rank(g: Tuple[int, ...]) -> int:
+    """The index of g in the (max, tuple) order on [2, oo)^m, the inverse of
+    ``_nth_tuple``: the (M - 2)^m tuples of max below M, then per digit d
+    the completions with a smaller digit there that contain M."""
+    M, m = max(g), len(g)
+    i, seen = (M - 2) ** m, False
+    for r, d in zip(range(m - 1, -1, -1), g):
+        i += (d - 2) * ((M - 1) ** r - (0 if seen else (M - 2) ** r))
+        seen = seen or d == M
+    return i
+
+
+def _tuples_with_max(digits: Sequence[int], m: int) -> Iterator[Tuple[int, ...]]:
+    """The tuples in digits^m that contain M = digits[-1], for ascending
+    ``digits``, lexicographically: each prefix in digits^(m-1) takes every
+    last digit once it holds M, else only M."""
+    M = digits[-1]
+    lasts = [(d,) for d in digits]
+    for prefix in itertools.product(digits, repeat=m - 1):
         if M in prefix:
             yield from map(prefix.__add__, lasts)
         else:
@@ -459,19 +496,20 @@ class _TupleFamily(_BuiltFamily):
     def __init__(self, bound: int, m: int, cap: int):
         self.bound = bound
         self.m = m
-        n = max(0, bound - 1)
-        if n**m > cap:
-            raise BudgetExceeded(f"{n}^{m} generator tuples exceed the element cap {cap}")
-        self._count = n**m
+        if self.count() > cap:
+            raise BudgetExceeded(f"{max(0, bound - 1)}^{m} generator tuples "
+                                 f"exceed the element cap {cap}")
 
-    def count(self) -> int:
-        return self._count
+    def _upto(self, M: int) -> int:
+        return max(0, M - 1) ** self.m
 
-    def _tuples(self) -> Iterator[Tuple[int, ...]]:
-        return (xs for M in range(2, self.bound + 1) for xs in _tuples_with_max(M, self.m))
+    def _with_max(self, digits: Sequence[int]) -> Iterator[Tuple[int, ...]]:
+        return _tuples_with_max(digits, self.m)
 
     def _tuple(self, i: int) -> Tuple[int, ...]:
         return _nth_tuple(i, self.m)
+
+    _rank = staticmethod(_tuple_rank)
 
 
 class ShapeFamily(_TupleFamily):
@@ -530,12 +568,20 @@ class FepFamily(_TupleFamily):
     def _lazy(self, xs: Tuple[int, ...]) -> Iterable[Value]:
         return fep_values(fep_caps(self._weight, xs), xs, self.cap)
 
+    def _search(self, colouring: Colouring) -> Optional[WindowSearch]:
+        # the walk looks up a table weight and builds a row over the cap on
+        # every row it reaches, one-class or not
+        k = self._weight.const
+        if k is None or fep_candidate_count((k,) * self.m) > self.cap:
+            return None
+        return super()._search(colouring)
+
     def _instance(self, values: Tuple[Value, ...],
                   xs: Tuple[int, ...]) -> Instance:
         return Instance(tuple(to_text(e) for e in values), values, xs)
 
 
-class DifferencePairFamily(InstanceFamily):
+class DifferencePairFamily(_TranslateFamily):
     """Pairs {x, x + b_n} with both elements <= bound, over the sequence
     indices [start, n_max]. Ordered by the larger element, then x."""
 
@@ -576,9 +622,6 @@ class DifferencePairFamily(InstanceFamily):
         j = bisect.bisect_left(self._ascending, m)
         return j * m - self._sums[j]
 
-    def count(self) -> int:
-        return self._upto(self.bound)
-
     def rows(self) -> Iterator[Row]:
         diffs = self._diffs
         for m in range(2, self.bound + 1):
@@ -601,7 +644,7 @@ class DifferencePairFamily(InstanceFamily):
         return [(v + 1, (v,), None) for _, v in self._diffs]
 
 
-class GridFamily(InstanceFamily):
+class GridFamily(_TranslateFamily):
     """One-dimensional grids: progressions {s, s+d, ..., s+L*d} in [bound].
     Ordered by the largest element s+L*d, then by descending d."""
 
@@ -621,9 +664,6 @@ class GridFamily(InstanceFamily):
         L = self.len
         q, r = divmod(max(0, m), L)
         return L * q * (q - 1) // 2 + r * q
-
-    def count(self) -> int:
-        return self._upto(self.bound)
 
     def _progression(self, m: int, d: int) -> Row:
         s = m - self.len * d
@@ -731,15 +771,15 @@ class _Budget:
 
 
 def _mono_rows(colouring: Colouring, rows: Iterator[Row], budget: _Budget
-               ) -> Iterator[Tuple[int, int]]:
-    """(position, colour) of each row among ``rows`` whose values all take
-    one colour. Each distinct value is coloured once per call, through a
+               ) -> Iterator[Tuple[int, Tuple[int, ...], int]]:
+    """(position, generators, colour) of each row among ``rows`` whose
+    values all take one colour. Each distinct value is coloured once per call, through a
     table of ints and terms that lives as long as the call; colourings
     cache nothing, so this table is the walk's only colour cache. A row
     stops at its first colour mismatch."""
     cache: Dict[Value, int] = {}
     get = cache.get
-    for j, (values, _) in enumerate(rows):
+    for j, (values, generators) in enumerate(rows):
         if j % 4096 == 0:
             budget.check()
         c = None
@@ -752,14 +792,14 @@ def _mono_rows(colouring: Colouring, rows: Iterator[Row], budget: _Budget
             elif cv != c:
                 break
         else:
-            yield j, c
+            yield j, generators, c
 
 
 def _walk(colouring: Colouring, family: InstanceFamily, budget: _Budget
           ) -> Tuple[Optional[int], Optional[dict]]:
     """First monochromatic row as (index, witness), or (None, None); an
     Instance is built only for the witness."""
-    for i, c in _mono_rows(colouring, family.scan_rows(), budget):
+    for i, _, c in _mono_rows(colouring, family.scan_rows(), budget):
         return i, family.nth(i).witness_json(c)
     return None, None
 
@@ -926,16 +966,39 @@ def _level_box_search(colouring: LogStarColouring,
             return first(m + 1, a2, b1, b2 if left is None else left[0] - 1) or left
 
         got = first(2, hi, lo, hi)
-        return None if got is None else (family._upto(got[0] - 1) + got[1] - 2, carr[got[1]])
+        return None if got is None else (family._rank(got[::-1]), carr[got[1]])
+    return search
+
+
+def _class_search(colouring: Colouring, family: _BuiltFamily) -> WindowSearch:
+    """Search over the largest generator m of rows that start with their
+    generators and build nothing before them. The walk ends a row at its
+    first generator mismatch, so only ``_with_max`` over m's class up to m
+    is listed, built by ``_lazy`` and checked by ``_mono_rows`` (budget
+    checks every 4,096 rows); ``_rank`` gives the first one's index."""
+    def search(carr, ranks, lo, hi, budget):
+        members: Dict[int, List[int]] = {}  # class rank -> its ints in [2, M]
+
+        def rows():
+            for M in range(2, hi + 1):
+                digits = members.setdefault(carr[M], [])
+                digits.append(M)
+                if M >= lo:
+                    for g in family._with_max(digits):
+                        yield family._lazy(g), g
+
+        for _, g, _ in _mono_rows(colouring, rows(), budget):
+            return family._rank(g), carr[g[0]]
+        return None
     return search
 
 
 def _window_scan(colouring: Colouring, family: InstanceFamily, budget: _Budget,
                  search: WindowSearch) -> Tuple[Optional[int], Optional[dict]]:
     """First monochromatic row of a family whose rows come in order of an
-    integer m, every integer element of the row in [1, m], as (index,
-    witness); m is the largest element, or for expquad the largest
-    generator.
+    integer m, its generators in [1, m], as (index, witness); m is the
+    largest element for the translate and joint searches, the largest
+    generator for the box and class searches.
 
     The values are coloured in ascending order by ``colour_range``, in
     blocks of at most 4096 that fill windows of m that double, into
@@ -943,7 +1006,7 @@ def _window_scan(colouring: Colouring, family: InstanceFamily, budget: _Budget,
     appearance; an early counterexample colours at most about twice the
     values a row walk colours. The budget is checked before each block, and
     by the search: every 256 patterns by the shift-and kernel, at each box
-    by the level box search.
+    by the level box search, every 4,096 rows by the class search.
 
     A value whose colouring raises (its block ends short), or whose colour
     would be a 256th class, ends the windows: the rows whose m is below it
@@ -976,7 +1039,7 @@ def _window_scan(colouring: Colouring, family: InstanceFamily, budget: _Budget,
         if end < top:
             start = family._upto(end)
             rows = map(family._scan_row, range(start, family.count()))
-            for j, c in _mono_rows(colouring, rows, budget):
+            for j, _, c in _mono_rows(colouring, rows, budget):
                 return start + j, family.nth(start + j).witness_json(c)
             return None, None
         lo, hi = top + 1, 2 * hi
@@ -993,14 +1056,12 @@ def find_monochromatic(colouring: Union[Colouring, str],
     """First monochromatic instance in enumeration order, or avoidance.
 
     The result is a certificate; its wall_time attribute is measured but not
-    serialized. Families whose rows come in order of an integer m, with
-    their integer elements in [1, m], are searched by ``_window_scan``:
-    diffpair, schur and grid through the shift-and kernel, schurplusexp
-    through its class decomposition and expquad under a log-star colouring
-    through its level box search, which checks the budget at each box.
-    Every other family goes through the row walk, which builds a shape,
-    fep or expquad row lazily, generators first, only while its colours
-    agree; witnesses are tuples from ``nth``.
+    serialized. The family's ``_search`` picks ``_window_scan``'s search:
+    the shift-and kernel for diffpair, schur and grid, class decomposition
+    for schurplusexp, the level box search for expquad under a log-star
+    colouring, and the one-class tuple search for shape, other expquad and
+    fep with a constant weight and at most ``cap`` candidates per row. The
+    rest take the row walk; witnesses are tuples from ``nth``.
     ``threads`` is checked but changes neither the certificate nor the
     speed: every search runs in this process. ``threads`` < 1 or a NaN
     ``budget_secs`` raises ValueError.
@@ -1019,14 +1080,7 @@ def find_monochromatic(colouring: Union[Colouring, str],
         family = parse_family(family, bound, cap=cap, default_r=default_r)
     budget = _Budget(budget_secs)
 
-    search: Optional[WindowSearch] = None
-    if isinstance(family, ExpQuadrupleFamily) and isinstance(colouring, LogStarColouring):
-        search = _level_box_search(colouring, family)
-    elif isinstance(family, SchurPlusExpFamily):
-        search = _joint_search(family)
-    elif isinstance(family, (DifferencePairFamily, SchurFamily, GridFamily)):
-        search = _translate_search(family)
-
+    search = family._search(colouring)
     if search is not None:
         first_idx, witness = _window_scan(colouring, family, budget, search)
     else:
@@ -1093,7 +1147,7 @@ def verify_certificate(cert: Certificate) -> bool:
             mono = next(_mono_rows(colouring, [(inst.values, ())], _Budget(None)), None)
         except Exception:
             return False
-        return mono is not None and mono[1] == wit.get("colour")
+        return mono is not None and mono[2] == wit.get("colour")
     if result.get("type") == "AvoidanceVerified":
         try:
             replay = find_monochromatic(colouring, family, seed=cert.seed)

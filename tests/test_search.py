@@ -1083,6 +1083,167 @@ def test_fep_rows_over_the_element_cap_are_built_before_colouring():
     assert cert.verified and cert.instances_checked == 4
 
 
+# ---------------------------------------------------------------------------
+# the class search: shape, fep and expquad rows over one-class generators
+
+# (spec, largest bound), the bounds keeping each walk to a few thousand rows
+CLASS_SPECS = [("shape:m=1,edges=1-1", 40), ("shape:m=2", 20),
+               ("shape:m=2,edges=1-2", 16), ("shape:m=3,edges=1-2;2-3", 9),
+               ("shape:m=4,edges=1-2;2-3;3-4;4-1", 6), ("fep:m=1,w=2", 40),
+               ("fep:m=2,w=1", 12), ("fep:m=3,w=1", 6), ("expquad", 40)]
+
+
+class _TableWithoutOne(TableColouring):
+    """A table colouring that raises at 1, where the window engine's first
+    block starts, so it colours no int and walks every row."""
+
+    def colour(self, x):
+        if isinstance(x, int) and x == 1:
+            raise OutOfDomain("1 has no colour")
+        return super().colour(x)
+
+
+def test_fep_takes_the_class_search_with_a_constant_weight_within_the_cap():
+    """The walk looks a weight table up, and builds a row over the cap
+    whole, on every row it reaches: those fep families keep the walk."""
+    colouring = TableColouring([1] * 10)
+    table = family_from_descriptor({"kind": "fep", "bound": 10, "m": 2,
+                                    "weight": {"table": {"": 1}}})
+    assert table._search(colouring) is None
+    # fep:m=2,w=2 has five candidates per row
+    for cap, walked in ((4, True), (5, False)):
+        fam = parse_family("fep:m=2,w=2", 3, cap=cap)
+        assert (fam._search(colouring) is None) == walked
+
+
+class _TableThenResidues(TableColouring):
+    """A table on [1, N] that raises on (N, end], as a short table does, and
+    colours each value above ``end`` by its residue mod 3, so that powers
+    past the table take the colours 1 to 3."""
+
+    def __init__(self, table, k, end):
+        super().__init__(table, k=k)
+        self.end = end
+
+    def colour(self, x):
+        try:
+            return super().colour(x)
+        except OutOfDomain:
+            bv = eval_exact(x)
+            if not bv.is_huge and bv.exact <= self.end:
+                raise
+            return eval_mod(x, 3) + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CLASS_SPECS), st.data())
+def test_class_search_matches_the_row_walk(spec_top, data):
+    """Same bytes, instances_checked included, or the same exception type,
+    under random tables of 1 to 4 colours after a prefix of colours of their
+    own, so that the first one-class row can lie past a window's edge. A
+    table may stop short of the bound, so that colouring raises mid-scan,
+    reach past it to colour powers, raise at 1, or colour the values past
+    its end by residue."""
+    spec, top = spec_top
+    bound = data.draw(st.integers(1, top))
+    k = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(max(1, bound - 10), 4 * bound + 8))
+    # the window edges are 8, 16 and 32
+    own = min(n, data.draw(st.one_of(st.sampled_from([8, 16]), st.integers(0, 20))))
+    table = list(range(k + 1, k + own + 1)) + data.draw(
+        st.lists(st.integers(1, k), min_size=n - own, max_size=n - own))
+    f = data.draw(st.sampled_from([
+        lambda: TableColouring(table, k=k + own),
+        lambda: _TableWithoutOne(table, k=k + own),
+        lambda: _TableThenResidues(table, k + own,
+                                   data.draw(st.integers(n, max(n, bound)))),
+    ]))()
+    fam = parse_family(spec, bound)
+    assert fam._search(f) is not None
+    assert _scan_outcome(f, fam) == _walk_outcome(f, fam)
+
+
+@pytest.mark.parametrize("spec", ["shape:m=2,edges=1-2", "shape:m=1,edges=1-1",
+                                  "fep:m=2,w=1", "expquad"])
+def test_class_search_hands_the_rows_past_the_255th_class_to_the_walk(spec):
+    """A 256th colour class ends the windows at 255: the rows whose largest
+    generator is below it are searched by class and the rest walked, as a
+    walk would find them, here up to a counterexample past 255."""
+    bound, rng = 300, random.Random(spec)
+    past = set()
+    # the ints past the cut take the first three colours; a table short of
+    # the bound raises on the ints past its end
+    for short in (0, 20):
+        for cut in (270, 290):
+            table = list(range(1, cut + 1)) + [rng.randint(1, 3)
+                                                for _ in range(bound - cut - short)]
+            f = _TableThenResidues(table, 10**6, bound)
+            fam = parse_family(spec, bound, cap=10**5)
+            want = _walk_outcome(f, fam)
+            assert _scan_outcome(f, fam) == want, (short, cut)
+            if not isinstance(want, type):
+                past.add(max(json.loads(want)["result"]["witness"]["generators"]) > 255)
+    assert True in past
+
+
+def test_class_search_builds_only_one_class_rows(monkeypatch):
+    """Of the 4-cycle's 810,000 generator tuples at 31, the 86,288 whose
+    generators share a log-star class are built, and no other."""
+    built = []
+    lazy = search.ShapeFamily._lazy
+
+    def counted(self, xs):
+        built.append(xs)
+        return lazy(self, xs)
+
+    monkeypatch.setattr(search.ShapeFamily, "_lazy", counted)
+    colouring = LogStarColouring(1)
+    cert = find_monochromatic(colouring, "shape:m=4,edges=1-2;2-3;3-4;4-1", 31)
+    assert cert.verified and cert.instances_checked == 810_000
+    assert len(built) == len(set(built)) == 86_288
+    assert all(len(set(map(colouring, xs))) == 1 for xs in built)
+
+
+@given(st.integers(1, 4), st.data())
+def test_tuple_rank_inverts_nth_tuple(m, data):
+    g = tuple(data.draw(st.lists(st.integers(2, 60), min_size=m, max_size=m)))
+    i = search._tuple_rank(g)
+    assert search._nth_tuple(i, m) == g
+    assert search._tuple_rank(search._nth_tuple(i + 1, m)) == i + 1
+
+
+def test_class_rows_in_order_are_the_rows():
+    """``_with_max`` over [2, M], M ascending, walks the rows in order, and
+    ``_rank`` and ``_upto`` index them."""
+    for spec in ("shape:m=1", "shape:m=3", "expquad"):
+        fam = parse_family(spec, 9)
+        tuples = list(fam._tuples())
+        assert tuples == [fam._tuple(i) for i in range(fam.count())]
+        assert [fam._rank(g) for g in tuples] == list(range(fam.count()))
+        assert [fam._upto(M) for M in range(10)] == [
+            sum(max(g) <= M for g in tuples) for M in range(10)]
+
+
+def test_class_search_checks_the_budget_every_4096_rows():
+    class Counting:
+        calls = 0
+
+        def check(self):
+            self.calls += 1
+
+    class IntsOnly(Colouring):
+        """Generators take one colour, built powers another."""
+        kind, k = "intsonly", 2
+
+        def colour(self, x):
+            return 1 if isinstance(x, int) else 2
+
+    fam, budget = parse_family("shape:m=3,edges=1-2", 40), Counting()
+    carr = bytearray([0] + [1] * 40)
+    assert search._class_search(IntsOnly(), fam)(carr, {1: 1}, 1, 40, budget) is None
+    assert fam.count() == 39**3 and budget.calls == -(-39**3 // 4096)
+
+
 def test_budget_exhaustion_raises():
     with pytest.raises(BudgetExceeded):
         find_monochromatic("logstar:r=1", "exptriple", 10**5,
