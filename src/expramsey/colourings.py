@@ -44,6 +44,8 @@ from .errors import (
     SequenceNotSufficientlyLacunary,
     UncertifiableComparison,
 )
+# not called here: bench/spans.py traces eval_exact through this binding
+from .tower import eval_exact  # noqa: F401
 from .tower import (
     ExpTerm,
     Power,
@@ -51,7 +53,6 @@ from .tower import (
     _log2_term_scaled,
     _pow2_exponent_term,
     as_term,
-    eval_exact,
     eval_mod,
     log_star,
     max_root_exponent_mod,
@@ -135,9 +136,8 @@ class LogStarColouring(Colouring):
         if isinstance(x, int):
             return self.k if x == 1 else self._of_count(log_star_int(x))
         t = as_term(x)
-        bv = eval_exact(t)
-        if bv.is_exact:
-            return self.colour(bv.exact)
+        if t.exact is not None:
+            return self.colour(t.exact)
         return self._of_count(log_star(t))
 
     def level_power(self, a: int, b: int) -> int:
@@ -432,9 +432,8 @@ class LacunaryColouring(Colouring):
             residue = x.__mod__
         else:
             t = as_term(x)
-            bv = eval_exact(t)
-            if bv.is_exact:
-                return self.colour(bv.exact)
+            if t.exact is not None:
+                return self.colour(t.exact)
             residue = lambda q: eval_mod(t, q)
         out = 1
         for p, q, w in self._quarters:
@@ -484,8 +483,7 @@ class Pow2AbbColouring(Colouring):
 
     def colour(self, x: Value) -> int:
         t = as_term(x)
-        bv = eval_exact(t)
-        if bv.is_exact and bv.exact == 1:
+        if t.exact == 1:
             return self.k
         v = nu_p(t, 2)  # may raise ExactnessRequired for huge exponents
         if v == 0:
@@ -515,9 +513,8 @@ class AbbbColouring(Colouring):
 
     def colour(self, x: Value) -> int:
         t = as_term(x)
-        bv = eval_exact(t)
-        if bv.is_exact:
-            v = bv.exact
+        v = t.exact
+        if v is not None:
             if v <= 2:
                 return self.k
             if v & (v - 1) == 0:
@@ -536,16 +533,14 @@ class AbbbColouring(Colouring):
             )
         e = _pow2_exponent_term(t)
         if e is not None:
-            ev = eval_exact(e)
-            if ev.is_exact and ev.exact & (ev.exact - 1) == 0:
-                return self.inner.colour(ev.exact.bit_length() - 1)
-            if not ev.is_exact and self._too_wide(e):
+            if e.exact is not None and e.exact & (e.exact - 1) == 0:
+                return self.inner.colour(e.exact.bit_length() - 1)
+            if e.exact is None and self._too_wide(e):
                 raise UncertifiableComparison("cannot certify double-log colour")
         for prec in PREC_SCHEDULE:
             if e is not None:
-                ev = eval_exact(e)
-                if ev.is_exact:
-                    l2 = log2_scaled_bounds(ev.exact, prec)
+                if e.exact is not None:
+                    l2 = log2_scaled_bounds(e.exact, prec)
                 else:
                     l2 = _log2_term_scaled(e, prec)
             else:
@@ -569,8 +564,8 @@ class AbbbColouring(Colouring):
         4*a*v >= q*2^P at the top precision P it fails at every p."""
         if not isinstance(e, Power):
             return False
-        base, v = eval_exact(e.base), _concrete_value(e.exponent)
-        if v is None or not base.is_exact or base.exact & (base.exact - 1) == 0:
+        base, v = e.base.exact, _concrete_value(e.exponent)
+        if v is None or base is None or base & (base - 1) == 0:
             return False
         top = PREC_SCHEDULE[-1]
         return any(4 * p * v >= q << top for p, q, _ in self.inner._quarters)
@@ -596,13 +591,12 @@ class TableColouring(Colouring):
         self.path = path
 
     def colour(self, x: Value) -> int:
-        t = as_term(x)
-        bv = eval_exact(t)
-        if bv.is_huge or not 1 <= bv.exact <= len(self.table):
+        v = as_term(x).exact
+        if v is None or not 1 <= v <= len(self.table):
             raise OutOfDomain(
                 f"table colouring is defined on [1, {len(self.table)}]"
             )
-        return self.table[bv.exact - 1]
+        return self.table[v - 1]
 
     @property
     def rule(self) -> dict:

@@ -36,7 +36,6 @@ from .tower import (
     Literal,
     as_term,
     dedup_key,
-    eval_exact,
     power,
     product,
     to_text,
@@ -53,8 +52,7 @@ def _as_terms(xs) -> Tuple[ExpTerm, ...]:
 def _require_gt1(xs: Sequence[ExpTerm], family: str) -> None:
     # huge symbolic terms are certainly > 1; only exact values can fail
     for x in xs:
-        bv = eval_exact(x)
-        if bv.is_exact and bv.exact <= 1:
+        if x.exact is not None and x.exact <= 1:
             raise ValueError(f"{family} generators must all exceed 1, got {to_text(x)}")
 
 
@@ -73,12 +71,7 @@ class PatternSet:
 
     def exact_values(self) -> set:
         """Values of the exactly evaluable elements."""
-        out = set()
-        for e in self.elements:
-            bv = eval_exact(e)
-            if bv.is_exact:
-                out.add(bv.exact)
-        return out
+        return {e.exact for e in self.elements if e.exact is not None}
 
     def contains_value(self, v: int) -> bool:
         return v in self.exact_values()
@@ -270,10 +263,10 @@ class WeightFn:
 @lru_cache(maxsize=1 << 16)
 def _exact(x) -> int:
     """A generator's exact value, which weight lookups need."""
-    bv = eval_exact(x)
-    if bv.is_huge:
+    v = as_term(x).exact
+    if v is None:
         raise ExactnessRequired("weight lookups need exactly evaluable generators")
-    return bv.exact
+    return v
 
 
 def weighted_products(S, W: WeightFn, xs, cap: int = DEFAULT_ELEMENT_CAP) -> PatternSet:
@@ -330,7 +323,7 @@ def _fep_factor(x, pairs: tuple) -> Tuple[ExpTerm, Optional[int]]:
     """The factor x^e, for e the product of y^p over ``pairs`` ((y, p), ...)
     with p >= 1, and its exact value, or None when Huge."""
     t = power(x, product(*(power(y, p) for y, p in pairs)))
-    return t, eval_exact(t).exact
+    return t, t.exact
 
 
 def _fep_candidates(caps: Tuple[int, ...], xs) -> Iterator[tuple]:

@@ -35,18 +35,18 @@ from .patterns import (
     ShapeRelation, WeightFn, fep_candidate_count, fep_caps, fep_row,
     fep_values, parse_edges, shape_row, shape_values,
 )
-# not called here: bench/spans.py traces fep, shape_pattern and
-# compare_iter_log through these bindings (the families build their rows
-# from the same pieces, and _last_a solves compare_iter_log's condition)
+# not called here: bench/spans.py traces fep, shape_pattern, compare_iter_log
+# and eval_exact through these bindings (the families build their rows from
+# the same pieces, _last_a solves compare_iter_log's condition, and terms
+# carry their exact value)
 from .patterns import fep, shape_pattern  # noqa: F401
 # nor these: bench/spans.py patches them by name, though the Ramsey drivers
 # call ramsey's own bindings, so its search.ramsey.constraints reads 0
 from .ramsey import _ap_constraints, _exp_triples_upto  # noqa: F401
-from .tower import compare_iter_log  # noqa: F401
+from .tower import compare_iter_log, eval_exact  # noqa: F401
 from .tower import (
     ExpTerm,
     equal_value,
-    eval_exact,
     parse_term,
     power,
     to_text,
@@ -58,8 +58,7 @@ Value = Union[int, ExpTerm]
 def _materialize(base: int, exp: int) -> Value:
     """a^b as a plain int when within the exactness cutoff, else a term."""
     t = power(base, exp)
-    bv = eval_exact(t)
-    return bv.exact if bv.is_exact else t
+    return t if t.exact is None else t.exact
 
 
 def _value_text(v: Value) -> str:

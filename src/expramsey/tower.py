@@ -24,12 +24,16 @@ The exactness cutoff ``DEFAULT_CUTOFF`` (``2**64``, a constant, so no output
 depends on the environment) separates the exact regime from the symbolic one:
 :func:`eval_exact` returns the exact value when it is at most the cutoff and
 the verdict Huge otherwise. Huge is still informative, it certifies
-value > cutoff.
+value > cutoff. Each node holds that verdict from construction in its field
+``exact`` (the value, or None for Huge), set in O(1) from its children's, so
+reading it never walks the tree; only cutoffs above ``DEFAULT_CUTOFF``
+recurse, and they start from the children's fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
 # factorint is not called here; bench/spans.py traces it through this binding
@@ -51,17 +55,29 @@ from .errors import (
 )
 
 DEFAULT_CUTOFF = 2**64
+_CUTOFF_BITS = DEFAULT_CUTOFF.bit_length()
+
+
+def _at_most(v: Optional[int], cutoff: int) -> Optional[int]:
+    return v if v is not None and v <= cutoff else None
+
+
+def _set_exact(node, v: Optional[int]) -> None:
+    object.__setattr__(node, "exact", v if v is not None and v <= DEFAULT_CUTOFF else None)
 
 
 @dataclass(frozen=True)
 class Literal:
     value: int
+    # the value when at most DEFAULT_CUTOFF, else None; out of ==, hash, repr
+    exact: Optional[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.value, int) or isinstance(self.value, bool):
             raise TypeError("Literal value must be an int")
         if self.value < 1:
             raise ValueError("Literal value must be a positive integer")
+        _set_exact(self, self.value)
 
     def __str__(self):
         return to_text(self)
@@ -71,11 +87,19 @@ class Literal:
 class Power:
     base: "ExpTerm"
     exponent: "ExpTerm"
+    exact: Optional[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # exponent 1 would break canonical uniqueness; the factory collapses it
         if isinstance(self.exponent, Literal) and self.exponent.value == 1:
             raise ValueError("Power with exponent Literal(1) is not canonical")
+        b, e = self.base.exact, self.exponent.exact
+        if b == 1:
+            _set_exact(self, 1)
+        elif b is None or e is None or (b.bit_length() - 1) * e > _CUTOFF_BITS:
+            _set_exact(self, None)  # b^e >= 2^((bits(b)-1)*e) > cutoff: no **
+        else:
+            _set_exact(self, b**e)
 
     def __str__(self):
         return to_text(self)
@@ -84,12 +108,20 @@ class Power:
 @dataclass(frozen=True)
 class Product:
     factors: Tuple["ExpTerm", ...]
+    exact: Optional[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.factors) < 2:
             raise ValueError("Product needs at least two factors")
         if any(isinstance(f, Literal) and f.value == 1 for f in self.factors):
             raise ValueError("Product with a Literal(1) factor is not canonical")
+        acc = 1
+        for f in self.factors:
+            if f.exact is None or acc > DEFAULT_CUTOFF:
+                acc = None
+                break
+            acc *= f.exact
+        _set_exact(self, acc)
 
     def __str__(self):
         return to_text(self)
@@ -177,17 +209,26 @@ class BoundedValue:
 def eval_exact(t: ExpTerm, cutoff: Optional[int] = None) -> BoundedValue:
     """Evaluate exactly when the value is at most ``cutoff``, else Huge.
 
-    Exponentiation is guarded by a logarithmic size estimate before any
-    multiplication, so the cost is bounded by the cutoff, not by the value.
+    At a cutoff up to ``DEFAULT_CUTOFF`` this reads the term's ``exact``
+    field, which each node holds from construction; only larger cutoffs
+    recurse, from the children's fields. Exponentiation is guarded by a
+    logarithmic size estimate before any multiplication, so the cost is
+    bounded by the cutoff, not by the value.
     """
     if cutoff is None:
         cutoff = DEFAULT_CUTOFF
-    return BoundedValue(_eval_bounded(as_term(t), cutoff), cutoff)
+    t = as_term(t)
+    if t.exact is None and cutoff > DEFAULT_CUTOFF:
+        return BoundedValue(_eval_bounded(t, cutoff), cutoff)
+    return BoundedValue(_at_most(t.exact, cutoff), cutoff)
 
 
 def _eval_bounded(t: ExpTerm, cutoff: int) -> Optional[int]:
+    if t.exact is not None or cutoff <= DEFAULT_CUTOFF:
+        return _at_most(t.exact, cutoff)
+    # from here t exceeds DEFAULT_CUTOFF, so a power's base is not 1
     if isinstance(t, Literal):
-        return t.value if t.value <= cutoff else None
+        return _at_most(t.value, cutoff)
     if isinstance(t, Product):
         acc = 1
         for f in t.factors:
@@ -201,17 +242,11 @@ def _eval_bounded(t: ExpTerm, cutoff: int) -> Optional[int]:
     bv = _eval_bounded(t.base, cutoff)
     if bv is None:
         return None  # base alone exceeds the cutoff and the exponent is >= 1
-    if bv == 1:
-        return 1
     # exponents above ceil(log2 cutoff)+1 force Huge for any base >= 2
-    exp_cut = cutoff.bit_length() + 1
-    ev = _eval_bounded(t.exponent, exp_cut)
-    if ev is None:
+    ev = _eval_bounded(t.exponent, cutoff.bit_length() + 1)
+    if ev is None or (bv.bit_length() - 1) * ev > cutoff.bit_length():
         return None
-    if (bv.bit_length() - 1) * ev > cutoff.bit_length():
-        return None
-    val = bv**ev
-    return val if val <= cutoff else None
+    return _at_most(bv**ev, cutoff)
 
 
 def equal_value(s: ExpTerm, t: ExpTerm, cutoff: Optional[int] = None) -> bool:
@@ -226,7 +261,8 @@ def equal_value(s: ExpTerm, t: ExpTerm, cutoff: Optional[int] = None) -> bool:
 
 def dedup_key(t: ExpTerm, cutoff: Optional[int] = None):
     """Hashable identity: exact value when small, canonical structure when Huge."""
-    return value_key(t, eval_exact(t, cutoff).exact, cutoff)
+    t = as_term(t)
+    return value_key(t, t.exact if cutoff is None else eval_exact(t, cutoff).exact, cutoff)
 
 
 def value_key(t: ExpTerm, value: Optional[int], cutoff: Optional[int] = None):
@@ -272,27 +308,16 @@ def parse_term(text: str) -> ExpTerm:
     return term
 
 
+# ASCII digits only (str.isdigit also takes "²" and "٣"); \s is str.isspace
+_TOKEN = re.compile(r"([0-9]+|[\^*()])|(\S)")
+
+
 def _tokenize(text: str):
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append((text[i:j], i))
-            i = j
-            continue
-        if c in "^*()":
-            tokens.append((c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r} at position {i} in {text!r}")
+    for m in _TOKEN.finditer(text):
+        if m.group(2):
+            raise ParseError(f"unexpected character {m.group(2)!r} at position {m.start()} in {text!r}")
+        tokens.append((m.group(1), m.start()))
     if not tokens:
         raise ParseError("empty expression")
     return tokens
@@ -327,7 +352,10 @@ def _parse_atom(tokens, pos):
             raise ParseError(f"missing ')' for '(' at position {at}")
         return term, pos + 1
     if tok.isdigit():
-        v = int(tok)
+        try:
+            v = int(tok)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise ParseError(f"literal of {len(tok)} digits at position {at} is too long") from None
         if v < 1:
             raise ParseError(f"literal must be >= 1, got {tok} at position {at}")
         return Literal(v), pos + 1
@@ -342,7 +370,7 @@ def eval_mod(t: ExpTerm, m: int) -> int:
 
     Powers go through the generalized Euler lift: a^b = a^(phi(m) + b mod
     phi(m)) (mod m) holds for every base once b >= log2(m), and whether b
-    clears that threshold is itself a bounded evaluation.
+    clears that threshold is read off b's exact field.
     """
     if m < 1:
         raise ValueError("modulus must be a positive integer")
@@ -358,9 +386,9 @@ def eval_mod(t: ExpTerm, m: int) -> int:
         return acc
     am = eval_mod(t.base, m)
     need = (m - 1).bit_length()  # = ceil(log2 m) for m >= 2
-    bv = eval_exact(t.exponent, max(2, need + 1))
-    if bv.is_exact and bv.exact < need:
-        return pow(am, bv.exact, m)
+    e = t.exponent.exact
+    if e is not None and e < need:
+        return pow(am, e, m)
     phi = totient(m)
     e = phi + eval_mod(t.exponent, phi)
     return pow(am, e, m)
@@ -387,7 +415,7 @@ def _concrete_value(t: ExpTerm) -> Optional[int]:
     """The denoted integer when it is materializable (maybe above the cutoff)."""
     if isinstance(t, Literal):
         return t.value
-    return eval_exact(t, _big_cutoff()).exact
+    return _eval_bounded(t, _big_cutoff())
 
 
 def _pow2_exponent_term(t: ExpTerm) -> Optional[ExpTerm]:
@@ -400,7 +428,7 @@ def _pow2_exponent_term(t: ExpTerm) -> Optional[ExpTerm]:
             # (2^y)^e = 2^(y*e)
             return product(eb, t.exponent)
         return None
-    v = t.value if isinstance(t, Literal) else eval_exact(t).exact
+    v = t.value if isinstance(t, Literal) else t.exact
     if v is not None and v >= 2 and v & (v - 1) == 0:
         return Literal(v.bit_length() - 1)
     return None
@@ -428,7 +456,7 @@ def _log2_term_scaled(t: ExpTerm, prec: int) -> Tuple[int, int]:
     Supports exact subterms, powers with materializable exponents, and
     products thereof; anything else raises UncertifiableLogStar.
     """
-    v = t.value if isinstance(t, Literal) else eval_exact(t).exact
+    v = t.value if isinstance(t, Literal) else t.exact
     if v is not None:
         if v == 1:
             return (0, 0)
@@ -460,9 +488,8 @@ def log_star(t: ExpTerm) -> int:
     strategy certifies an answer.
     """
     t = as_term(t)
-    bv = eval_exact(t)
-    if bv.is_exact:
-        return log_star_int(bv.exact)
+    if t.exact is not None:
+        return log_star_int(t.exact)
     e = _pow2_exponent_term(t)
     if e is not None:
         # every term denotes >= 1 and t is Huge, so the exponent denotes >= 2
@@ -522,19 +549,17 @@ def max_root_exponent(t: ExpTerm) -> int:
     l(a^b) = l(a)*b, which needs the exponent exactly.
     """
     t = as_term(t)
-    bv = eval_exact(t)
-    if bv.is_exact:
-        return root_exponent(bv.exact)
+    if t.exact is not None:
+        return root_exponent(t.exact)
     if isinstance(t, Power):
         la = max_root_exponent(t.base)
         if la == 0:
             return 0
-        ev = eval_exact(t.exponent)
-        if ev.is_huge:
+        if t.exponent.exact is None:
             raise ExactnessRequired(
                 "exact maximal-root exponent of a power needs an exact exponent"
             )
-        return la * ev.exact
+        return la * t.exponent.exact
     if isinstance(t, Product):
         return root_exponent(_literal_product(t))
     raise UnsupportedShape("huge literal exceeded the evaluation cutoff")
@@ -545,9 +570,8 @@ def max_root_exponent_mod(t: ExpTerm, n: int) -> int:
     if n < 1:
         raise ValueError("modulus must be a positive integer")
     t = as_term(t)
-    bv = eval_exact(t)
-    if bv.is_exact:
-        return root_exponent(bv.exact) % n
+    if t.exact is not None:
+        return root_exponent(t.exact) % n
     if isinstance(t, Power):
         la = max_root_exponent_mod(t.base, n)
         return la * eval_mod(t.exponent, n) % n
@@ -569,12 +593,11 @@ def nu_p(t: ExpTerm, p: int) -> int:
     c = nu_p(t.base, p)
     if c == 0:
         return 0
-    ev = eval_exact(t.exponent)
-    if ev.is_huge:
+    if t.exponent.exact is None:
         raise ExactnessRequired(
             "exact valuation of a power needs an exact exponent"
         )
-    return c * ev.exact
+    return c * t.exponent.exact
 
 
 # ---------------------------------------------------------------------------
@@ -591,14 +614,13 @@ def compare_iter_log(a: ExpTerm, r: int, b: ExpTerm) -> bool:
         raise ValueError("r must be non-negative")
     a = as_term(a)
     b = as_term(b)
-    av = eval_exact(a)
-    bv = eval_exact(b)
-    if av.is_exact and bv.is_exact:
-        return iter_log_le(av.exact, r, bv.exact)
+    av, bv = a.exact, b.exact
+    if av is not None and bv is not None:
+        return iter_log_le(av, r, bv)
     if r == 0:
-        if av.is_exact:
+        if av is not None:
             return True  # a <= cutoff < b
-        if bv.is_exact:
+        if bv is not None:
             return False  # a > cutoff >= b
         if a == b:
             return True
@@ -615,7 +637,7 @@ def compare_iter_log(a: ExpTerm, r: int, b: ExpTerm) -> bool:
         raise UncertifiableComparison(
             "cannot order two huge terms"
         )
-    if av.is_exact:
+    if av is not None:
         # iterated logs never exceed the start value, which is <= cutoff < b
         return True
     e = _pow2_exponent_term(a)
@@ -639,13 +661,13 @@ def compare_iter_log(a: ExpTerm, r: int, b: ExpTerm) -> bool:
             lo, hi = _log2_interval_step(lo, hi, prec)
         if undecided:
             continue
-        if bv.is_exact:
-            if hi <= bv.exact << prec:
+        if bv is not None:
+            if hi <= bv << prec:
                 return True
-            if lo > bv.exact << prec:
+            if lo > bv << prec:
                 return False
         else:
-            if hi <= bv.cutoff << prec:
+            if hi <= DEFAULT_CUTOFF << prec:
                 return True  # <= cutoff < b
             # huge symbolic b: take one more log of both sides
             if lo > one:

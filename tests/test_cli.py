@@ -128,6 +128,12 @@ def test_colour_unknown_spec_is_parse_error(capsys):
     assert code == EXIT_PARSE
 
 
+def test_colour_non_ascii_digit_is_parse_error(capsys):
+    code, out, err = run(capsys, "colour", "logstar:r=1", "2^²")
+    assert code == EXIT_PARSE == 2
+    assert out == "" and "position 2" in err
+
+
 def test_colour_table_out_of_domain(capsys, tmp_path):
     p = tmp_path / "t.json"
     p.write_text(json.dumps({"k": 2, "map": [1, 2]}))

@@ -1,8 +1,11 @@
 """Term algebra, exact/modular evaluation, and the certified log machinery."""
 
+import dataclasses
 import functools
 import itertools
+import pickle
 import random
+import sys
 from decimal import Decimal, localcontext
 
 import pytest
@@ -99,6 +102,28 @@ def test_parse_rejects_malformed(bad):
         parse_term(bad)
 
 
+@pytest.mark.parametrize("bad, at", [("2^\u00b2", 2), ("\u0663^2", 0), ("7*\uff18", 2)])
+def test_parse_takes_only_ascii_digits(bad, at):
+    # str.isdigit accepts superscripts, Arabic-Indic and full-width digits;
+    # to_text writes none of them, so parse_term refuses them
+    with pytest.raises(ParseError, match=f"position {at}"):
+        parse_term(bad)
+
+
+def test_parse_refuses_a_literal_past_the_int_string_limit():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-string digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for text, at in (("1" * 5000, 0), ("2^" + "1" * 5000, 2)):
+            with pytest.raises(ParseError, match=f"5000 digits at position {at}"):
+                parse_term(text)
+        assert parse_term("1" * 4300) == Literal(int("1" * 4300))
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_parse_round_trip_random_trees():
     rng = random.Random(11)
 
@@ -152,6 +177,126 @@ def test_value_key_is_dedup_key_from_a_known_value():
     big = product(power(2, 40), power(3, 40))
     assert value_key(big, 2**40 * 3**40) == dedup_key(big) == ("s", big)
     assert value_key(literal(9), 9, cutoff=8) == dedup_key(literal(9), 8)
+
+
+def _reference_eval_bounded(t, cutoff):
+    """The tree walk eval_exact ran before terms held their value: the value
+    of t when at most cutoff, else None."""
+    if isinstance(t, Literal):
+        return t.value if t.value <= cutoff else None
+    if isinstance(t, Product):
+        acc = 1
+        for f in t.factors:
+            fv = _reference_eval_bounded(f, cutoff)
+            if fv is None:
+                return None
+            acc *= fv
+            if acc > cutoff:
+                return None
+        return acc
+    bv = _reference_eval_bounded(t.base, cutoff)
+    if bv is None:
+        return None
+    if bv == 1:
+        return 1
+    ev = _reference_eval_bounded(t.exponent, cutoff.bit_length() + 1)
+    if ev is None:
+        return None
+    if (bv.bit_length() - 1) * ev > cutoff.bit_length():
+        return None
+    val = bv**ev
+    return val if val <= cutoff else None
+
+
+CUTOFF_EDGES = [power(2, 64), literal(2**64), literal(2**64 + 1), power(2**32, 2),
+                power(2, power(2, 6)), power(2, 65), power(3, 40), power(3, 41),
+                product(power(2, 32), power(2, 32)), product(power(2, 32), power(2, 32), 2),
+                product(power(2, 40), power(3, 30)), product(2**63, power(2, 2)),
+                Power(Literal(1), power(2, 100))]
+
+
+def _one_power(e):
+    # a raw node whose base denotes 1; the factory would collapse it
+    return Literal(1) if e == Literal(1) else Power(Literal(1), e)
+
+
+TERMS = st.recursive(
+    st.one_of(st.integers(min_value=1, max_value=2**70).map(literal),
+              st.integers(min_value=1, max_value=70).map(literal),
+              st.sampled_from(CUTOFF_EDGES)),
+    lambda kids: st.one_of(
+        st.builds(power, kids, kids),
+        st.lists(kids, min_size=1, max_size=4).map(lambda fs: product(*fs)),
+        kids.map(_one_power)),
+    max_leaves=8)
+
+
+@settings(max_examples=400, deadline=None)
+@given(TERMS)
+def test_eval_exact_matches_the_tree_walk(t):
+    for c in (1, 2, 65, 66, 2**64 - 1, 2**64, 2**64 + 1, 2**4096):
+        assert eval_exact(t, c).exact == _reference_eval_bounded(t, c), c
+    assert t.exact == _reference_eval_bounded(t, 2**64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TERMS, st.integers(min_value=1, max_value=10**12))
+def test_eval_mod_matches_the_materialized_value(t, m):
+    v = _reference_eval_bounded(t, 2**4096)
+    if v is not None:
+        assert eval_mod(t, m) == v % m
+
+
+def test_exact_field_leaves_identity_unchanged():
+    t = power(2, product(3, power(5, 7)))
+    assert repr(Literal(5)) == "Literal(value=5)"
+    assert repr(power(2, 3)) == "Power(base=Literal(value=2), exponent=Literal(value=3))"
+    assert to_text(t) == "2^(3*5^7)"
+    assert [f.name for f in dataclasses.fields(Power) if f.compare] == ["base", "exponent"]
+    # the dataclass hash covers the compared fields only
+    assert hash(t) == hash((t.base, t.exponent))
+    assert hash(Literal(2**70)) == hash((2**70,))
+    assert product(power(2, 3), 5) == Product((Power(Literal(2), Literal(3)), Literal(5)))
+    assert len({power(2, 3), Power(Literal(2), Literal(3))}) == 1
+
+
+def test_exact_field_survives_pickle_and_replace():
+    for t in (literal(7), literal(2**70), power(2, 64), power(2, 65), tower_term(5),
+              product(power(2, 32), power(2, 32)), product(power(2, 40), power(3, 30))):
+        u = pickle.loads(pickle.dumps(t))
+        assert u == t and u.exact == t.exact == _reference_eval_bounded(t, 2**64)
+    assert dataclasses.replace(literal(2**70), value=5).exact == 5
+    assert dataclasses.replace(power(2, 3), exponent=literal(70)).exact is None
+    assert dataclasses.replace(power(2, 70), exponent=literal(6)).exact == 64
+    big = product(power(2, 40), power(3, 30))
+    assert dataclasses.replace(big, factors=big.factors[:1] + (literal(3),)).exact == 3 * 2**40
+    with pytest.raises(ValueError):
+        dataclasses.replace(literal(3), exact=4)  # not an init field
+
+
+def test_eval_exact_at_the_default_cutoff_walks_nothing(monkeypatch):
+    tall = tower_term(30)
+    wide = product(*(power(k, 3) for k in range(2, 42)))
+    small = product(*(power(2, 1 + k % 2) for k in range(40)))
+    assert len(wide.factors) == len(small.factors) == 40
+    walks = []
+    walk = tower._eval_bounded
+
+    def counted(t, cutoff):
+        walks.append(cutoff)
+        return walk(t, cutoff)
+
+    monkeypatch.setattr(tower, "_eval_bounded", counted)
+    for t in (tall, wide, small):
+        eval_exact(t)
+        eval_exact(t, 2**64)
+        eval_exact(t, 1000)
+    assert walks == []
+    assert eval_exact(small).exact == 2**60
+    assert eval_exact(tall).is_huge and eval_exact(wide).is_huge
+    # larger cutoffs still recurse
+    assert eval_exact(wide, 2**4096).exact == _reference_eval_bounded(wide, 2**4096)
+    assert walks
 
 
 def test_eval_mod_huge_tower():
