@@ -106,3 +106,10 @@ class _Record:
 
     def to_json(self) -> str:
         return canonical_json(self.to_json_obj())
+
+    @classmethod
+    def from_json_obj(cls, obj: dict):
+        """The record whose ``to_json_obj`` is ``obj``; a missing key
+        raises KeyError."""
+        return cls(**{f.name: obj[f.name] for f in fields(cls)
+                      if f.name != "wall_time"})

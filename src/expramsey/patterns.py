@@ -39,7 +39,6 @@ from .tower import (
     power,
     product,
     to_text,
-    value_key,
 )
 
 DEFAULT_ELEMENT_CAP = 10**6
@@ -319,24 +318,20 @@ def _fep_recipes(m: int, caps: Tuple[int, ...]) -> tuple:
 
 
 @lru_cache(maxsize=1 << 16)
-def _fep_factor(x, pairs: tuple) -> Tuple[ExpTerm, Optional[int]]:
+def _fep_factor(x, pairs: tuple) -> ExpTerm:
     """The factor x^e, for e the product of y^p over ``pairs`` ((y, p), ...)
-    with p >= 1, and its exact value, or None when Huge."""
-    t = power(x, product(*(power(y, p) for y, p in pairs)))
-    return t, t.exact
+    with p >= 1."""
+    return power(x, product(*(power(y, p) for y, p in pairs)))
 
 
 def _fep_candidates(caps: Tuple[int, ...], xs) -> Iterator[tuple]:
     """fep's candidates on xs with exponent caps ``caps`` in recipe order,
-    built one at a time: (element, dedup key, (B, exponent choice per base))."""
+    built one at a time: (element, (B, exponent choice per base))."""
     for B, choices in _fep_recipes(len(xs), caps):
         pools = [[_fep_factor(xs[i - 1], tuple((xs[j - 1], p) for j, p in exps if p))
                   for exps in pool] for i, pool in zip(B, choices)]
-        for combo, choice in zip(itertools.product(*pools), itertools.product(*choices)):
-            terms, values = zip(*combo)
-            t = product(*terms)
-            # a Huge factor makes the product Huge
-            yield t, value_key(t, None if None in values else math.prod(values)), (B, choice)
+        for terms, choice in zip(itertools.product(*pools), itertools.product(*choices)):
+            yield product(*terms), (B, choice)
 
 
 def fep_row(caps: Tuple[int, ...], xs, cap: int = DEFAULT_ELEMENT_CAP
@@ -346,7 +341,8 @@ def fep_row(caps: Tuple[int, ...], xs, cap: int = DEFAULT_ELEMENT_CAP
     base) of each. A new distinct element past the ``cap``-th raises
     BudgetExceeded."""
     first: dict = {}  # dedup key -> (element, recipe), in insertion order
-    for t, key, recipe in _fep_candidates(caps, xs):
+    for t, recipe in _fep_candidates(caps, xs):
+        key = dedup_key(t)
         if key not in first:
             if len(first) >= cap:
                 raise BudgetExceeded(f"fep generation exceeded the element cap {cap}")
@@ -366,7 +362,7 @@ def fep_values(caps: Tuple[int, ...], xs, cap: int = DEFAULT_ELEMENT_CAP) -> Ite
     more than ``cap`` candidates is built by ``fep_row``, which may raise."""
     if fep_candidate_count(caps) > cap:
         return fep_row(caps, xs, cap)[0]
-    return itertools.chain(xs, (t for t, _, _ in _fep_candidates(caps, xs)))
+    return itertools.chain(xs, (t for t, _ in _fep_candidates(caps, xs)))
 
 
 def fep(W: WeightFn, xs, cap: int = DEFAULT_ELEMENT_CAP) -> PatternSet:
@@ -419,17 +415,15 @@ def parse_edges(text: str, sep: str) -> List[Tuple[int, int]]:
 
 
 @lru_cache(maxsize=1 << 16)
-def _keyed(a, b=1) -> Tuple[ExpTerm, object]:
-    """a^b with its dedup key: a shape element when b is 1, else the
-    element of a shape edge."""
-    t = power(a, b)
-    return t, dedup_key(t)
+def _keyed(a, b=1) -> ExpTerm:
+    """a^b: a shape element when b is 1, else the element of a shape edge."""
+    return power(a, b)
 
 
 def shape_values(edges: Sequence[Tuple[int, int]], xs) -> Iterator:
     """The shape pattern's elements on xs, built when asked for: the
     generators as given, then x_i^{x_j} per edge (i, j), repeats included."""
-    return itertools.chain(xs, (_keyed(xs[i - 1], xs[j - 1])[0] for i, j in edges))
+    return itertools.chain(xs, (_keyed(xs[i - 1], xs[j - 1]) for i, j in edges))
 
 
 def shape_row(edges: Sequence[Tuple[int, int]], xs
@@ -441,8 +435,8 @@ def shape_row(edges: Sequence[Tuple[int, int]], xs
     first: dict = {}  # dedup key -> (element, source), in insertion order
     sources = itertools.chain(range(1, len(xs) + 1), edges)
     for src, x in zip(sources, shape_values(edges, xs)):
-        t, key = _keyed(x)
-        first.setdefault(key, (t, src))
+        t = _keyed(x)
+        first.setdefault(dedup_key(t), (t, src))
     return tuple(zip(*first.values()))
 
 

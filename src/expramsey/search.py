@@ -30,7 +30,7 @@ from ._spec import (
     write_spec,
 )
 from .colourings import Colouring, LogStarColouring, parse_colouring, parse_seq
-from .errors import BudgetError, BudgetExceeded, ParseError
+from .errors import BudgetExceeded, ParseError
 from .patterns import (
     ShapeRelation, WeightFn, fep_candidate_count, fep_caps, fep_row,
     fep_values, parse_edges, shape_row, shape_values,
@@ -44,13 +44,7 @@ from .patterns import fep, shape_pattern  # noqa: F401
 # call ramsey's own bindings, so its search.ramsey.constraints reads 0
 from .ramsey import _ap_constraints, _exp_triples_upto  # noqa: F401
 from .tower import compare_iter_log, eval_exact  # noqa: F401
-from .tower import (
-    ExpTerm,
-    equal_value,
-    parse_term,
-    power,
-    to_text,
-)
+from .tower import ExpTerm, power, to_text
 
 Value = Union[int, ExpTerm]
 
@@ -747,17 +741,22 @@ class Certificate(_Record):
     def verified(self) -> bool:
         return self.result.get("type") == "AvoidanceVerified"
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Certificate":
-        return cls(
-            family=obj["family"],
-            colouring=obj["colouring"],
-            bound=obj["bound"],
-            instances_checked=obj["instances_checked"],
-            result=obj["result"],
-            seed=obj["seed"],
-            schema=obj["schema"],
-        )
+
+def _certificate(family: InstanceFamily, colouring: Colouring,
+                 index: Optional[int], colour: Optional[int],
+                 seed: int) -> Certificate:
+    """The one writer of certificates: avoidance of the whole family when
+    ``index`` is None, else the counterexample at ``index``, whose witness
+    is ``nth(index)`` in ``colour``."""
+    if index is None:
+        checked, result = family.count(), {"type": "AvoidanceVerified"}
+    else:
+        checked = index + 1
+        result = {"type": "Counterexample",
+                  "witness": family.nth(index).witness_json(colour)}
+    return Certificate(family=family.descriptor(), colouring=colouring.spec,
+                       bound=family.bound, instances_checked=checked,
+                       result=result, seed=seed)
 
 
 class _Budget:
@@ -795,11 +794,10 @@ def _mono_rows(colouring: Colouring, rows: Iterator[Row], budget: _Budget
 
 
 def _walk(colouring: Colouring, family: InstanceFamily, budget: _Budget
-          ) -> Tuple[Optional[int], Optional[dict]]:
-    """First monochromatic row as (index, witness), or (None, None); an
-    Instance is built only for the witness."""
+          ) -> Tuple[Optional[int], Optional[int]]:
+    """First monochromatic row as (index, colour), or (None, None)."""
     for i, _, c in _mono_rows(colouring, family.scan_rows(), budget):
-        return i, family.nth(i).witness_json(c)
+        return i, c
     return None, None
 
 
@@ -993,9 +991,9 @@ def _class_search(colouring: Colouring, family: _BuiltFamily) -> WindowSearch:
 
 
 def _window_scan(colouring: Colouring, family: InstanceFamily, budget: _Budget,
-                 search: WindowSearch) -> Tuple[Optional[int], Optional[dict]]:
+                 search: WindowSearch) -> Tuple[Optional[int], Optional[int]]:
     """First monochromatic row of a family whose rows come in order of an
-    integer m, its generators in [1, m], as (index, witness); m is the
+    integer m, its generators in [1, m], as (index, colour); m is the
     largest element for the translate and joint searches, the largest
     generator for the box and class searches.
 
@@ -1033,13 +1031,12 @@ def _window_scan(colouring: Colouring, family: InstanceFamily, budget: _Budget,
         end = len(carr) - 1
         got = search(carr, ranks, lo, end, budget) if end >= lo else None
         if got is not None:
-            idx, r = got
-            return idx, family.nth(idx).witness_json(list(ranks)[r - 1])
+            return got[0], list(ranks)[got[1] - 1]
         if end < top:
             start = family._upto(end)
             rows = map(family._scan_row, range(start, family.count()))
             for j, _, c in _mono_rows(colouring, rows, budget):
-                return start + j, family.nth(start + j).witness_json(c)
+                return start + j, c
             return None, None
         lo, hi = top + 1, 2 * hi
     return None, None
@@ -1060,10 +1057,12 @@ def find_monochromatic(colouring: Union[Colouring, str],
     for schurplusexp, the level box search for expquad under a log-star
     colouring, and the one-class tuple search for shape, other expquad and
     fep with a constant weight and at most ``cap`` candidates per row. The
-    rest take the row walk; witnesses are tuples from ``nth``.
-    ``threads`` is checked but changes neither the certificate nor the
-    speed: every search runs in this process. ``threads`` < 1 or a NaN
-    ``budget_secs`` raises ValueError.
+    rest take the row walk. Either gives the first monochromatic row's
+    (index, colour), from which ``_certificate`` writes the certificate,
+    the witness read from ``nth``; ``verify_certificate`` rebuilds it the
+    same way. ``threads`` is checked but changes neither the certificate
+    nor the speed: every search runs in this process. ``threads`` < 1 or a
+    NaN ``budget_secs`` raises ValueError.
     """
     t0 = time.perf_counter()
     if threads < 1:
@@ -1080,77 +1079,42 @@ def find_monochromatic(colouring: Union[Colouring, str],
     budget = _Budget(budget_secs)
 
     search = family._search(colouring)
-    if search is not None:
-        first_idx, witness = _window_scan(colouring, family, budget, search)
+    if search is None:
+        index, colour = _walk(colouring, family, budget)
     else:
-        first_idx, witness = _walk(colouring, family, budget)
-
-    if witness is None:
-        result = {"type": "AvoidanceVerified"}
-        checked = family.count()
-    else:
-        result = {"type": "Counterexample", "witness": witness}
-        checked = first_idx + 1
-    cert = Certificate(
-        family=family.descriptor(),
-        colouring=colouring.spec,
-        bound=family.bound,
-        instances_checked=checked,
-        result=result,
-        seed=seed,
-    )
+        index, colour = _window_scan(colouring, family, budget, search)
+    cert = _certificate(family, colouring, index, colour, seed)
     cert.wall_time = time.perf_counter() - t0
     return cert
 
 
 def verify_certificate(cert: Certificate) -> bool:
-    """Re-evaluate a certificate. A counterexample is checked exactly: its
-    witness must be the instance at index ``instances_checked - 1``, rebuilt
-    through ``nth``, with the same generators, roles and values, and that
-    instance is recoloured. An avoidance claim is replayed: the search is
-    run again on the rebuilt family and colouring with the certificate's
-    seed, and the claim stands only if the replay's bytes are the
-    certificate's, so its count and its canonical colouring spec are
-    checked too; a replay that raises rejects it. Either claim is rejected
-    unless its ``bound`` is its family's, its ``seed`` and ``schema`` are
-    ints (not bools) and its ``schema`` is ``SCHEMA_VERSION``.
+    """Accept a certificate only if it is the one ``find_monochromatic``
+    writes for its family, colouring and seed: the certificate is rebuilt
+    by ``_certificate`` and its canonical bytes must be the rebuilt ones,
+    so every field, the witness text and the canonical colouring spec are
+    checked at once. An avoidance claim is rebuilt by replaying the search;
+    a counterexample from the one instance at ``instances_checked - 1``,
+    through ``nth``, in its colour if it is monochromatic. ``seed`` and
+    ``instances_checked`` must also be ints (not bools): a string seed
+    would rebuild to the same bytes. Anything that raises, a malformed
+    ``result`` or ``witness`` included, rejects the certificate.
 
     The family is rebuilt under the default element cap of 10^6, so a
     descriptor over it, such as that of a certificate made with ``--cap``
     above 10^6, is rejected."""
     try:
+        if type(cert.seed) is not int or type(cert.instances_checked) is not int:
+            return False
         colouring = parse_colouring(cert.colouring)
         family = family_from_descriptor(cert.family)
-    except (ParseError, ValueError, BudgetError):
+        if cert.result["type"] == "AvoidanceVerified":
+            rebuilt = find_monochromatic(colouring, family, seed=cert.seed)
+        else:
+            i = cert.instances_checked - 1
+            row = family.nth(i).values, ()
+            (_, _, colour), = _mono_rows(colouring, [row], _Budget(None))
+            rebuilt = _certificate(family, colouring, i, colour, cert.seed)
+        return rebuilt.to_json() == cert.to_json()
+    except Exception:
         return False
-    if (type(cert.seed) is not int or type(cert.schema) is not int
-            or cert.schema != SCHEMA_VERSION or cert.bound != family.bound):
-        return False
-    result = cert.result
-    if result.get("type") == "Counterexample":
-        i = cert.instances_checked
-        wit = result.get("witness")
-        if (type(i) is not int or not 1 <= i <= family.count()
-                or not isinstance(wit, dict)):
-            return False
-        inst = family.nth(i - 1)
-        elements = wit.get("elements")
-        if (wit.get("generators") != list(inst.generators)
-                or not isinstance(elements, list)
-                or len(elements) != len(inst.values)):
-            return False
-        try:
-            for el, role, v in zip(elements, inst.roles, inst.values):
-                if el.get("role") != role or not equal_value(parse_term(el["value"]), v):
-                    return False
-            mono = next(_mono_rows(colouring, [(inst.values, ())], _Budget(None)), None)
-        except Exception:
-            return False
-        return mono is not None and mono[2] == wit.get("colour")
-    if result.get("type") == "AvoidanceVerified":
-        try:
-            replay = find_monochromatic(colouring, family, seed=cert.seed)
-            return replay.to_json() == cert.to_json()
-        except Exception:
-            return False
-    return False

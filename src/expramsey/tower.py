@@ -260,19 +260,11 @@ def equal_value(s: ExpTerm, t: ExpTerm, cutoff: Optional[int] = None) -> bool:
 
 
 def dedup_key(t: ExpTerm, cutoff: Optional[int] = None):
-    """Hashable identity: exact value when small, canonical structure when Huge."""
+    """Hashable identity: ("v", exact value) when at most the cutoff,
+    else ("s", canonical structure)."""
     t = as_term(t)
-    return value_key(t, t.exact if cutoff is None else eval_exact(t, cutoff).exact, cutoff)
-
-
-def value_key(t: ExpTerm, value: Optional[int], cutoff: Optional[int] = None):
-    """dedup_key(t) for a caller that already holds t's value, or None when t
-    is known to be Huge: ("v", value) at most the cutoff, else ("s", t)."""
-    if cutoff is None:
-        cutoff = DEFAULT_CUTOFF
-    if value is not None and value <= cutoff:
-        return ("v", value)
-    return ("s", t)
+    v = t.exact if cutoff is None else eval_exact(t, cutoff).exact
+    return ("s", t) if v is None else ("v", v)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +275,9 @@ def to_text(t: ExpTerm) -> str:
     if isinstance(t, Literal):
         return str(t.value)
     if isinstance(t, Product):
-        return "*".join(_factor_text(f) for f in t.factors)
+        # products are flattened, so a factor is a Literal or a Power; ^
+        # binds tighter than * and needs no parentheses here
+        return "*".join(map(to_text, t.factors))
     base = to_text(t.base)
     if isinstance(t.base, (Power, Product)):
         base = f"({base})"
@@ -291,12 +285,6 @@ def to_text(t: ExpTerm) -> str:
     if isinstance(t.exponent, Product):
         exp = f"({exp})"
     return f"{base}^{exp}"
-
-
-def _factor_text(f: ExpTerm) -> str:
-    # products are flattened, so a factor is a Literal or a Power; ^ binds
-    # tighter than * and needs no parentheses here
-    return to_text(f)
 
 
 def parse_term(text: str) -> ExpTerm:

@@ -585,12 +585,13 @@ def _walk_outcome(colouring, family):
     """The certificate bytes of the plain row walk, or the type of what it
     raises."""
     try:
-        idx, witness = search._walk(colouring, family, search._Budget(None))
+        idx, colour = search._walk(colouring, family, search._Budget(None))
     except Exception as exc:
         return type(exc)
-    if witness is None:
+    if idx is None:
         checked, result = family.count(), {"type": "AvoidanceVerified"}
     else:
+        witness = family.nth(idx).witness_json(colour)
         checked, result = idx + 1, {"type": "Counterexample", "witness": witness}
     return Certificate(family=family.descriptor(), colouring=colouring.spec,
                        bound=family.bound, instances_checked=checked,
@@ -783,7 +784,8 @@ def test_kernel_colours_about_twice_what_the_walk_colours():
     element, and never fewer than the walk."""
     walked, scanned = _RecordingSchurExp(), _RecordingSchurExp()
     fam = parse_family("schur", 2000)
-    idx, witness = search._walk(walked, fam, search._Budget(None))
+    idx, colour = search._walk(walked, fam, search._Budget(None))
+    witness = fam.nth(idx).witness_json(colour)
     cert = find_monochromatic(scanned, fam)
     assert cert.instances_checked == idx + 1 and cert.result["witness"] == witness
     s = max(int(e["value"]) for e in witness["elements"])
@@ -1356,6 +1358,39 @@ def test_verify_rejects_forged_counterexample():
         moved = Certificate.from_json_obj(json.loads(cert.to_json()))
         moved.instances_checked = checked
         assert not verify_certificate(moved), checked
+    # the witness of a row before the first monochromatic one, in any colour
+    # or none
+    i = cert.instances_checked - 2
+    before = parse_family("exptriple", 10**5).nth(i)
+    for colour in (None, 1, 2):
+        forged = Certificate.from_json_obj(json.loads(cert.to_json()))
+        forged.instances_checked = i + 1
+        forged.result["witness"] = before.witness_json(colour)
+        assert not verify_certificate(forged), colour
+    # the true claim in a form find_monochromatic does not write: a
+    # colouring spec that is not canonical, value text that parses to the
+    # same value, an extra witness key and an extra descriptor key
+    assert cert.result["witness"]["elements"][0]["value"] == "17"
+    for path, val in ((("colouring",), "logstar"),
+                      (("result", "witness", "elements", 0, "value"), "(17)"),
+                      (("result", "witness", "note"), "x"),
+                      (("family", "note"), "x")):
+        forged = Certificate.from_json_obj(_set(json.loads(cert.to_json()), path, val))
+        assert not verify_certificate(forged), path
+    # a result or witness that is not a dict
+    for path in (("result",), ("result", "witness")):
+        forged = Certificate.from_json_obj(_set(json.loads(cert.to_json()), path, []))
+        assert verify_certificate(forged) is False, path
+
+
+def _set(obj, path, val):
+    """obj with the value at ``path`` (keys and indices) set to val."""
+    *parents, last = path
+    inner = obj
+    for key in parents:
+        inner = inner[key]
+    inner[last] = val
+    return obj
 
 
 def _certificates():
@@ -1387,10 +1422,21 @@ def test_every_counterexample_verifies():
     assert any(c.instances_checked > 1 for c in certs)
     for cert in certs:
         clone = _round_trip(cert)
-        assert verify_certificate(clone), cert.to_json()
+        assert clone == cert and verify_certificate(clone), cert.to_json()
+        # value text that parses to the same value, and extra keys
+        first = ("result", "witness", "elements", 0, "value")
+        for path, val in ((first, f"({cert.result['witness']['elements'][0]['value']})"),
+                          (("result", "witness", "note"), "x"),
+                          (("family", "note"), "x")):
+            forged = Certificate.from_json_obj(_set(json.loads(cert.to_json()), path, val))
+            assert not verify_certificate(forged), (path, cert.to_json())
         if cert.instances_checked > 1:
             clone.instances_checked -= 1
             assert not verify_certificate(clone), cert.to_json()
+    # _Record.from_json_obj reads back every record kind
+    for comp in (vdw_number(2, 3), exp_ramsey_number(1)):
+        obj = json.loads(comp.to_json())
+        assert ramsey.RamseyComputation.from_json_obj(obj) == comp
 
 
 def test_every_avoidance_verifies():

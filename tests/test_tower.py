@@ -40,7 +40,6 @@ from expramsey.tower import (
     power,
     product,
     to_text,
-    value_key,
 )
 
 
@@ -167,16 +166,13 @@ def test_equal_value_across_structures():
 def test_dedup_key_merges_equal_exact_values():
     assert dedup_key(power(2, 4)) == dedup_key(literal(16))
     assert dedup_key(power(2, 65536)) != dedup_key(power(3, 65536))
-
-
-def test_value_key_is_dedup_key_from_a_known_value():
-    for t in (power(2, 4), power(2, 64), product(power(2, 32), power(2, 32)),
-              power(2, 65536)):
-        assert value_key(t, eval_exact(t).exact) == dedup_key(t)
-    # a product of small factors can exceed the cutoff
+    assert (dedup_key(product(power(2, 32), power(2, 32))) == dedup_key(power(2, 64))
+            == ("v", 2**64))
+    # a product of small factors can exceed the cutoff, and so can a literal
     big = product(power(2, 40), power(3, 40))
-    assert value_key(big, 2**40 * 3**40) == dedup_key(big) == ("s", big)
-    assert value_key(literal(9), 9, cutoff=8) == dedup_key(literal(9), 8)
+    assert dedup_key(big) == ("s", big)
+    assert dedup_key(literal(9), 8) == ("s", literal(9))
+    assert dedup_key(literal(9), 9) == ("v", 9)
 
 
 def _reference_eval_bounded(t, cutoff):
