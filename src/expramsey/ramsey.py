@@ -4,7 +4,9 @@ Waerden numbers.
 Each threshold is the least n whose constraint sets (the triples with
 a^b <= n, or the length-L progressions in [n]) admit no k-colouring with
 no set monochromatic. ``_backtrack_colouring`` decides each n; for exp
-triples it solves only the 2-core of the triples (``_core``). A record
+triples it solves only the 2-core (``_core``), unless a k-colouring of the
+lifted exponent system (``_lifted_constraints``) puts the answer past the
+ceiling; vdW solves n only where the last colouring does not extend. A record
 carries the witness colouring of [value - 1] and ``methods_agree``: the
 witness re-checked, and a second branching order refuting the threshold.
 ``export_dimacs`` writes the same problem as CNF.
@@ -18,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ._arith import _exp_pairs, _exp_tops
+from ._arith import _exp_pairs, _exp_tops, root_exponent
 from ._spec import SCHEMA_VERSION, _Record
 from .errors import BudgetExceeded
 
@@ -47,6 +49,12 @@ _TRIPLE_CAP = 2 * 10**6
 def _exp_triples_upto(n: int, cap: Optional[int] = None) -> List[Tuple[int, int, int]]:
     """All (a, b, a^b) with a, b >= 2 and a^b <= n, capped as in _exp_pairs."""
     return [(a, b, p) for p, a, b in _exp_pairs(n, cap=cap)]
+
+
+def _lifted_constraints(m: int) -> List[Tuple[int, int, int]]:
+    """{l, l(b), l*b} for l >= 1, b >= 2 and l*b <= m: the lifted system."""
+    return [(l, root_exponent(b), l * b) for b in range(2, m + 1)
+            for l in range(1, m // b + 1)]
 
 
 def _backtrack_colouring(values: List[int],
@@ -83,12 +91,12 @@ def _backtrack_colouring(values: List[int],
     if m == 0:
         return {}
     k = min(k, m)  # first-use order never opens more than m classes
-    index = {v: i for i, v in enumerate(values)}
-    cons = {frozenset([index[v] for v in c]) for c in constraints}
-    if any(len(pos) == 1 for pos in cons):
-        return None
+    index = dict(zip(values, range(m)))
     others: List[List[Tuple[int, ...]]] = [[] for _ in range(m)]
-    for pos in map(tuple, cons):
+    for c in set(map(frozenset, constraints)):
+        if len(c) == 1:
+            return None
+        pos = tuple([index[v] for v in c])
         for i, p in enumerate(pos):
             others[p].append(pos[:i] + pos[i + 1:])
     if alternate:
@@ -272,6 +280,14 @@ def exp_ramsey_number(k: int, n_max: int = 10**5, *, seed: int = 0) -> RamseyCom
     together, so only core powers can be the answer. The witness colouring
     of [N-1] is solved and re-checked on every triple. ``seed`` is recorded only.
 
+    For k >= 2 the lifted system at M = ``n_max.bit_length() - 1`` comes
+    first. Write n = r^l(n), r no perfect power (``root_exponent``). If g
+    colours [1, M] with no {l, l(b), l*b} (l >= 1, b >= 2, l*b <= M)
+    monochromatic, c(n) = g(l(n)) leaves no triple up to ``n_max``
+    monochromatic: a^b = r^(l(a)*b), so l(a^b) = l(a)*b <= log2(a^b) <= M,
+    and c maps {a, b, a^b} to a lifted constraint's colours. Such a g gives
+    value None with no triple listed; without one the ladder runs.
+
     The ceiling below the first unsolvable one is below the answer, so the
     triples listed lie below the answer's square: below 16 for k = 1 and
     below 2^32 for k = 2. More than ``_TRIPLE_CAP`` triples up to ``n_max``,
@@ -291,6 +307,11 @@ def exp_ramsey_number(k: int, n_max: int = 10**5, *, seed: int = 0) -> RamseyCom
 
     def unsolvable(n: int) -> bool:
         return _backtrack_colouring(*problem(n, True), k) is None
+
+    m = n_max.bit_length() - 1
+    if k >= 2 and _backtrack_colouring(
+            list(range(1, m + 1)), _lifted_constraints(m), k) is not None:
+        return _threshold("exptriple", k, {}, n_max, seed, t0, None, None, problem)
 
     # unsolvability is monotone in N: a valid colouring of [N] restricts to
     # any smaller range. A ceiling costs about the square root of the next
@@ -322,10 +343,14 @@ def _ap_constraints(n: int, length: int) -> List[Tuple[int, ...]]:
 
 
 def vdw_number(k: int, length: int, n_max: int = 64, *, seed: int = 0) -> RamseyComputation:
-    """Exact van der Waerden number W_k(length): one backtracking solve per
-    n from ``length`` up, stopping at the first unsatisfiable n. The witness
-    colouring of [W-1] is re-checked and a second branching order must
-    refute [W] for ``methods_agree``. ``seed`` is recorded only."""
+    """Exact van der Waerden number W_k(length), climbing n from ``length``.
+    The colouring of [n-1] extends to n where a colour fits: the first in
+    use that is not closed (no progression ending at n has all its other
+    members in it), or a fresh one while fewer than k are in use. Only
+    where none fits is [n] solved, so the first n the solver refutes is W,
+    as in a solve at every n. The witness, the solver's first colouring of
+    [W-1] (solved again if extension reached W-1), is re-checked and a second
+    order must refute [W] for ``methods_agree``. ``seed`` is recorded only."""
     if k < 1 or length < 2 or n_max < 1:
         raise ValueError("need k >= 1, progression length >= 2 and n_max >= 1")
     t0 = time.perf_counter()
@@ -333,13 +358,26 @@ def vdw_number(k: int, length: int, n_max: int = 64, *, seed: int = 0) -> Ramsey
     def problem(n: int) -> Tuple[List[int], List[Tuple[int, ...]]]:
         return list(range(1, n + 1)), _ap_constraints(n, length)
 
-    value, assign = None, None
+    # a colouring of [n - 1], and whether it is the solver's first one (with
+    # no progression in [length - 1], that is all 1s)
+    colours, solved, value = [1] * (length - 1), True, None
     for n in range(length, n_max + 1):
+        closed = {colours[n - 1 - d] for d in range(1, (n - 1) // (length - 1) + 1)
+                  if len({colours[n - 1 - i * d] for i in range(1, length)}) == 1}
+        fit = next((c for c in range(1, min(k, max(colours) + 1) + 1)
+                    if c not in closed), 0)
+        if fit:
+            colours.append(fit)
+            solved = False
+            continue
         found = _backtrack_colouring(*problem(n), k)
         if found is None:
             value = n
             break
-        assign = found
+        colours, solved = [found[v] for v in range(1, n + 1)], True
+    assign = dict(enumerate(colours, 1))
+    if value is not None and not solved:
+        assign = _backtrack_colouring(*problem(value - 1), k)
     return _threshold("vdw", k, {"len": length}, n_max, seed, t0, value,
                       assign, problem)
 

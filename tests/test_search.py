@@ -30,6 +30,7 @@ from expramsey.ramsey import (
     _colouring_is_free,
     _core,
     _exp_triples_upto,
+    _lifted_constraints,
     _methods_agree,
     export_dimacs,
     exp_ramsey_number,
@@ -43,7 +44,7 @@ from expramsey.search import (
     verify_certificate,
 )
 from expramsey import _arith, ramsey, search
-from expramsey._arith import iroot
+from expramsey._arith import iroot, root_exponent
 from expramsey.tower import (
     compare_iter_log, dedup_key, eval_exact, eval_mod, log_star, parse_term,
     to_text,
@@ -1582,6 +1583,51 @@ def test_vdw_known_values(k, length, known):
     assert _avoids_progressions(colours, length)
 
 
+def _reference_vdw(k: int, length: int, n_max: int = 64):
+    """A climb that solves every n from ``length`` up: the reference for
+    vdw_number's records."""
+    def problem(n):
+        return list(range(1, n + 1)), _ap_constraints(n, length)
+
+    value, assign = None, None
+    for n in range(length, n_max + 1):
+        found = _backtrack_colouring(*problem(n), k)
+        if found is None:
+            value = n
+            break
+        assign = found
+    return ramsey._threshold("vdw", k, {"len": length}, n_max, 0,
+                             time.perf_counter(), value, assign, problem)
+
+
+# W_k(length) for k in 1..3 and length in 2..4
+KNOWN_VDW = {(1, 2): 2, (1, 3): 3, (1, 4): 4, (2, 2): 3, (2, 3): 9, (2, 4): 35,
+             (3, 2): 4, (3, 3): 27, (3, 4): 76}
+
+
+@pytest.mark.parametrize("k, length", sorted(KNOWN_VDW))
+@pytest.mark.parametrize("below", [False, True])
+def test_vdw_climb_matches_a_solve_at_every_n(k, length, below):
+    # the default ceiling 64, and one ceiling below W (64 is below W(3,4) = 76)
+    n_max = min(KNOWN_VDW[k, length], 64) - 1 if below else 64
+    comp = vdw_number(k, length, n_max)
+    assert comp.to_json_obj() == _reference_vdw(k, length, n_max).to_json_obj()
+    assert comp.value == (None if below or (k, length) == (3, 4) else KNOWN_VDW[k, length])
+
+
+def test_vdw_solves_only_where_the_last_colouring_does_not_extend(monkeypatch):
+    calls, solve = [], ramsey._backtrack_colouring
+    monkeypatch.setattr(ramsey, "_backtrack_colouring",
+                        lambda *args, **kwargs: calls.append(args) or solve(*args, **kwargs))
+    assert vdw_number(3, 3).value == 27
+    # solving every n took 26 calls
+    assert len(calls) <= 8
+    calls.clear()
+    # and 33 for W(2,4); the climb opens a fresh colour by extension
+    assert vdw_number(2, 4).value == 35
+    assert len(calls) <= 5
+
+
 def test_backtrack_orders_agree_and_colourings_are_free():
     for n in range(3, 12):
         values, cons = list(range(1, n + 1)), _ap_constraints(n, 3)
@@ -1790,13 +1836,18 @@ def test_backtrack_with_more_colours_than_values(problem, alternate):
 
 
 def test_backtrack_memory_does_not_grow_with_k():
-    # 992 progressions at n = 64 once needed about 16 GB of slots at k = 10^6
+    # 992 progressions at n = 64 once needed about 16 GB of slots at k = 10^6;
+    # the climb colours every n by extension, so the solver is called directly
+    values, cons = list(range(1, 65)), _ap_constraints(64, 3)
     tracemalloc.start()
     try:
+        assigns = [_backtrack_colouring(values, cons, 10**6, alternate=alternate)
+                   for alternate in (False, True)]
         comp = vdw_number(10**6, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert all(a is not None for a in assigns)
     assert comp.value is None and peak < 8 * 2**20
 
 
@@ -1882,9 +1933,53 @@ def test_exp_ramsey_respects_ceiling():
 
 
 def test_exp_ramsey_three_colours_exceed_a_high_ceiling():
-    # the ceiling is solved first: one 3-colouring of the problem at 10^7
+    # the lifted system at M = 23 is solved first, and its 3-colouring puts
+    # exp(3) past 10^7 with no triple listed
     comp = exp_ramsey_number(3, n_max=10**7)
     assert comp.value is None and comp.witness is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 20), st.sampled_from([2, 3]), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_lifted_colourings_leave_no_triple_monochromatic(m, k, alternate, rng):
+    # the values in another order pin another value to the root, so the
+    # solver returns another g
+    values = rng.sample(range(1, m + 1), m)
+    g = _backtrack_colouring(values, _lifted_constraints(m), k, alternate=alternate)
+    if g is None:  # 2 colours lift only through M = 11
+        assert k == 2 and m >= 12
+        return
+    triples = _exp_triples_upto(2 ** (m + 1) - 1)
+    lift = {v: g[root_exponent(v)] for t in triples for v in t}
+    assert all(len({lift[a], lift[b], lift[p]}) > 1 for a, b, p in triples)
+
+
+def test_lifted_constraints():
+    # l = 1 gives the pairs {1, b} for b no perfect power, and {1, 2, 4} for b = 4
+    assert _lifted_constraints(4) == [(1, 1, 2), (2, 1, 4), (1, 1, 3), (1, 2, 4)]
+    assert _lifted_constraints(1) == []
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("n_max", [100, 4095, 4096, 10**5, 10**7])
+def test_exp_ramsey_records_are_those_without_the_lift(monkeypatch, k, n_max):
+    comp = exp_ramsey_number(k, n_max)
+    # a one-member constraint is monochromatic under every colouring, so
+    # the lifted system is never coloured and the ladder always runs
+    monkeypatch.setattr(ramsey, "_lifted_constraints", lambda m: [(1,)])
+    assert comp.to_json_obj() == exp_ramsey_number(k, n_max).to_json_obj()
+
+
+def test_exp_ramsey_three_colours_exceed_10_to_the_12_by_the_lift(monkeypatch):
+    # the lift answers without listing a triple
+    listed = []
+    monkeypatch.setattr(ramsey, "_exp_triples_upto", lambda n, cap=None: listed.append(n))
+    comp = exp_ramsey_number(3, n_max=10**12)
+    assert listed == []
+    assert comp.to_json() == (
+        '{"k":3,"kind":"exptriple","methods_agree":null,"n_max":1000000000000,'
+        '"params":{},"schema":1,"seed":0,"value":null,"witness":null}\n')
 
 
 def _members(cons: List[Tuple[int, ...]]) -> List[int]:
@@ -1925,9 +2020,16 @@ def test_exp_ramsey_probes_solve_only_the_core(monkeypatch):
     assert len(_exp_triples_upto(65535)) == 334
     assert sizes.count(334) == 1 and sorted(sizes)[-2] <= 100
     sizes.clear()
-    # the top ceiling holds 32,967 triples
+    # 3 colours never reach a probe: the lifted system at M = 29 is
+    # 3-colourable, and it is the only solve
     assert exp_ramsey_number(3, n_max=10**9).value is None
-    assert max(sizes) <= 800
+    assert sizes == [len(_lifted_constraints(29))]
+    sizes.clear()
+    # 2 colours refute the ceiling 10^9 and probe below it: the ceiling
+    # holds 32,967 triples, and its core 712
+    assert exp_ramsey_number(2, n_max=10**9).value == 65536
+    assert len(_exp_triples_upto(10**9)) == 32967
+    assert 712 in sizes and max(sizes) <= 800
 
 
 @pytest.mark.parametrize("n_max", [0, -5])
