@@ -3,14 +3,14 @@ byte form of every JSON output.
 
 Spec text is ``kind[:key=value,...]``; a kind is a class that declares its
 parameters as ``Param`` entries in ``params``, ``read_spec`` reads them and
-``write_spec`` writes them back. Certificates and Ramsey records are
-``_Record`` dataclasses written by ``canonical_json``.
+``write_spec`` writes them back. Terms, pattern sets and the other value
+classes are ``_Struct`` classes; certificates and Ramsey records are
+``_Record`` classes written by ``canonical_json``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from .errors import ParseError
@@ -96,13 +96,62 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-class _Record:
-    """A result record: its JSON holds every dataclass field but wall_time,
-    which stays out of the bytes so replays are byte-identical."""
+class _Struct:
+    """A slotted value with the ==, hash, repr, immutability and pickling a
+    frozen dataclass gives its compared fields ``_fields``. The constructor
+    takes ``_fields``, then ``_uncompared`` (shown by repr, out of == and
+    hash), by position or name, a missing one from ``_defaults``. Pickles
+    and copies call the class on its arguments, so no cache rides along."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+    _uncompared: Tuple[str, ...] = ()
+    _defaults: Dict[str, object] = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields + self._uncompared
+        given = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        if len(args) > len(names) or given.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes {', '.join(names)}")
+        for name in names:
+            object.__setattr__(self, name, given[name])
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}"
+                         for name in self._fields + self._uncompared)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name)
+                                  for name in self._fields + self._uncompared])
+
+
+class _Record(_Struct):
+    """A mutable, unhashable record whose JSON holds ``_fields``; wall_time
+    is out of the JSON and of ==, so replays are byte-identical."""
+
+    __slots__ = _uncompared = ("wall_time",)
+    _defaults = {"schema": SCHEMA_VERSION, "wall_time": 0.0}
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
 
     def to_json_obj(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name != "wall_time"}
+        return dict(zip(self._fields, self._key()))
 
     def to_json(self) -> str:
         return canonical_json(self.to_json_obj())
@@ -111,5 +160,4 @@ class _Record:
     def from_json_obj(cls, obj: dict):
         """The record whose ``to_json_obj`` is ``obj``; a missing key
         raises KeyError."""
-        return cls(**{f.name: obj[f.name] for f in fields(cls)
-                      if f.name != "wall_time"})
+        return cls(**{name: obj[name] for name in cls._fields})

@@ -17,7 +17,6 @@ load ``search``, which imports the rest.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -74,6 +73,7 @@ def _emit(args, text: str) -> None:
 
 
 def _csv_rows(rows: List[List[str]]) -> str:
+    import csv  # only --format csv pays for it
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for row in rows:

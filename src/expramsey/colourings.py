@@ -26,9 +26,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ._intlog import (
     PREC_SCHEDULE,
@@ -37,7 +35,7 @@ from ._intlog import (
     log_star_int,
     log_star_scaled,
 )
-from ._spec import INT, STR, Param, read_spec, write_spec
+from ._spec import INT, STR, Param, _Struct, read_spec, write_spec
 from .errors import (
     OutOfDomain,
     ParseError,
@@ -59,6 +57,9 @@ from .tower import (
     nu_p,
     power,
 )
+
+if TYPE_CHECKING:  # only the lacunary construction imports it, where it runs
+    from fractions import Fraction
 
 Value = Union[int, ExpTerm]
 
@@ -263,6 +264,7 @@ def parse_seq(text: str) -> DifferenceSequence:
 
 
 def _rat_bounds(seq: DifferenceSequence, n: int, prec: int) -> Tuple[Fraction, Fraction]:
+    from fractions import Fraction
     v = seq.exact(n)
     if v is not None:
         f = Fraction(v)
@@ -291,18 +293,14 @@ def _check_four_lacunary(seq: DifferenceSequence, indices: Sequence[int]) -> Non
             )
 
 
-@dataclass(frozen=True)
-class LacunaryAlpha:
+class LacunaryAlpha(_Struct):
     """Exact rational alpha with {alpha * b_n} inside (1/4, 3/4) for all n.
 
     The final nested interval is kept as the precision witness; alpha is its
     midpoint.
     """
 
-    alpha: Fraction
-    seq_name: str
-    indices: Tuple[int, ...]
-    interval: Tuple[Fraction, Fraction]
+    __slots__ = _fields = ("alpha", "seq_name", "indices", "interval")
 
 
 def build_lacunary_alpha(
@@ -321,6 +319,7 @@ def build_lacunary_alpha(
     into the existence of the next component; partial overlaps could leave
     an arbitrarily thin sliver and strand the construction later.
     """
+    from fractions import Fraction
     if isinstance(seq, str):
         seq = parse_seq(seq)
     if indices is None:
@@ -409,6 +408,7 @@ class LacunaryColouring(Colouring):
         return {**super().rule, "classes": len(self.alphas)}
 
     def _ratio_lower_bound(self, indices: Sequence[int]) -> Fraction:
+        from fractions import Fraction
         best: Optional[Fraction] = None
         for a, b in zip(indices, indices[1:]):
             for prec in PREC_SCHEDULE:

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from ._spec import _Struct
 from .errors import (
     ArityMismatch,
     BudgetExceeded,
@@ -55,12 +55,8 @@ def _require_gt1(xs: Sequence[ExpTerm], family: str) -> None:
             raise ValueError(f"{family} generators must all exceed 1, got {to_text(x)}")
 
 
-@dataclass(frozen=True)
-class PatternSet:
-    family: str
-    generators: Tuple[ExpTerm, ...]
-    elements: Tuple[ExpTerm, ...]
-    provenance: Tuple[dict, ...]
+class PatternSet(_Struct):
+    __slots__ = _fields = ("family", "generators", "elements", "provenance")
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -197,8 +193,7 @@ def _set_key(values: Iterable[int]) -> str:
     return ",".join(str(v) for v in sorted(set(values)))
 
 
-@dataclass(frozen=True)
-class WeightFn:
+class WeightFn(_Struct):
     """Weight on finite sets of positive integers, or a constant.
 
     Table keys are frozensets of values. A monotone (normalized) table
@@ -206,9 +201,8 @@ class WeightFn:
     closure used by the exponential-product family.
     """
 
-    const: Optional[int] = None
-    table: Optional[Dict[FrozenSet[int], int]] = None
-    monotone: bool = False
+    __slots__ = _fields = ("const", "table", "monotone")
+    _defaults = {"const": None, "table": None, "monotone": False}
 
     @classmethod
     def constant(cls, k: int) -> "WeightFn":
@@ -387,19 +381,18 @@ def fep(W: WeightFn, xs, cap: int = DEFAULT_ELEMENT_CAP) -> PatternSet:
 # ---------------------------------------------------------------------------
 # shape patterns and the cycle decision
 
-@dataclass(frozen=True)
-class ShapeRelation:
-    m: int
-    edges: FrozenSet[Tuple[int, int]] = field(default_factory=frozenset)
+class ShapeRelation(_Struct):
+    __slots__ = _fields = ("m", "edges")
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, m: int, edges: Iterable[Tuple[int, int]] = frozenset()):
+        if m < 1:
             raise ValueError("relation needs m >= 1")
         # sorted, so the iteration order descriptors record is the set's own
-        object.__setattr__(self, "edges", frozenset(sorted(self.edges)))
-        for (i, j) in self.edges:
-            if not (1 <= i <= self.m and 1 <= j <= self.m):
-                raise ValueError(f"edge ({i},{j}) outside [{self.m}]x[{self.m}]")
+        edges = frozenset(sorted(edges))
+        for (i, j) in edges:
+            if not (1 <= i <= m and 1 <= j <= m):
+                raise ValueError(f"edge ({i},{j}) outside [{m}]x[{m}]")
+        super().__init__(m, edges)
 
 
 def parse_edges(text: str, sep: str) -> List[Tuple[int, int]]:

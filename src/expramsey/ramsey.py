@@ -17,26 +17,16 @@ from __future__ import annotations
 import bisect
 import math
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ._arith import _exp_pairs, _exp_tops, root_exponent
-from ._spec import SCHEMA_VERSION, _Record
+from ._spec import _Record
 from .errors import BudgetExceeded
 
 
-@dataclass
 class RamseyComputation(_Record):
-    kind: str
-    k: int
-    params: dict
-    value: Optional[int]
-    n_max: int
-    witness: Optional[dict]
-    methods_agree: Optional[bool]
-    seed: int
-    schema: int = SCHEMA_VERSION
-    wall_time: float = field(default=0.0, compare=False)
+    __slots__ = _fields = ("kind", "k", "params", "value", "n_max", "witness",
+                           "methods_agree", "seed", "schema")
 
     @property
     def exceeds_budget(self) -> bool:

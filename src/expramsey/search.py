@@ -19,16 +19,16 @@ import bisect
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
 from typing import (
     Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
 )
 
 from ._arith import _exp_pairs, iroot
 from ._spec import (
-    BOOL, INT, SCHEMA_VERSION, STR, Param, ParamType, _Record, read_spec,
-    write_spec,
+    BOOL, INT, STR, Param, ParamType, _Record, _Struct, read_spec, write_spec,
 )
+# not read here: callers read the certificate schema as search.SCHEMA_VERSION
+from ._spec import SCHEMA_VERSION  # noqa: F401
 from .colourings import Colouring, LogStarColouring, parse_colouring, parse_seq
 from .errors import BudgetExceeded, ParseError
 from .patterns import (
@@ -59,11 +59,8 @@ def _value_text(v: Value) -> str:
     return str(v) if isinstance(v, int) else to_text(v)
 
 
-@dataclass(frozen=True)
-class Instance:
-    roles: Tuple[str, ...]
-    values: Tuple[Value, ...]
-    generators: Tuple[int, ...]
+class Instance(_Struct):
+    __slots__ = _fields = ("roles", "values", "generators")
 
     def witness_json(self, colour: int) -> dict:
         return {
@@ -726,16 +723,9 @@ def family_from_descriptor(desc: dict, *, cap: int = 10**6) -> InstanceFamily:
 # ---------------------------------------------------------------------------
 # certificates
 
-@dataclass
 class Certificate(_Record):
-    family: dict
-    colouring: str
-    bound: int
-    instances_checked: int
-    result: dict
-    seed: int
-    schema: int = SCHEMA_VERSION
-    wall_time: float = field(default=0.0, compare=False)
+    __slots__ = _fields = ("family", "colouring", "bound", "instances_checked",
+                           "result", "seed", "schema")
 
     @property
     def verified(self) -> bool:

@@ -8,8 +8,9 @@ iterated-log comparisons.
 A term denotes a positive integer built from decimal literals, right-
 associative exponentiation, and multiplication, without ever materializing
 values that would be astronomically large. Every term denotes an integer >= 1
-by construction. Terms are immutable and hashable; structural equality is the
-dataclass equality, value-level equality goes through :func:`equal_value`.
+by construction. Terms are immutable and hashable; structural equality is
+equality of class and fields (``value``, ``base`` and ``exponent``, or
+``factors``), value-level equality goes through :func:`equal_value`.
 
 Canonical form, maintained by the factory functions ``literal`` / ``power`` /
 ``product`` (use those rather than the raw constructors):
@@ -33,7 +34,6 @@ recurse, and they start from the children's fields.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
 # factorint is not called here; bench/spans.py traces it through this binding
@@ -46,6 +46,7 @@ from ._intlog import (
     log_star_int,
     log_star_scaled,
 )
+from ._spec import _Struct
 from .errors import (
     ExactnessRequired,
     ParseError,
@@ -56,6 +57,7 @@ from .errors import (
 
 DEFAULT_CUTOFF = 2**64
 _CUTOFF_BITS = DEFAULT_CUTOFF.bit_length()
+_set = object.__setattr__
 
 
 def _at_most(v: Optional[int], cutoff: int) -> Optional[int]:
@@ -63,37 +65,53 @@ def _at_most(v: Optional[int], cutoff: int) -> Optional[int]:
 
 
 def _set_exact(node, v: Optional[int]) -> None:
-    object.__setattr__(node, "exact", v if v is not None and v <= DEFAULT_CUTOFF else None)
+    """A node's last step of construction: its exact value, and no hash yet."""
+    _set(node, "exact", v if v is not None and v <= DEFAULT_CUTOFF else None)
+    _set(node, "_hash", None)
 
 
-@dataclass(frozen=True)
-class Literal:
-    value: int
-    # the value when at most DEFAULT_CUTOFF, else None; out of ==, hash, repr
-    exact: Optional[int] = field(init=False, repr=False, compare=False)
+class _Term(_Struct):
+    """A node: ==, hash and repr read ``_fields``, not ``exact`` or ``_hash``.
+    Each node class reads its fields in ``_key`` itself, faster than a loop."""
 
-    def __post_init__(self):
-        if not isinstance(self.value, int) or isinstance(self.value, bool):
-            raise TypeError("Literal value must be an int")
-        if self.value < 1:
-            raise ValueError("Literal value must be a positive integer")
-        _set_exact(self, self.value)
+    __slots__ = ("exact", "_hash")
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(self._key())
+            _set(self, "_hash", h)
+        return h
 
     def __str__(self):
         return to_text(self)
 
 
-@dataclass(frozen=True)
-class Power:
-    base: "ExpTerm"
-    exponent: "ExpTerm"
-    exact: Optional[int] = field(init=False, repr=False, compare=False)
+class Literal(_Term):
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self):
+    def __init__(self, value: int):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError("Literal value must be an int")
+        if value < 1:
+            raise ValueError("Literal value must be a positive integer")
+        _set(self, "value", value)
+        _set_exact(self, value)
+
+    def _key(self) -> tuple:
+        return (self.value,)
+
+
+class Power(_Term):
+    __slots__ = _fields = ("base", "exponent")
+
+    def __init__(self, base: "ExpTerm", exponent: "ExpTerm"):
         # exponent 1 would break canonical uniqueness; the factory collapses it
-        if isinstance(self.exponent, Literal) and self.exponent.value == 1:
+        if isinstance(exponent, Literal) and exponent.value == 1:
             raise ValueError("Power with exponent Literal(1) is not canonical")
-        b, e = self.base.exact, self.exponent.exact
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
+        b, e = base.exact, exponent.exact
         if b == 1:
             _set_exact(self, 1)
         elif b is None or e is None or (b.bit_length() - 1) * e > _CUTOFF_BITS:
@@ -101,30 +119,29 @@ class Power:
         else:
             _set_exact(self, b**e)
 
-    def __str__(self):
-        return to_text(self)
+    def _key(self) -> tuple:
+        return (self.base, self.exponent)
 
 
-@dataclass(frozen=True)
-class Product:
-    factors: Tuple["ExpTerm", ...]
-    exact: Optional[int] = field(init=False, repr=False, compare=False)
+class Product(_Term):
+    __slots__ = _fields = ("factors",)
 
-    def __post_init__(self):
-        if len(self.factors) < 2:
+    def __init__(self, factors: Tuple["ExpTerm", ...]):
+        if len(factors) < 2:
             raise ValueError("Product needs at least two factors")
-        if any(isinstance(f, Literal) and f.value == 1 for f in self.factors):
+        if any(isinstance(f, Literal) and f.value == 1 for f in factors):
             raise ValueError("Product with a Literal(1) factor is not canonical")
+        _set(self, "factors", factors)
         acc = 1
-        for f in self.factors:
+        for f in factors:
             if f.exact is None or acc > DEFAULT_CUTOFF:
                 acc = None
                 break
             acc *= f.exact
         _set_exact(self, acc)
 
-    def __str__(self):
-        return to_text(self)
+    def _key(self) -> tuple:
+        return (self.factors,)
 
 
 ExpTerm = Union[Literal, Power, Product]
@@ -182,15 +199,17 @@ def product(*factors) -> ExpTerm:
     return Product(tuple(merged))
 
 
-@dataclass(frozen=True)
-class BoundedValue:
+class BoundedValue(_Struct):
     """Exact value at or below ``cutoff``, or the verdict Huge (exact=None).
 
     Huge certifies a lower bound: the denoted value exceeds ``cutoff``.
     """
 
-    exact: Optional[int]
-    cutoff: int
+    __slots__ = _fields = ("exact", "cutoff")
+
+    def __init__(self, exact: Optional[int], cutoff: int):
+        _set(self, "exact", exact)
+        _set(self, "cutoff", cutoff)
 
     @property
     def is_exact(self) -> bool:

@@ -94,7 +94,8 @@ def test_the_import_graph():
 
 
 # a fresh interpreter runs ``python -m expramsey.cli`` on the arguments
-# after it and prints the exit code and the package modules it loaded
+# after it and prints the exit code, the package modules it loaded and
+# every module it loaded
 LOADED = """
 import json, runpy, sys
 code = 0
@@ -106,25 +107,45 @@ if len(sys.argv) > 1:
 else:
     import expramsey
 print(json.dumps([code, sorted(m.split(".")[1] for m in sys.modules
-                              if m.startswith("expramsey."))]))
+                              if m.startswith("expramsey.")), sorted(sys.modules)]))
 """
+# stdlib modules a process loads only when it asks for them: the value
+# classes are not dataclasses (which loads inspect), only the lacunary
+# colouring imports fractions (which loads decimal), only --format csv csv
+ON_DEMAND = {"dataclasses", "inspect", "fractions", "decimal", "csv"}
 
 
-@pytest.mark.parametrize("argv, needs, leaves_out", [
-    ([], set(), {"errors", "tower", "patterns", "colourings", "search", "ramsey"}),
-    (["colour", "logstar:r=1", "2", "4", "16"], {"colourings", "tower"},
-     {"search", "patterns", "ramsey"}),
-    (["gen", "fe", "2", "3"], {"patterns", "tower"}, {"search", "colourings", "ramsey"}),
-    (["ramsey", "vdw", "--k", "2", "--len", "3"], {"ramsey"},
-     {"search", "colourings", "patterns", "tower"}),
-    (["verify", "logstar:r=1", "exptriple", "--bound", "16"], {"search"}, set()),
-], ids=["import", "colour", "gen", "ramsey", "verify"])
-def test_a_process_loads_only_what_its_subcommand_calls(argv, needs, leaves_out):
+def _python(*args: str) -> str:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run(
-        [sys.executable, "-c", LOADED, *argv, *(["--out", os.devnull] if argv else [])],
-        capture_output=True, text=True, env=env, timeout=60, check=True).stdout
-    code, loaded = json.loads(out)
+    return subprocess.run([sys.executable, "-c", *args], capture_output=True, text=True,
+                          env=env, timeout=60, check=True).stdout
+
+
+@pytest.fixture(scope="module")
+def bare_modules() -> set:
+    """What an interpreter started the same way loads before the package:
+    a site hook (a .pth file) may already load some of ON_DEMAND."""
+    return set(json.loads(_python("import json, sys; print(json.dumps(sorted(sys.modules)))")))
+
+
+@pytest.mark.parametrize("argv, needs, leaves_out, on_demand", [
+    ([], set(), {"errors", "tower", "patterns", "colourings", "search", "ramsey"}, set()),
+    (["colour", "logstar:r=1", "2", "4", "16"], {"colourings", "tower"},
+     {"search", "patterns", "ramsey"}, set()),
+    (["gen", "fe", "2", "3"], {"patterns", "tower"}, {"search", "colourings", "ramsey"}, set()),
+    (["ramsey", "vdw", "--k", "2", "--len", "3"], {"ramsey"},
+     {"search", "colourings", "patterns", "tower"}, set()),
+    (["verify", "logstar:r=1", "exptriple", "--bound", "16"], {"search"}, set(), set()),
+    # the check sees what a process asks for
+    (["colour", "logstar:r=1", "2", "--format", "csv"], {"colourings"}, {"search"}, {"csv"}),
+    (["colour", "lacunary:seq=n*2^n,nmax=8", "2"], {"colourings"}, {"search"},
+     {"fractions", "decimal"}),
+], ids=["import", "colour", "gen", "ramsey", "verify", "colour-csv", "colour-lacunary"])
+def test_a_process_loads_only_what_its_subcommand_calls(argv, needs, leaves_out, on_demand,
+                                                         bare_modules):
+    out = _python(LOADED, *argv, *(["--out", os.devnull] if argv else []))
+    code, loaded, modules = json.loads(out)
     assert code == 0
     assert needs <= set(loaded) and not leaves_out & set(loaded)
+    assert (set(modules) - bare_modules) & ON_DEMAND == on_demand - bare_modules

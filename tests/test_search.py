@@ -1,7 +1,9 @@
 """Instance families, monochromatic search, certificates, Ramsey numbers."""
 
+import copy
 import itertools
 import json
+import pickle
 import random
 import time
 import tracemalloc
@@ -23,7 +25,7 @@ from expramsey.colourings import (
 from expramsey.errors import (
     BudgetExceeded, ExpRamseyError, OutOfDomain, ParseError, WeightUndefined,
 )
-from expramsey.patterns import WeightFn, fep, shape_pattern
+from expramsey.patterns import ShapeRelation, WeightFn, fep, finite_exponentials, shape_pattern
 from expramsey.ramsey import (
     _ap_constraints,
     _backtrack_colouring,
@@ -1269,6 +1271,50 @@ def test_certificate_json_round_trip():
     assert clone.to_json() == cert.to_json()
     assert cert.wall_time >= 0
     assert "wall_time" not in obj
+
+
+def test_records_compare_without_wall_time():
+    for rec in (find_monochromatic("logstar:r=1", "schur", 4), vdw_number(2, 3)):
+        other = copy.deepcopy(rec)
+        assert other.wall_time == rec.wall_time and repr(other) == repr(rec)
+        assert pickle.loads(pickle.dumps(rec)).wall_time == rec.wall_time
+        other.wall_time += 1.0
+        # repr shows wall_time; == and the bytes leave it out
+        assert other == rec and other.to_json() == rec.to_json()
+        assert repr(other) != repr(rec) and f"wall_time={other.wall_time!r})" in repr(other)
+        other.seed += 1
+        assert other != rec
+        with pytest.raises(TypeError):
+            hash(rec)
+
+
+def test_value_classes_are_frozen_and_rebuilt_by_pickle_and_copy():
+    alpha = parse_colouring("lacunary:seq=n*2^n,nmax=8").alphas[0]
+    values = [
+        (eval_exact(parse_term("2^70")), ("exact", "cutoff")),
+        (WeightFn.constant(2), ("const", "table", "monotone")),
+        (WeightFn.of_table({frozenset({2}): 1}), ("const", "table", "monotone")),
+        (finite_exponentials([2, 3]), ("family", "generators", "elements", "provenance")),
+        (ShapeRelation(2, [(2, 1), (1, 2)]), ("m", "edges")),
+        (alpha, ("alpha", "seq_name", "indices", "interval")),
+        (parse_family("exptriple", 16).nth(2), ("roles", "values", "generators")),
+        (parse_term("2^3*5"), ("factors",)),
+    ]
+    for value, fields in values:
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.other = 1
+        assert pickle.loads(pickle.dumps(value)) == value == copy.deepcopy(value)
+        assert repr(copy.deepcopy(value)) == repr(value)
+    assert repr(ShapeRelation(2, [(2, 1), (1, 2)])) == (
+        "ShapeRelation(m=2, edges=frozenset({(1, 2), (2, 1)}))")
+    assert repr(WeightFn.constant(2)) == "WeightFn(const=2, table=None, monotone=False)"
+    assert repr(eval_exact(parse_term("2^3"), 10)) == "BoundedValue(exact=8, cutoff=10)"
+    assert hash(alpha) == hash((alpha.alpha, alpha.seq_name, alpha.indices, alpha.interval))
 
 
 def test_verify_rejects_tampered_avoidance_count():

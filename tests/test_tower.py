@@ -1,6 +1,6 @@
 """Term algebra, exact/modular evaluation, and the certified log machinery."""
 
-import dataclasses
+import copy
 import functools
 import itertools
 import pickle
@@ -248,26 +248,53 @@ def test_exact_field_leaves_identity_unchanged():
     assert repr(Literal(5)) == "Literal(value=5)"
     assert repr(power(2, 3)) == "Power(base=Literal(value=2), exponent=Literal(value=3))"
     assert to_text(t) == "2^(3*5^7)"
-    assert [f.name for f in dataclasses.fields(Power) if f.compare] == ["base", "exponent"]
-    # the dataclass hash covers the compared fields only
+    # == and hash compare base and exponent only: a node whose exact field
+    # is forced to another value still equals, hashes and prints the same
+    forged = Power(t.base, t.exponent)
+    object.__setattr__(forged, "exact", 12345)
+    assert forged == t and hash(forged) == hash(t) and repr(forged) == repr(t)
+    assert Power(t.base, literal(3)) != t and Power(literal(3), t.exponent) != t
+    assert t != to_text(t) and Literal(5) != 5
+    # the hash is that of the compared fields, as a frozen dataclass's is
     assert hash(t) == hash((t.base, t.exponent))
     assert hash(Literal(2**70)) == hash((2**70,))
+    assert hash(t.exponent) == hash((t.exponent.factors,))
     assert product(power(2, 3), 5) == Product((Power(Literal(2), Literal(3)), Literal(5)))
     assert len({power(2, 3), Power(Literal(2), Literal(3))}) == 1
 
 
-def test_exact_field_survives_pickle_and_replace():
+def test_a_term_hashes_its_fields_once(monkeypatch):
+    t = tower_term(40)
+    keys = []
+    for cls in (Literal, Power, Product):
+        monkeypatch.setattr(cls, "_key", lambda self, key=cls._key: keys.append(self) or key(self))
+    h = hash(t)
+    assert len(keys) == 79  # once per node: 39 powers, each over its own 2
+    assert hash(t) == h and hash(power(2, t)) == hash((literal(2), t))
+    assert len(keys) == 82  # the new power, its base 2 and the literal(2) above
+
+
+def test_exact_field_survives_pickle_and_copy():
     for t in (literal(7), literal(2**70), power(2, 64), power(2, 65), tower_term(5),
               product(power(2, 32), power(2, 32)), product(power(2, 40), power(3, 30))):
-        u = pickle.loads(pickle.dumps(t))
-        assert u == t and u.exact == t.exact == _reference_eval_bounded(t, 2**64)
-    assert dataclasses.replace(literal(2**70), value=5).exact == 5
-    assert dataclasses.replace(power(2, 3), exponent=literal(70)).exact is None
-    assert dataclasses.replace(power(2, 70), exponent=literal(6)).exact == 64
+        fresh = pickle.dumps(t)
+        hash(t)  # the hash it keeps stays out of the pickle
+        assert pickle.dumps(t) == fresh
+        for u in (pickle.loads(fresh), copy.deepcopy(t), copy.copy(t)):
+            assert u == t and u.exact == t.exact == _reference_eval_bounded(t, 2**64)
+    # pickles and copies rebuild exact from the fields, as each raw
+    # constructor does
+    forged = power(2, 6)
+    object.__setattr__(forged, "exact", 5)
+    assert pickle.loads(pickle.dumps(forged)).exact == copy.deepcopy(forged).exact == 64
+    assert Literal(2**70).exact is None and Literal(5).exact == 5
+    assert Power(literal(2), literal(70)).exact is None
+    assert Power(literal(2), literal(6)).exact == 64
     big = product(power(2, 40), power(3, 30))
-    assert dataclasses.replace(big, factors=big.factors[:1] + (literal(3),)).exact == 3 * 2**40
-    with pytest.raises(ValueError):
-        dataclasses.replace(literal(3), exact=4)  # not an init field
+    assert big.exact is None
+    assert Product(big.factors[:1] + (literal(3),)).exact == 3 * 2**40
+    with pytest.raises(TypeError):
+        Literal(3, exact=4)  # not a constructor argument
 
 
 def test_eval_exact_at_the_default_cutoff_walks_nothing(monkeypatch):
