@@ -5,8 +5,7 @@ Ramsey-type numbers.
 The public surface is re-exported here lazily (PEP 562): ``import
 expramsey`` loads no submodule, and a name's submodule is imported on its
 first access, so a caller compiles only the layers it reads. Submodules
-stay importable for the long tail (parsers, DIMACS export, sequence
-classes).
+stay importable for the long tail (parsers, sequence classes).
 """
 
 from importlib import import_module
@@ -24,7 +23,7 @@ _HOMES = {
     ), "errors"),
     **dict.fromkeys((
         "DEFAULT_CUTOFF", "BoundedValue", "ExpTerm", "Literal", "Power",
-        "Product", "as_term", "compare_iter_log", "dedup_key", "equal_value",
+        "Product", "as_term", "compare_iter_log", "dedup_key",
         "eval_exact", "eval_mod", "literal", "log_star", "max_root_exponent",
         "max_root_exponent_mod", "nu_p", "parse_term", "power", "product",
         "to_text",
@@ -46,8 +45,7 @@ _HOMES = {
         "find_monochromatic", "parse_family", "verify_certificate",
     ), "search"),
     **dict.fromkeys((
-        "RamseyComputation", "exp_ramsey_number", "export_dimacs",
-        "vdw_number",
+        "RamseyComputation", "exp_ramsey_number", "vdw_number",
     ), "ramsey"),
 }
 

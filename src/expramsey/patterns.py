@@ -68,9 +68,6 @@ class PatternSet(_Struct):
         """Values of the exactly evaluable elements."""
         return {e.exact for e in self.elements if e.exact is not None}
 
-    def contains_value(self, v: int) -> bool:
-        return v in self.exact_values()
-
     def to_json(self) -> dict:
         return {
             "family": self.family,
@@ -209,10 +206,6 @@ class WeightFn(_Struct):
         if k < 0:
             raise ValueError("weights must be non-negative")
         return cls(const=k)
-
-    @classmethod
-    def of_table(cls, entries: Dict[FrozenSet[int], int]) -> "WeightFn":
-        return cls(table={frozenset(k): v for k, v in entries.items()})
 
     def lookup(self, values: FrozenSet[int]) -> int:
         if self.const is not None:

@@ -9,7 +9,6 @@ lifted exponent system (``_lifted_constraints``) puts the answer past the
 ceiling; vdW solves n only where the last colouring does not extend. A record
 carries the witness colouring of [value - 1] and ``methods_agree``: the
 witness re-checked, and a second branching order refuting the threshold.
-``export_dimacs`` writes the same problem as CNF.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from __future__ import annotations
 import bisect
 import math
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ._arith import _exp_pairs, _exp_tops, root_exponent
 from ._spec import _Record
@@ -27,10 +26,6 @@ from .errors import BudgetExceeded
 class RamseyComputation(_Record):
     __slots__ = _fields = ("kind", "k", "params", "value", "n_max", "witness",
                            "methods_agree", "seed", "schema")
-
-    @property
-    def exceeds_budget(self) -> bool:
-        return self.value is None
 
 
 _TRIPLE_CAP = 2 * 10**6
@@ -370,34 +365,3 @@ def vdw_number(k: int, length: int, n_max: int = 64, *, seed: int = 0) -> Ramsey
         assign = _backtrack_colouring(*problem(value - 1), k)
     return _threshold("vdw", k, {"len": length}, n_max, seed, t0, value,
                       assign, problem)
-
-
-def export_dimacs(values: Sequence[int], constraints: Sequence[Tuple[int, ...]],
-                  k: int) -> str:
-    """CNF encoding of the no-monochromatic-constraint colouring problem.
-
-    Variable (v, c) is x[v][c] = index(v)*k + c; clauses force exactly one
-    colour per value and forbid each constraint set from being single-
-    coloured.
-    """
-    index = {v: i for i, v in enumerate(values)}
-
-    def var(v: int, c: int) -> int:
-        return index[v] * k + c
-
-    clauses: List[List[int]] = []
-    for v in values:
-        clauses.append([var(v, c) for c in range(1, k + 1)])
-        for c1 in range(1, k + 1):
-            for c2 in range(c1 + 1, k + 1):
-                clauses.append([-var(v, c1), -var(v, c2)])
-    for cons in constraints:
-        distinct = sorted(set(cons))
-        if len(distinct) < 2:
-            continue
-        for c in range(1, k + 1):
-            clauses.append([-var(v, c) for v in distinct])
-    lines = [f"p cnf {len(values) * k} {len(clauses)}"]
-    for cl in clauses:
-        lines.append(" ".join(map(str, cl)) + " 0")
-    return "\n".join(lines) + "\n"

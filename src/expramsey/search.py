@@ -27,8 +27,6 @@ from ._arith import _exp_pairs, iroot
 from ._spec import (
     BOOL, INT, STR, Param, ParamType, _Record, _Struct, read_spec, write_spec,
 )
-# not read here: callers read the certificate schema as search.SCHEMA_VERSION
-from ._spec import SCHEMA_VERSION  # noqa: F401
 from .colourings import Colouring, LogStarColouring, parse_colouring, parse_seq
 from .errors import BudgetExceeded, ParseError
 from .patterns import (
@@ -733,17 +731,18 @@ class Certificate(_Record):
 
 
 def _certificate(family: InstanceFamily, colouring: Colouring,
-                 index: Optional[int], colour: Optional[int],
-                 seed: int) -> Certificate:
+                 index: Optional[int], seed: int) -> Certificate:
     """The one writer of certificates: avoidance of the whole family when
     ``index`` is None, else the counterexample at ``index``, whose witness
-    is ``nth(index)`` in ``colour``."""
+    is ``nth(index)`` in the one colour ``_mono_rows`` reads off it; a row
+    that is not monochromatic raises ValueError."""
     if index is None:
         checked, result = family.count(), {"type": "AvoidanceVerified"}
     else:
+        inst = family.nth(index)
+        (_, _, colour), = _mono_rows(colouring, [(inst.values, ())], _Budget(None))
         checked = index + 1
-        result = {"type": "Counterexample",
-                  "witness": family.nth(index).witness_json(colour)}
+        result = {"type": "Counterexample", "witness": inst.witness_json(colour)}
     return Certificate(family=family.descriptor(), colouring=colouring.spec,
                        bound=family.bound, instances_checked=checked,
                        result=result, seed=seed)
@@ -784,11 +783,11 @@ def _mono_rows(colouring: Colouring, rows: Iterator[Row], budget: _Budget
 
 
 def _walk(colouring: Colouring, family: InstanceFamily, budget: _Budget
-          ) -> Tuple[Optional[int], Optional[int]]:
-    """First monochromatic row as (index, colour), or (None, None)."""
-    for i, _, c in _mono_rows(colouring, family.scan_rows(), budget):
-        return i, c
-    return None, None
+          ) -> Optional[int]:
+    """Index of the first monochromatic row, or None."""
+    for i, _, _ in _mono_rows(colouring, family.scan_rows(), budget):
+        return i
+    return None
 
 
 def _first_translates(carr: bytearray, classes: Sequence[int],
@@ -849,10 +848,10 @@ def _translate_index(family: InstanceFamily, shifts: List[Shift],
         shifts, -m, key=lambda s: -s[0])
 
 
-# (carr, the rank of each colour, lo, hi, budget) -> (index, class rank) of
-# the first monochromatic row with m (see _window_scan) in [lo, hi], or None
+# (carr, the rank of each colour, lo, hi, budget) -> the index of the first
+# monochromatic row with m (see _window_scan) in [lo, hi], or None
 WindowSearch = Callable[[bytearray, Dict[int, int], int, int, _Budget],
-                        Optional[Tuple[int, int]]]
+                        Optional[int]]
 
 
 def _translate_search(family: InstanceFamily) -> WindowSearch:
@@ -864,8 +863,7 @@ def _translate_search(family: InstanceFamily) -> WindowSearch:
         first = _first_translates(carr, classes, shifts, lo, hi, budget)
         if not first:
             return None
-        (m, j), c = min((mj, c) for c, mj in first.items())
-        return _translate_index(family, shifts, m, j), c
+        return _translate_index(family, shifts, *min(first.values()))
     return search
 
 
@@ -898,7 +896,7 @@ def _joint_search(family: SchurPlusExpFamily) -> WindowSearch:
         for cs, start in ((fresh, 1), (waiting, lo)):
             for c, (m, j) in _first_translates(carr, cs, shifts, start, hi, budget).items():
                 sum_first[c] = _translate_index(schur, shifts, m, j)
-        return min(((family.index(sum_first[c], ei), c)
+        return min((family.index(sum_first[c], ei)
                     for c, ei in exp_first.items() if c in sum_first), default=None)
     return search
 
@@ -953,7 +951,7 @@ def _level_box_search(colouring: LogStarColouring,
             return first(m + 1, a2, b1, b2 if left is None else left[0] - 1) or left
 
         got = first(2, hi, lo, hi)
-        return None if got is None else (family._rank(got[::-1]), carr[got[1]])
+        return None if got is None else family._rank(got[::-1])
     return search
 
 
@@ -975,15 +973,15 @@ def _class_search(colouring: Colouring, family: _BuiltFamily) -> WindowSearch:
                         yield family._lazy(g), g
 
         for _, g, _ in _mono_rows(colouring, rows(), budget):
-            return family._rank(g), carr[g[0]]
+            return family._rank(g)
         return None
     return search
 
 
 def _window_scan(colouring: Colouring, family: InstanceFamily, budget: _Budget,
-                 search: WindowSearch) -> Tuple[Optional[int], Optional[int]]:
-    """First monochromatic row of a family whose rows come in order of an
-    integer m, its generators in [1, m], as (index, colour); m is the
+                 search: WindowSearch) -> Optional[int]:
+    """Index of the first monochromatic row of a family whose rows come in
+    order of an integer m, its generators in [1, m], or None; m is the
     largest element for the translate and joint searches, the largest
     generator for the box and class searches.
 
@@ -1000,7 +998,7 @@ def _window_scan(colouring: Colouring, family: InstanceFamily, budget: _Budget,
     are searched, and the rows from there on are walked by ``_mono_rows``,
     so what raises or returns is what the row walk raises or returns."""
     if family.count() == 0:
-        return None, None
+        return None
     carr, ranks = bytearray(1), {}
     lo, hi = 1, 8
     while lo <= family.bound:
@@ -1021,15 +1019,15 @@ def _window_scan(colouring: Colouring, family: InstanceFamily, budget: _Budget,
         end = len(carr) - 1
         got = search(carr, ranks, lo, end, budget) if end >= lo else None
         if got is not None:
-            return got[0], list(ranks)[got[1] - 1]
+            return got
         if end < top:
             start = family._upto(end)
             rows = map(family._scan_row, range(start, family.count()))
-            for j, _, c in _mono_rows(colouring, rows, budget):
-                return start + j, c
-            return None, None
+            for j, _, _ in _mono_rows(colouring, rows, budget):
+                return start + j
+            return None
         lo, hi = top + 1, 2 * hi
-    return None, None
+    return None
 
 
 def find_monochromatic(colouring: Union[Colouring, str],
@@ -1048,11 +1046,11 @@ def find_monochromatic(colouring: Union[Colouring, str],
     colouring, and the one-class tuple search for shape, other expquad and
     fep with a constant weight and at most ``cap`` candidates per row. The
     rest take the row walk. Either gives the first monochromatic row's
-    (index, colour), from which ``_certificate`` writes the certificate,
-    the witness read from ``nth``; ``verify_certificate`` rebuilds it the
-    same way. ``threads`` is checked but changes neither the certificate
-    nor the speed: every search runs in this process. ``threads`` < 1 or a
-    NaN ``budget_secs`` raises ValueError.
+    index, from which ``_certificate`` writes the certificate, the witness
+    read from ``nth``; ``verify_certificate`` rebuilds it the same way.
+    ``threads`` is checked but changes neither the certificate nor the
+    speed: every search runs in this process. ``threads`` < 1 or a NaN
+    ``budget_secs`` raises ValueError.
     """
     t0 = time.perf_counter()
     if threads < 1:
@@ -1070,10 +1068,10 @@ def find_monochromatic(colouring: Union[Colouring, str],
 
     search = family._search(colouring)
     if search is None:
-        index, colour = _walk(colouring, family, budget)
+        index = _walk(colouring, family, budget)
     else:
-        index, colour = _window_scan(colouring, family, budget, search)
-    cert = _certificate(family, colouring, index, colour, seed)
+        index = _window_scan(colouring, family, budget, search)
+    cert = _certificate(family, colouring, index, seed)
     cert.wall_time = time.perf_counter() - t0
     return cert
 
@@ -1101,10 +1099,8 @@ def verify_certificate(cert: Certificate) -> bool:
         if cert.result["type"] == "AvoidanceVerified":
             rebuilt = find_monochromatic(colouring, family, seed=cert.seed)
         else:
-            i = cert.instances_checked - 1
-            row = family.nth(i).values, ()
-            (_, _, colour), = _mono_rows(colouring, [row], _Budget(None))
-            rebuilt = _certificate(family, colouring, i, colour, cert.seed)
+            rebuilt = _certificate(family, colouring, cert.instances_checked - 1,
+                                   cert.seed)
         return rebuilt.to_json() == cert.to_json()
     except Exception:
         return False

@@ -10,7 +10,8 @@ associative exponentiation, and multiplication, without ever materializing
 values that would be astronomically large. Every term denotes an integer >= 1
 by construction. Terms are immutable and hashable; structural equality is
 equality of class and fields (``value``, ``base`` and ``exponent``, or
-``factors``), value-level equality goes through :func:`equal_value`.
+``factors``); :func:`dedup_key` keys a term by its exact value at or below
+the cutoff and by its canonical structure above it.
 
 Canonical form, maintained by the factory functions ``literal`` / ``power`` /
 ``product`` (use those rather than the raw constructors):
@@ -215,10 +216,6 @@ class BoundedValue(_Struct):
     def is_exact(self) -> bool:
         return self.exact is not None
 
-    @property
-    def is_huge(self) -> bool:
-        return self.exact is None
-
     def __str__(self):
         if self.is_exact:
             return str(self.exact)
@@ -268,22 +265,11 @@ def _eval_bounded(t: ExpTerm, cutoff: int) -> Optional[int]:
     return _at_most(bv**ev, cutoff)
 
 
-def equal_value(s: ExpTerm, t: ExpTerm, cutoff: Optional[int] = None) -> bool:
-    """Exact-value equality below the cutoff, structural equality above it.
-
-    Structural comparison of two Huge terms may report False for equal values
-    (distinct canonical forms can denote the same integer); callers that care
-    record which regime applied.
-    """
-    return dedup_key(as_term(s), cutoff) == dedup_key(as_term(t), cutoff)
-
-
-def dedup_key(t: ExpTerm, cutoff: Optional[int] = None):
+def dedup_key(t: ExpTerm):
     """Hashable identity: ("v", exact value) when at most the cutoff,
     else ("s", canonical structure)."""
     t = as_term(t)
-    v = t.exact if cutoff is None else eval_exact(t, cutoff).exact
-    return ("s", t) if v is None else ("v", v)
+    return ("s", t) if t.exact is None else ("v", t.exact)
 
 
 # ---------------------------------------------------------------------------

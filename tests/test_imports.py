@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is read somewhere in it, and
-each CLI process loads only the modules its subcommand calls.
+"""Every name a module of the package imports is read somewhere in it,
+every public name is read, documented or kept for the benchmark, and each
+CLI process loads only the modules its subcommand calls.
 
 A name kept only for an outside reader (a tracer that patches it by
 attribute) is allowed when its import line carries ``# noqa: F401``.
@@ -8,6 +9,7 @@ attribute) is allowed when its import line carries ``# noqa: F401``.
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +21,10 @@ import expramsey
 PACKAGE = Path(expramsey.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
 MARKER = "# noqa: F401"
+ROOT = Path(__file__).resolve().parent.parent
+# public names no module of the package reads that the benchmark still
+# calls or patches by name, each with the file that does
+BENCH_ONLY = {"instances": "bench/workloads.py", "colour_power": "bench/spans.py"}
 
 
 def unused_imports(source: str) -> list:
@@ -72,6 +78,66 @@ def test_the_public_surface_resolves():
     assert set(expramsey.__all__) <= set(namespace)
     # removed: they served no family, colouring or command
     assert not {"find_monochromatic_grid", "ordered_fu_search"} & set(expramsey.__all__)
+
+
+def unread_public_names(sources: dict, exported: set) -> list:
+    """The names in ``exported`` and the public methods and properties of
+    the classes in ``sources`` (module name -> text) that no source reads
+    outside a definition of that name. Reads are matched by name: a load of
+    ``name`` or of ``obj.name``. An import is not a read, and neither is a
+    call of a function from its own body; a name defined more than once
+    (a method each class overrides) is read by a load in another of its
+    definitions, such as ``super().name``."""
+    spans: dict = {name: [] for name in exported}  # name -> its definitions
+    reads = []
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        spans.setdefault(item.name, []).append(
+                            (module, item.lineno, item.end_lineno))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in exported:
+                spans[node.name].append((module, node.lineno, node.end_lineno))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((node.id, module, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.append((node.attr, module, node.lineno))
+    read = {name for name, module, line in reads if name in spans
+            and not (spans[name] and all(m == module and a <= line <= b
+                                         for m, a, b in spans[name]))}
+    return sorted(set(spans) - read)
+
+
+def test_every_public_name_is_read_named_in_the_readme_or_kept_for_the_benchmark():
+    """Each exported name and each public method or property is read by the
+    package, named in README.md's code as library API, or listed in
+    BENCH_ONLY with the benchmark file that reads it."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    unread = unread_public_names(sources, set(expramsey.__all__) - {"__version__"})
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = re.findall(r"```.*?```|`[^`\n]+`", readme, re.S)
+    named = set(re.findall(r"\w+", " ".join(code)))
+    assert [name for name in unread if name not in named | set(BENCH_ONLY)] == []
+    for name, path in BENCH_ONLY.items():
+        assert name in unread and name in (ROOT / path).read_text(encoding="utf-8")
+
+
+def test_the_check_sees_a_dead_public_name():
+    source = ("def main():\n    return helper() + C().go()\n"
+              "def helper():\n    return 1\n"
+              "def dead(n):\n    return dead(n - 1) if n else 0\n"
+              "class C:\n"
+              "    def go(self):\n        return self.size\n"
+              "    @property\n    def size(self):\n        return 2\n"
+              "    def idle(self):\n        return 3\n"
+              "    def _private(self):\n        return 4\n")
+    exported = {"helper", "dead", "C"}
+    assert unread_public_names({"m": source}, exported) == ["dead", "idle"]
+    # an import is not a read
+    both = {"m": source, "n": "from m import dead, idle\n"}
+    assert unread_public_names(both, exported) == ["dead", "idle"]
+    assert unread_public_names({**both, "n": "print(dead(3))\n"}, exported) == ["idle"]
 
 
 def package_imports(name: str, module_level: bool) -> set:
