@@ -14,6 +14,9 @@ Facts this module relies on (each is load-bearing and tested):
   Otherwise n has k+1 bits with k < log2(n) < k+1 and no tower number lies
   strictly inside (k, k+1) while any tower equal to k+1 still yields the same
   count, hence log_star(n) = 1 + log_star(bit_length(n)).
+- The count steps only past tower numbers, which are integers, so a real
+  x >= 1 and its ceiling have the same count: an enclosure's ends are
+  counted as the integers ceil(lo / 2**prec) and ceil(hi / 2**prec).
 - log2 of a non-power-of-two integer is irrational, so certified comparisons
   against integers terminate at finite precision, and so does the retry that
   tightens ``log2_scaled_bounds`` to one unit: 2**prec * log2(n) is never an
@@ -136,54 +139,37 @@ def log2_scaled_bounds(n: int, prec: int) -> Tuple[int, int]:
         guard <<= 1
 
 
-_tower_shift_cache: dict = {}
-
-
-def _towers_scaled(prec: int):
-    got = _tower_shift_cache.get(prec)
-    if got is None:
-        got = [t << prec for t in TOWERS]
-        _tower_shift_cache[prec] = got
-    return got
-
-
-def log_star_of_scaled(x: int, prec: int) -> int:
-    """log_star of the exact rational x / 2**prec (x >= 1)."""
-    if x < 1:
-        raise ValueError("log_star of a non-positive value")
-    ts = _towers_scaled(prec)
-    if x <= ts[0]:
-        return 0
-    for j in range(1, 6):
-        if x <= ts[j]:
-            return j
-    # value v > t_5: log_star(v) = 1 + log_star(log2 v); log2 v lies between
-    # the integers bl-1-prec and bl-prec and the power-of-two tie is exact
-    bl = x.bit_length()
-    if x & (x - 1) == 0:
-        return 1 + log_star_int(bl - 1 - prec)
-    return 1 + log_star_int(bl - prec)
-
-
 def log_star_scaled(lo: int, hi: int, prec: int) -> Optional[int]:
-    """log_star of a real enclosed by [lo, hi]/2**prec, or None if uncertified.
+    """log_star of a real enclosed by [lo, hi]/2**prec (lo >= 1), or None
+    if uncertified: the count of each end is that of its ceiling.
 
     Sound for any enclosure: log_star is monotone, so equal endpoint counts
     pin the value. Exact enclosures (lo == hi) always certify.
     """
-    jlo = log_star_of_scaled(lo, prec)
+    jlo = log_star_int(-(-lo >> prec))
     if lo == hi:
         return jlo
-    jhi = log_star_of_scaled(hi, prec)
+    jhi = log_star_int(-(-hi >> prec))
     return jlo if jlo == jhi else None
 
 
-def _log2_interval_step(lo: int, hi: int, prec: int) -> Tuple[int, int]:
-    """One certified log2 of an enclosure with lo > 2**prec (value > 1)."""
-    llo, _ = log2_scaled_bounds(lo, prec)
-    _, lhi = log2_scaled_bounds(hi, prec)
+def _log2_iterated(lo: int, hi: int, prec: int, j: int):
+    """Apply log2 j times to the real enclosed by [lo, hi]/2**prec.
+
+    Returns the new enclosure; True when the value is certainly <= 1 on the
+    way (later logs only shrink it); None when an enclosure straddles 1, so
+    that only a higher precision can go on.
+    """
+    one = 1 << prec
     shift = prec << prec
-    return llo - shift, lhi - shift
+    for _ in range(j):
+        if hi <= one:
+            return True
+        if lo <= one:
+            return None
+        lo = log2_scaled_bounds(lo, prec)[0] - shift
+        hi = log2_scaled_bounds(hi, prec)[1] - shift
+    return lo, hi
 
 
 def iter_log_le(a: int, r: int, b: int) -> bool:
@@ -210,21 +196,12 @@ def iter_log_le(a: int, r: int, b: int) -> bool:
         return cur <= b
     rem = r - steps
     for prec in PREC_SCHEDULE:
-        one = 1 << prec
-        lo, hi = log2_scaled_bounds(cur, prec)
-        undecided = False
-        for _ in range(rem - 1):
-            if hi <= one:
-                return True  # value certainly <= 1, later logs only shrink
-            if lo <= one:
-                undecided = True  # enclosure straddles 1, refine
-                break
-            lo, hi = _log2_interval_step(lo, hi, prec)
-        if undecided:
+        got = _log2_iterated(*log2_scaled_bounds(cur, prec), prec, rem - 1)
+        if got is None:
             continue
-        if hi <= b << prec:
+        if got is True or got[1] <= b << prec:
             return True
-        if lo > b << prec:
+        if got[0] > b << prec:
             return False
     raise UncertifiableComparison(
         f"iterated log comparison undecided at precision {PREC_SCHEDULE[-1]}"

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ._intlog import (
     PREC_SCHEDULE,
-    _log2_interval_step,
+    _log2_iterated,
     log2_scaled_bounds,
     log_star_int,
     log_star_scaled,
@@ -513,39 +513,21 @@ class AbbbColouring(Colouring):
 
     def colour(self, x: Value) -> int:
         t = as_term(x)
-        v = t.exact
-        if v is not None:
-            if v <= 2:
-                return self.k
-            if v & (v - 1) == 0:
-                e = v.bit_length() - 1
-                if e & (e - 1) == 0:
-                    # x = 2^(2^y): the double log is the exact integer y
-                    return self.inner.colour(e.bit_length() - 1)
-            for prec in PREC_SCHEDULE:
-                l1 = log2_scaled_bounds(v, prec)
-                l2 = _log2_interval_step(l1[0], l1[1], prec)
-                got = self.inner.colour_scaled(l2[0], l2[1], prec)
-                if got is not None:
-                    return got
-            raise UncertifiableComparison(
-                "cannot certify double-log colour"
-            )
+        if t.exact is not None and t.exact <= 2:
+            return self.k
         e = _pow2_exponent_term(t)
         if e is not None:
             if e.exact is not None and e.exact & (e.exact - 1) == 0:
+                # x = 2^(2^y): the double log is the exact integer y
                 return self.inner.colour(e.exact.bit_length() - 1)
             if e.exact is None and self._too_wide(e):
                 raise UncertifiableComparison("cannot certify double-log colour")
         for prec in PREC_SCHEDULE:
             if e is not None:
-                if e.exact is not None:
-                    l2 = log2_scaled_bounds(e.exact, prec)
-                else:
-                    l2 = _log2_term_scaled(e, prec)
+                l2 = _log2_term_scaled(e, prec)
             else:
-                l1 = _log2_term_scaled(t, prec)
-                l2 = _log2_interval_step(l1[0], l1[1], prec)
+                # x >= 3, so log2 x > 1 and one more log2 gives an enclosure
+                l2 = _log2_iterated(*_log2_term_scaled(t, prec), prec, 1)
             got = self.inner.colour_scaled(l2[0], l2[1], prec)
             if got is not None:
                 return got
@@ -670,9 +652,14 @@ def parse_colouring(spec: str) -> Colouring:
             raise ParseError(f"cannot read table colouring file {body!r}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON in table colouring file {body!r}: {exc}") from None
-        if not isinstance(obj, dict) or "k" not in obj or "map" not in obj:
-            raise ParseError(f'table colouring file {body!r} needs {{"k", "map"}}')
-        return TableColouring(obj["map"], k=int(obj["k"]), path=body)
+        # docs/table-colouring.schema.json (type() is int excludes bools);
+        # TableColouring checks that the colours lie in [1, k]
+        if (not isinstance(obj, dict) or sorted(obj) != ["k", "map"]
+                or not isinstance(obj["map"], list) or not obj["map"]
+                or any(type(c) is not int for c in [obj["k"], *obj["map"]]) or obj["k"] < 1):
+            raise ParseError(f"table colouring file {body!r} needs exactly an int k >= 1"
+                             " and a non-empty list map of ints")
+        return TableColouring(obj["map"], k=obj["k"], path=body)
     if head == "product":
         if not body:
             raise ParseError("product colouring needs component specs")

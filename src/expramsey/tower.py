@@ -8,8 +8,8 @@ iterated-log comparisons.
 A term denotes a positive integer built from decimal literals, right-
 associative exponentiation, and multiplication, without ever materializing
 values that would be astronomically large. Every term denotes an integer >= 1
-by construction. Terms are immutable and hashable; structural equality is
-equality of class and fields (``value``, ``base`` and ``exponent``, or
+by construction. Terms are immutable and hashable; two terms are equal when
+their class and fields are (``value``, ``base`` and ``exponent``, or
 ``factors``); :func:`dedup_key` keys a term by its exact value at or below
 the cutoff and by its canonical structure above it.
 
@@ -41,7 +41,7 @@ from typing import Optional, Tuple, Union
 from ._arith import factorint, nu, root_exponent, totient  # noqa: F401
 from ._intlog import (
     PREC_SCHEDULE,
-    _log2_interval_step,
+    _log2_iterated,
     iter_log_le,
     log2_scaled_bounds,
     log_star_int,
@@ -390,7 +390,7 @@ def eval_mod(t: ExpTerm, m: int) -> int:
 # ---------------------------------------------------------------------------
 # iterated-log count L
 
-# Generous ceiling for materializing structural exponents: anything whose
+# Generous ceiling for materializing exponents: anything whose
 # value stays under 2^(2^20) (a megabit) is cheap to hold as an int, yet the
 # module cutoff keeps such values out of the exact regime.
 _BIG_BITS = 1 << 20
@@ -472,48 +472,56 @@ def _log2_term_scaled(t: ExpTerm, prec: int) -> Tuple[int, int]:
     raise UncertifiableLogStar("unsupported term shape for log2 bounds")
 
 
+def _log2_sandwich(t: ExpTerm) -> Optional[Tuple[ExpTerm, ExpTerm]]:
+    """Terms k*E and (k+1)*E with k*E <= log2(t) < (k+1)*E, for t = a^E over
+    a materializable base a >= 3, k = floor(log2 a); else None. The lower
+    bound is strict unless a is a power of two."""
+    if not isinstance(t, Power):
+        return None
+    va = _concrete_value(t.base)
+    if va is None or va < 3:
+        return None
+    k = va.bit_length() - 1
+    return product(Literal(k), t.exponent), product(Literal(k + 1), t.exponent)
+
+
 def log_star(t: ExpTerm) -> int:
     """L(t): the least k with log2 applied k times pushing the value to <= 1.
 
-    Exact values go through bit inspection; 2-power-structured towers through
-    L(2^y) = L(y) + 1; everything else through certified interval bounds on
-    log2 of the value, widened on demand. Raises UncertifiableLogStar when no
-    strategy certifies an answer.
+    Exact values and literals of any size go through bit inspection;
+    2-power-structured towers through L(2^y) = L(y) + 1; everything else
+    through L(t) = 1 + L(log2 t) on certified interval bounds of log2 t,
+    widened on demand. When those bounds cannot be formed (an exponent too
+    big to materialize), log2 t is sandwiched between two terms whose counts
+    decide it. Raises UncertifiableLogStar when no strategy certifies.
     """
     t = as_term(t)
-    if t.exact is not None:
-        return log_star_int(t.exact)
+    v = t.value if isinstance(t, Literal) else t.exact
+    if v is not None:
+        return log_star_int(v)
     e = _pow2_exponent_term(t)
     if e is not None:
         # every term denotes >= 1 and t is Huge, so the exponent denotes >= 2
         return 1 + log_star(e)
-    structural = False
+    sandwich = None
     for prec in PREC_SCHEDULE:
         try:
             lo, hi = _log2_term_scaled(t, prec)
         except UncertifiableLogStar:
-            structural = True
+            sandwich = _log2_sandwich(t)
             break
         if lo >= 1:
             j = log_star_scaled(lo, hi, prec)
             if j is not None:
                 return 1 + j
-    if structural and isinstance(t, Power):
-        # huge structural exponent over a materializable base: sandwich
-        # log2(t) = exp * log2(base) between exp*k and exp*(k+1); for a
-        # non-2-power base both bounds are strict, so equal counts certify
-        va = _concrete_value(t.base)
-        if va is not None and va >= 3:
-            k = va.bit_length() - 1
-            lo_term = product(Literal(k), t.exponent)
-            jlo = log_star(lo_term)
-            jhi = log_star(product(Literal(k + 1), t.exponent))
-            if jlo == jhi:
-                return 1 + jlo
-            # L jumps just above each tower number; the sandwiched value is
-            # strictly inside, so a tower at the lower endpoint decides it
-            if jhi == jlo + 1 and _is_tower_term(lo_term):
-                return 1 + jhi
+    if sandwich is not None:
+        jlo, jhi = log_star(sandwich[0]), log_star(sandwich[1])
+        if jlo == jhi:
+            return 1 + jlo
+        # L jumps just above each tower number, and a tower at the lower end
+        # means k = 1, a = 3: the sandwiched value is strictly above it
+        if jhi == jlo + 1 and _is_tower_term(sandwich[0]):
+            return 1 + jhi
     raise UncertifiableLogStar(
         f"cannot certify log_star of {to_text(t)}"
     )
@@ -600,8 +608,10 @@ def compare_iter_log(a: ExpTerm, r: int, b: ExpTerm) -> bool:
     """Decide log2 applied r times to a, compared <= b; certified or raised.
 
     Exact on the power-of-two track (the only place ties can occur);
-    elsewhere interval iteration, widened on demand, with a structural
-    sandwich for powers whose exponent cannot be materialized.
+    elsewhere log2 is applied r times to a certified enclosure of a, widened
+    on demand. A power a = c^E whose exponent cannot be materialized has no
+    enclosure; there the comparison runs r - 1 times on the two sandwich
+    terms around log2 a (see ``_log2_sandwich``).
     """
     if r < 0:
         raise ValueError("r must be non-negative")
@@ -636,56 +646,45 @@ def compare_iter_log(a: ExpTerm, r: int, b: ExpTerm) -> bool:
     e = _pow2_exponent_term(a)
     if e is not None:
         return compare_iter_log(e, r - 1, b)
-    structural = False
+    sandwich = None
     for prec in PREC_SCHEDULE:
         try:
             lo, hi = _log2_term_scaled(a, prec)
         except UncertifiableLogStar:
-            structural = True
+            sandwich = _log2_sandwich(a)
             break
-        one = 1 << prec
-        undecided = False
-        for _ in range(r - 1):
-            if hi <= one:
-                return True  # already <= 1, later logs only shrink
-            if lo <= one:
-                undecided = True
-                break
-            lo, hi = _log2_interval_step(lo, hi, prec)
-        if undecided:
+        got = _log2_iterated(lo, hi, prec, r - 1)
+        if got is None:
             continue
+        if got is True:
+            return True
+        lo, hi = got
         if bv is not None:
             if hi <= bv << prec:
                 return True
             if lo > bv << prec:
                 return False
+        elif hi <= DEFAULT_CUTOFF << prec:
+            return True  # <= cutoff < b
         else:
-            if hi <= DEFAULT_CUTOFF << prec:
-                return True  # <= cutoff < b
             # huge symbolic b: take one more log of both sides
-            if lo > one:
-                try:
-                    tlo, thi = _log2_term_scaled(b, prec)
-                except UncertifiableLogStar:
-                    continue
-                llo, lhi = _log2_interval_step(lo, hi, prec)
-                if lhi <= tlo:
-                    return True
-                if llo > thi:
-                    return False
-    if structural and isinstance(a, Power):
-        va = _concrete_value(a.base)
-        if va is not None and va >= 3:
-            # log2(a) strictly between exp*k and exp*(k+1); monotone sandwich
-            k = va.bit_length() - 1
             try:
-                if compare_iter_log(product(Literal(k + 1), a.exponent), r - 1, b):
+                tlo, thi = _log2_term_scaled(b, prec)
+            except UncertifiableLogStar:
+                continue
+            got = _log2_iterated(lo, hi, prec, 1)
+            if got is not None:
+                if got[1] <= tlo:
                     return True
-            except UncertifiableComparison:
-                pass
-            try:
-                if not compare_iter_log(product(Literal(k), a.exponent), r - 1, b):
+                if got[0] > thi:
                     return False
+    if sandwich is not None:
+        # log2 a lies strictly inside the sandwich and iterated logs are
+        # monotone: the upper term below b, or the lower one above it, decides
+        for term, answer in ((sandwich[1], True), (sandwich[0], False)):
+            try:
+                if compare_iter_log(term, r - 1, b) == answer:
+                    return answer
             except UncertifiableComparison:
                 pass
     raise UncertifiableComparison(

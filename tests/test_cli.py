@@ -143,6 +143,37 @@ def test_colour_table_out_of_domain(capsys, tmp_path):
     assert code == EXIT_EVALUATION
 
 
+# table files that docs/table-colouring.schema.json rejects
+BAD_TABLE_FILES = [
+    {"k": 2, "map": 5}, {"k": 2, "map": {"1": 1}}, {"k": 2, "map": "12"},
+    {"k": 2, "map": [1.7, 2]}, {"k": 2, "map": [True, 2]}, {"k": 2, "map": []},
+    {"k": 2, "map": [1, None]}, {"k": True, "map": [1]}, {"k": 0, "map": [1]},
+    {"k": "2", "map": [1]}, {"map": [1]}, {"k": 2, "map": [1], "n": 1}, [1, 2],
+]
+
+
+@pytest.mark.parametrize("obj", BAD_TABLE_FILES, ids=json.dumps)
+def test_colour_table_file_off_its_schema_is_parse_error(capsys, tmp_path, obj):
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(obj, schema("table-colouring.schema.json"))
+    p = tmp_path / "t.json"
+    p.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "colour", f"table:{p}", "1")
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("parse error: table colouring file")
+
+
+def test_colour_table_file_output(capsys, tmp_path):
+    p = tmp_path / "t.json"
+    p.write_text(json.dumps({"k": 2, "map": [1, 2, 2, 1]}))
+    code, out, _ = run(capsys, "colour", f"table:{p}", "1", "2", "3", "4")
+    assert code == EXIT_OK
+    assert json.loads(out) == {
+        "assignments": [{"colour": c, "value": str(v)} for v, c in enumerate([1, 2, 2, 1], 1)],
+        "colouring": f"table:{p}", "k": 2, "seed": 0,
+    }
+
+
 # ---------------------------------------------------------------------------
 # verify / search
 

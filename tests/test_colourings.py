@@ -30,6 +30,7 @@ from expramsey.colourings import (
     product_colouring,
 )
 from expramsey import colourings, tower
+from expramsey._intlog import PREC_SCHEDULE, log2_scaled_bounds
 from expramsey.errors import (
     ExpRamseyError,
     OutOfDomain,
@@ -233,6 +234,44 @@ def test_abbb_tower_colours_and_refusals_are_unchanged(monkeypatch):
     assert digest == ABBB_TOWER_OUTCOMES
     # y = log2 log2 x = 2^6561 * log2 3 for the first: no precision can help
     assert eager == ["2^3^2^3^2^3", "2^3^2^3^3^2", "2^3^3^3^2^3", "2^3^3^3^3^2"]
+
+
+def _abbb_colour_of_an_int(f, v):
+    """The colour AbbbColouring once gave an exact int v >= 3 through a branch
+    of its own, beside the term path that now colours every value: its oracle."""
+    if v & (v - 1) == 0:
+        e = v.bit_length() - 1
+        if e & (e - 1) == 0:
+            return f.inner.colour(e.bit_length() - 1)
+    for prec in PREC_SCHEDULE:
+        lo, hi = log2_scaled_bounds(v, prec)
+        shift = prec << prec
+        l2lo = log2_scaled_bounds(lo, prec)[0] - shift
+        l2hi = log2_scaled_bounds(hi, prec)[1] - shift
+        got = f.inner.colour_scaled(l2lo, l2hi, prec)
+        if got is not None:
+            return got
+    raise UncertifiableComparison("cannot certify double-log colour")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ExpRamseyError as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.integers(2, 70).map(lambda k: 2**k),
+    st.integers(1, 6).map(lambda y: 2**2**y),
+    st.integers(2, 69).flatmap(lambda k: st.sampled_from([2**k - 1, 2**k + 1])),
+    st.integers(3, 2**70),
+))
+def test_abbb_colours_ints_as_its_int_branch_did(v):
+    assert 3 <= v <= 2**70
+    f = AbbbColouring(8)
+    assert _outcome(f.colour, v) == _outcome(_abbb_colour_of_an_int, f, v)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 
 from expramsey import _arith, _intlog, colourings, tower
 from expramsey._arith import factorint, gcd_of_exponents, root_exponent
-from expramsey._intlog import TOWERS, iter_log_le, log2_scaled_bounds, log_star_int
+from expramsey._intlog import (
+    PREC_SCHEDULE,
+    TOWERS,
+    iter_log_le,
+    log2_scaled_bounds,
+    log_star_int,
+    log_star_scaled,
+)
 from expramsey.colourings import parse_colouring
 from expramsey.errors import (
     ExpRamseyError,
@@ -413,6 +420,73 @@ def test_log_star_shift_law_symbolic():
         y = tower_term(h)
         assert log_star(power(2, y)) == log_star(y) + 1
     assert log_star(power(2, power(3, 1000))) == log_star(power(3, 1000)) + 1
+
+
+def test_log_star_reads_a_literal_of_any_size_by_bit_inspection(monkeypatch):
+    def refuse(n, prec):
+        raise AssertionError("a literal needs no certified interval")
+
+    monkeypatch.setattr(tower, "log2_scaled_bounds", refuse)
+    f = parse_colouring("logstar:r=1")
+    rng = random.Random(11)
+    ks = [65, 66, 100, 1000, 8192, 8193, 16384, 19999]
+    values = [v for k in ks for v in (2**k - 3, 2**k - 1, 2**k, 2**k + 1)]
+    values += [rng.getrandbits(k) | 1 << (k - 1) for k in rng.sample(range(65, 20_001), 30)]
+    for v in values:
+        assert 65 <= v.bit_length() <= 20_000
+        assert log_star(Literal(v)) == log_star_int(v), v.bit_length()
+        assert f.colour(Literal(v)) == f.colour(v), v.bit_length()
+
+
+def _log_star_by_scaled_table(x, prec):
+    """log_star of x / 2**prec from the tower table scaled by 2**prec, the
+    rule log_star_scaled counted by before it took ceilings: its oracle."""
+    if x < 1:
+        raise ValueError("log_star of a non-positive value")
+    ts = [t << prec for t in TOWERS]
+    if x <= ts[0]:
+        return 0
+    for j in range(1, 6):
+        if x <= ts[j]:
+            return j
+    bl = x.bit_length()
+    if x & (x - 1) == 0:
+        return 1 + log_star_int(bl - 1 - prec)
+    return 1 + log_star_int(bl - prec)
+
+
+def _log_star_scaled_by_table(lo, hi, prec):
+    jlo = _log_star_by_scaled_table(lo, prec)
+    if lo == hi:
+        return jlo
+    jhi = _log_star_by_scaled_table(hi, prec)
+    return jlo if jlo == jhi else None
+
+
+@pytest.mark.parametrize("prec", PREC_SCHEDULE)
+def test_log_star_scaled_matches_the_scaled_table_at_the_towers(prec):
+    # every enclosure whose ends are t_j * 2**prec or one unit either side
+    ends = sorted({(t << prec) + d for t in TOWERS for d in (-1, 0, 1)} - {0})
+    for lo, hi in itertools.combinations_with_replacement(ends, 2):
+        assert log_star_scaled(lo, hi, prec) == _log_star_scaled_by_table(lo, hi, prec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PREC_SCHEDULE), st.integers(0, 200_000 - 65_538 - PREC_SCHEDULE[-1]),
+       st.sampled_from(["pow2", "pow2-1", "pow2+1", "random"]),
+       st.sampled_from(["same", "+1", "next pow2", "next pow2+1", "random"]),
+       st.integers(0, 2**64))
+def test_log_star_scaled_matches_the_scaled_table_above_t5(prec, extra, lo_kind, hi_kind, seed):
+    """Random enclosures of reals above t_5, with ends up to 2**200000."""
+    rng = random.Random(seed)
+    bits = 65_538 + prec + extra  # lo / 2**prec > 2**65536 = t_5
+    top = 1 << (bits - 1)
+    lo = {"pow2": top, "pow2-1": top - 1, "pow2+1": top + 1,
+          "random": top | rng.getrandbits(bits - 1)}[lo_kind]
+    hi = {"same": lo, "+1": lo + 1, "next pow2": 2 * top, "next pow2+1": 2 * top + 1,
+          "random": lo + rng.getrandbits(rng.randrange(bits))}[hi_kind]
+    assert lo >> prec > TOWERS[-1] and hi.bit_length() <= 200_001
+    assert log_star_scaled(lo, hi, prec) == _log_star_scaled_by_table(lo, hi, prec)
 
 
 # ---------------------------------------------------------------------------
