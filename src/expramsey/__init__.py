@@ -52,12 +52,21 @@ _HOMES = {
 __all__ = [*_HOMES, "__version__"]
 
 
-def __getattr__(name: str):
-    module = _HOMES.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
-    return value
+def _lazy_attributes(namespace: dict, homes: dict):
+    """A module ``__getattr__`` (PEP 562) for the module whose globals are
+    ``namespace``: it imports the submodule ``homes[name]`` of this package
+    on the first read of ``name`` and keeps the value in ``namespace``."""
+    def __getattr__(name: str):
+        module = homes.get(name)
+        if module is None:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(import_module(f".{module}", __name__), name)
+        return value
+    return __getattr__
+
+
+__getattr__ = _lazy_attributes(globals(), _HOMES)
 
 
 def __dir__():

@@ -10,8 +10,9 @@ with witness sets flattened to semicolon-joined tower-syntax strings.
 A subcommand imports the modules it calls when it runs, so a process
 compiles only those: ``colour`` loads ``colourings`` and ``tower``, ``gen``
 loads ``patterns`` and ``tower``, the ``ramsey`` subcommand loads the
-``ramsey`` module (not ``tower`` or the scan), and ``verify`` and ``search``
-load ``search``, which imports the rest.
+``ramsey`` module (not ``tower`` or the scan; ``_arith`` only for
+``exptriple``), and ``verify`` and ``search`` load ``search``, which imports
+``colourings`` and ``tower``, and ``patterns`` only for a shape or fep family.
 """
 
 from __future__ import annotations

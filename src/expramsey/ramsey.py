@@ -18,7 +18,6 @@ import math
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ._arith import _exp_pairs, _exp_tops, root_exponent
 from ._spec import _Record
 from .errors import BudgetExceeded
 
@@ -33,11 +32,13 @@ _TRIPLE_CAP = 2 * 10**6
 
 def _exp_triples_upto(n: int, cap: Optional[int] = None) -> List[Tuple[int, int, int]]:
     """All (a, b, a^b) with a, b >= 2 and a^b <= n, capped as in _exp_pairs."""
+    from ._arith import _exp_pairs
     return [(a, b, p) for p, a, b in _exp_pairs(n, cap=cap)]
 
 
 def _lifted_constraints(m: int) -> List[Tuple[int, int, int]]:
     """{l, l(b), l*b} for l >= 1, b >= 2 and l*b <= m: the lifted system."""
+    from ._arith import root_exponent
     return [(l, root_exponent(b), l * b) for b in range(2, m + 1)
             for l in range(1, m // b + 1)]
 
@@ -280,6 +281,7 @@ def exp_ramsey_number(k: int, n_max: int = 10**5, *, seed: int = 0) -> RamseyCom
     any is listed."""
     if k < 1 or n_max < 1:
         raise ValueError(f"need k >= 1 and n_max >= 1, got k={k}, n_max={n_max}")
+    from ._arith import _exp_tops
     t0 = time.perf_counter()
     _exp_tops(n_max, _TRIPLE_CAP)
     triples: List[Tuple[int, int, int]] = []

@@ -19,42 +19,41 @@ import bisect
 import itertools
 import math
 import time
+from functools import partial
+from importlib import import_module
 from typing import (
     Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
 )
 
+from . import _lazy_attributes
 from ._arith import _exp_pairs, iroot
 from ._spec import (
     BOOL, INT, STR, Param, ParamType, _Record, _Struct, read_spec, write_spec,
 )
 from .colourings import Colouring, LogStarColouring, parse_colouring, parse_seq
 from .errors import BudgetExceeded, ParseError
-from .patterns import (
-    ShapeRelation, WeightFn, fep_candidate_count, fep_caps, fep_row,
-    fep_values, parse_edges, shape_row, shape_values,
-)
-# not called here: bench/spans.py traces fep, shape_pattern, compare_iter_log
-# and eval_exact through these bindings (the families build their rows from
-# the same pieces, _last_a solves compare_iter_log's condition, and terms
-# carry their exact value)
-from .patterns import fep, shape_pattern  # noqa: F401
-# nor these: bench/spans.py patches them by name, though the Ramsey drivers
-# call ramsey's own bindings, so its search.ramsey.constraints reads 0
-from .ramsey import _ap_constraints, _exp_triples_upto  # noqa: F401
+# not called here: bench/spans.py traces compare_iter_log and eval_exact
+# through these bindings (_last_a solves compare_iter_log's condition, and
+# terms carry their exact value)
 from .tower import compare_iter_log, eval_exact  # noqa: F401
 from .tower import ExpTerm, power, to_text
 
 Value = Union[int, ExpTerm]
+
+# nor these, which load their module when first read, so a scan that builds
+# no shape or fep family compiles neither patterns nor ramsey: bench/spans.py
+# traces fep and shape_pattern (the families build their rows from the same
+# pieces) and patches the two Ramsey constraint builders, though the Ramsey
+# drivers call ramsey's own bindings
+__getattr__ = _lazy_attributes(globals(), {
+    "fep": "patterns", "shape_pattern": "patterns",
+    "_ap_constraints": "ramsey", "_exp_triples_upto": "ramsey"})
 
 
 def _materialize(base: int, exp: int) -> Value:
     """a^b as a plain int when within the exactness cutoff, else a term."""
     t = power(base, exp)
     return t if t.exact is None else t.exact
-
-
-def _value_text(v: Value) -> str:
-    return str(v) if isinstance(v, int) else to_text(v)
 
 
 class Instance(_Struct):
@@ -64,7 +63,7 @@ class Instance(_Struct):
         return {
             "generators": list(self.generators),
             "elements": [
-                {"role": r, "value": _value_text(v)}
+                {"role": r, "value": str(v) if isinstance(v, int) else to_text(v)}
                 for r, v in zip(self.roles, self.values)
             ],
             "colour": colour,
@@ -93,7 +92,8 @@ EDGES = ParamType(
     "edge list",
     lambda v: type(v) is list and all(
         type(e) is list and list(map(type, e)) == [int, int] for e in v),
-    lambda t: [list(e) for e in parse_edges(t, ";")],
+    lambda t: [list(e) for e in
+               import_module(".patterns", __package__).parse_edges(t, ";")],
     lambda v: ";".join(f"{i}-{j}" for i, j in v),
 )
 # spec text names a constant weight; a table comes only from a descriptor
@@ -512,22 +512,25 @@ class ShapeFamily(_TupleFamily):
 
     def __init__(self, bound: int, m: int, edges: List[List[int]], *,
                  cap: int = 10**6):
+        from .patterns import ShapeRelation, shape_row, shape_values
         self.relation = ShapeRelation(m, tuple(map(tuple, edges)))
         super().__init__(bound, m, cap)
         # the descriptor lists the edges in the relation's order
         self.edges = [list(e) for e in self.relation.edges]
-        self._sorted_edges = sorted(self.relation.edges)
+        edges = sorted(self.relation.edges)
+        self._shape_row = partial(shape_row, edges)
+        self._values = partial(shape_values, edges)
 
     def _elements(self, xs: Tuple[int, ...]) -> Tuple[Value, ...]:
-        return shape_row(self._sorted_edges, xs)[0]
+        return self._shape_row(xs)[0]
 
     def _lazy(self, xs: Tuple[int, ...]) -> Iterator[Value]:
-        return shape_values(self._sorted_edges, xs)
+        return self._values(xs)
 
     def _instance(self, values: Tuple[Value, ...],
                   xs: Tuple[int, ...]) -> Instance:
         roles = tuple(f"x{s}" if isinstance(s, int) else "x{}^x{}".format(*s)
-                      for s in shape_row(self._sorted_edges, xs)[1])
+                      for s in self._shape_row(xs)[1])
         return Instance(roles, values, xs)
 
 
@@ -540,6 +543,8 @@ class FepFamily(_TupleFamily):
     params = (Param("m", INT), Param("weight", WEIGHT, spec_key="w"))
 
     def __init__(self, bound: int, m: int, weight: dict, *, cap: int = 10**6):
+        from .patterns import WeightFn, fep_caps, fep_row, fep_values
+        self._caps, self._fep_row, self._fep_values = fep_caps, fep_row, fep_values
         try:
             self._weight = WeightFn.from_json(weight)
         except (AttributeError, KeyError, TypeError):
@@ -551,14 +556,15 @@ class FepFamily(_TupleFamily):
         self.cap = cap
 
     def _elements(self, xs: Tuple[int, ...]) -> Tuple[Value, ...]:
-        return fep_row(fep_caps(self._weight, xs), xs, self.cap)[0]
+        return self._fep_row(self._caps(self._weight, xs), xs, self.cap)[0]
 
     def _lazy(self, xs: Tuple[int, ...]) -> Iterable[Value]:
-        return fep_values(fep_caps(self._weight, xs), xs, self.cap)
+        return self._fep_values(self._caps(self._weight, xs), xs, self.cap)
 
     def _search(self, colouring: Colouring) -> Optional[WindowSearch]:
         # the walk looks up a table weight and builds a row over the cap on
         # every row it reaches, one-class or not
+        from .patterns import fep_candidate_count
         k = self._weight.const
         if k is None or fep_candidate_count((k,) * self.m) > self.cap:
             return None
@@ -799,11 +805,11 @@ def _first_translates(carr: bytearray, classes: Sequence[int],
     ``carr[v]`` is the class rank of v for v in [1, hi] and 0 at v = 0.
 
     Bit-parallel shift-and matching (Baeza-Yates and Gonnet, CACM 35(10),
-    1992) over byte lanes: byte v of the lane int of c is 1 iff carr[v] is
-    c, so the lane shifted left by 8*o has byte m set iff m - o is in c. The
+    1992) over one-bit lanes: bit v of the lane int of c is set iff carr[v]
+    is c, so the lane shifted left by o has bit m set iff m - o is in c. The
     AND of the lane with its shifts by a pattern's offsets marks each m
-    whose translate lies in c, m - o <= 0 included as no byte is set there;
-    the lowest marked byte from the pattern's least m on is its first. The
+    whose translate lies in c, m - o <= 0 included as no bit is set there;
+    the lowest marked bit from the pattern's least m on is its first. The
     budget is checked every 256 patterns."""
     todo: Dict[Optional[int], List[Tuple[int, int, Tuple[int, ...]]]] = {}
     for j, (m_min, offsets, pin) in enumerate(shifts):
@@ -817,11 +823,10 @@ def _first_translates(carr: bytearray, classes: Sequence[int],
     fewest = 1 + min((len(offsets) for _, offsets, _ in shifts), default=0)
     first: Dict[int, Tuple[int, int]] = {}
     for c in classes:
-        if carr.count(c) < fewest:
+        # the digits of v = len(carr) - 1 down to 0, 1 where carr[v] is c
+        lane = int(carr.translate(b"0" * c + b"1" + b"0" * (255 - c))[::-1], 2)
+        if lane.bit_count() < fewest:
             continue
-        table = bytearray(256)
-        table[c] = 1
-        lane = int.from_bytes(carr.translate(table), "little")
         for n, (start, j, offsets) in enumerate(free + todo.get(c, [])):
             if n % 256 == 0:
                 budget.check()
@@ -829,10 +834,10 @@ def _first_translates(carr: bytearray, classes: Sequence[int],
             for o in offsets:
                 if not mask:
                     break
-                mask &= lane << 8 * o
-            mask >>= 8 * start
+                mask &= lane << o
+            mask >>= start
             if mask:
-                m = start + ((mask & -mask).bit_length() - 1) // 8
+                m = start + (mask & -mask).bit_length() - 1
                 if c not in first or (m, j) < first[c]:
                     first[c] = m, j
     return first
@@ -1067,10 +1072,8 @@ def find_monochromatic(colouring: Union[Colouring, str],
     budget = _Budget(budget_secs)
 
     search = family._search(colouring)
-    if search is None:
-        index = _walk(colouring, family, budget)
-    else:
-        index = _window_scan(colouring, family, budget, search)
+    index = (_walk(colouring, family, budget) if search is None
+             else _window_scan(colouring, family, budget, search))
     cert = _certificate(family, colouring, index, seed)
     cert.wall_time = time.perf_counter() - t0
     return cert

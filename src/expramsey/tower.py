@@ -58,7 +58,6 @@ from .errors import (
 
 DEFAULT_CUTOFF = 2**64
 _CUTOFF_BITS = DEFAULT_CUTOFF.bit_length()
-_set = object.__setattr__
 
 
 def _at_most(v: Optional[int], cutoff: int) -> Optional[int]:
@@ -67,8 +66,8 @@ def _at_most(v: Optional[int], cutoff: int) -> Optional[int]:
 
 def _set_exact(node, v: Optional[int]) -> None:
     """A node's last step of construction: its exact value, and no hash yet."""
-    _set(node, "exact", v if v is not None and v <= DEFAULT_CUTOFF else None)
-    _set(node, "_hash", None)
+    _set_exact_slot(node, v if v is not None and v <= DEFAULT_CUTOFF else None)
+    _set_hash(node, None)
 
 
 class _Term(_Struct):
@@ -81,11 +80,16 @@ class _Term(_Struct):
         h = self._hash
         if h is None:
             h = hash(self._key())
-            _set(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __str__(self):
         return to_text(self)
+
+
+# frozen classes write each slot through its descriptor's own __set__, which
+# is faster than object.__setattr__ looking the descriptor up by name
+_set_exact_slot, _set_hash = _Term.exact.__set__, _Term._hash.__set__
 
 
 class Literal(_Term):
@@ -96,11 +100,14 @@ class Literal(_Term):
             raise TypeError("Literal value must be an int")
         if value < 1:
             raise ValueError("Literal value must be a positive integer")
-        _set(self, "value", value)
+        _set_value(self, value)
         _set_exact(self, value)
 
     def _key(self) -> tuple:
         return (self.value,)
+
+
+_set_value = Literal.value.__set__
 
 
 class Power(_Term):
@@ -110,8 +117,8 @@ class Power(_Term):
         # exponent 1 would break canonical uniqueness; the factory collapses it
         if isinstance(exponent, Literal) and exponent.value == 1:
             raise ValueError("Power with exponent Literal(1) is not canonical")
-        _set(self, "base", base)
-        _set(self, "exponent", exponent)
+        _set_base(self, base)
+        _set_exponent(self, exponent)
         b, e = base.exact, exponent.exact
         if b == 1:
             _set_exact(self, 1)
@@ -124,6 +131,9 @@ class Power(_Term):
         return (self.base, self.exponent)
 
 
+_set_base, _set_exponent = Power.base.__set__, Power.exponent.__set__
+
+
 class Product(_Term):
     __slots__ = _fields = ("factors",)
 
@@ -132,7 +142,7 @@ class Product(_Term):
             raise ValueError("Product needs at least two factors")
         if any(isinstance(f, Literal) and f.value == 1 for f in factors):
             raise ValueError("Product with a Literal(1) factor is not canonical")
-        _set(self, "factors", factors)
+        _set_factors(self, factors)
         acc = 1
         for f in factors:
             if f.exact is None or acc > DEFAULT_CUTOFF:
@@ -143,6 +153,9 @@ class Product(_Term):
 
     def _key(self) -> tuple:
         return (self.factors,)
+
+
+_set_factors = Product.factors.__set__
 
 
 ExpTerm = Union[Literal, Power, Product]
@@ -209,8 +222,8 @@ class BoundedValue(_Struct):
     __slots__ = _fields = ("exact", "cutoff")
 
     def __init__(self, exact: Optional[int], cutoff: int):
-        _set(self, "exact", exact)
-        _set(self, "cutoff", cutoff)
+        _set_bounded_exact(self, exact)
+        _set_cutoff(self, cutoff)
 
     @property
     def is_exact(self) -> bool:
@@ -220,6 +233,9 @@ class BoundedValue(_Struct):
         if self.is_exact:
             return str(self.exact)
         return f"Huge(>{self.cutoff})"
+
+
+_set_bounded_exact, _set_cutoff = BoundedValue.exact.__set__, BoundedValue.cutoff.__set__
 
 
 def eval_exact(t: ExpTerm, cutoff: Optional[int] = None) -> BoundedValue:

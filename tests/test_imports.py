@@ -201,13 +201,19 @@ def bare_modules() -> set:
      {"search", "patterns", "ramsey"}, set()),
     (["gen", "fe", "2", "3"], {"patterns", "tower"}, {"search", "colourings", "ramsey"}, set()),
     (["ramsey", "vdw", "--k", "2", "--len", "3"], {"ramsey"},
+     {"search", "colourings", "patterns", "tower", "_arith"}, set()),
+    (["ramsey", "exptriple", "--k", "1", "--nmax", "16"], {"ramsey", "_arith"},
      {"search", "colourings", "patterns", "tower"}, set()),
-    (["verify", "logstar:r=1", "exptriple", "--bound", "16"], {"search"}, set(), set()),
+    (["verify", "logstar:r=1", "exptriple", "--bound", "16"], {"search"},
+     {"patterns", "ramsey"}, set()),
+    (["verify", "logstar:r=1", "shape:m=2,edges=1-2", "--bound", "6"], {"search", "patterns"},
+     {"ramsey"}, set()),
     # the check sees what a process asks for
     (["colour", "logstar:r=1", "2", "--format", "csv"], {"colourings"}, {"search"}, {"csv"}),
     (["colour", "lacunary:seq=n*2^n,nmax=8", "2"], {"colourings"}, {"search"},
      {"fractions", "decimal"}),
-], ids=["import", "colour", "gen", "ramsey", "verify", "colour-csv", "colour-lacunary"])
+], ids=["import", "colour", "gen", "ramsey", "ramsey-exptriple", "verify", "verify-shape",
+        "colour-csv", "colour-lacunary"])
 def test_a_process_loads_only_what_its_subcommand_calls(argv, needs, leaves_out, on_demand,
                                                          bare_modules):
     out = _python(LOADED, *argv, *(["--out", os.devnull] if argv else []))
