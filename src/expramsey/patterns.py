@@ -285,26 +285,6 @@ def fep_caps(W: WeightFn, xs) -> Tuple[int, ...]:
 
 
 @lru_cache(maxsize=1 << 16)
-def _fep_recipes(m: int, caps: Tuple[int, ...]) -> tuple:
-    """fep's candidates over m generators with exponent caps ``caps``, one
-    (B, choices) per nonempty base set B, by increasing size then
-    lexicographically. B lists the 1-based bases; each base i has its
-    exponent choices, the powers p_j over the free suffix (j > i outside B)
-    lexicographically, as ((j, p_j), ...)."""
-    out = []
-    for B in _nonempty_subsets(m):
-        base_idx = tuple(i + 1 for i in B)
-        choices = []
-        for i in base_idx:
-            support = [j for j in range(i + 1, m + 1) if j not in base_idx]
-            choices.append(tuple(
-                tuple(zip(support, ps)) for ps in
-                itertools.product(*(range(caps[j - 1] + 1) for j in support))))
-        out.append((base_idx, tuple(choices)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=1 << 16)
 def _fep_factor(x, pairs: tuple) -> ExpTerm:
     """The factor x^e, for e the product of y^p over ``pairs`` ((y, p), ...)
     with p >= 1."""
@@ -312,12 +292,22 @@ def _fep_factor(x, pairs: tuple) -> ExpTerm:
 
 
 def _fep_candidates(caps: Tuple[int, ...], xs) -> Iterator[tuple]:
-    """fep's candidates on xs with exponent caps ``caps`` in recipe order,
-    built one at a time: (element, (B, exponent choice per base))."""
-    for B, choices in _fep_recipes(len(xs), caps):
-        pools = [[_fep_factor(xs[i - 1], tuple((xs[j - 1], p) for j, p in exps if p))
-                  for exps in pool] for i, pool in zip(B, choices)]
-        for terms, choice in zip(itertools.product(*pools), itertools.product(*choices)):
+    """fep's candidates on xs with exponent caps ``caps``, built one at a
+    time: (element, (B, exponent choice per base)). The nonempty base sets
+    B (1-based) come by increasing size then lexicographically; each base i
+    has the powers p_j over its free suffix (j > i outside B), as
+    ((j, p_j), ...), and the choices of all bases run lexicographically,
+    one product over their concatenated supports."""
+    m = len(xs)
+    for idx in _nonempty_subsets(m):
+        B = tuple(i + 1 for i in idx)
+        supports = [[j for j in range(i + 1, m + 1) if j not in B] for i in B]
+        for ps in itertools.product(*(range(caps[j - 1] + 1)
+                                      for support in supports for j in support)):
+            it = iter(ps)  # each zip below takes its support's share of ps
+            choice = tuple(tuple(zip(support, it)) for support in supports)
+            terms = (_fep_factor(xs[i - 1], tuple((xs[j - 1], p) for j, p in exps if p))
+                     for i, exps in zip(B, choice))
             yield product(*terms), (B, choice)
 
 
@@ -337,10 +327,16 @@ def fep_row(caps: Tuple[int, ...], xs, cap: int = DEFAULT_ELEMENT_CAP
     return tuple(zip(*first.values())) if first else ((), ())
 
 
+@lru_cache(maxsize=1 << 16)
 def fep_candidate_count(caps: Tuple[int, ...]) -> int:
     """fep's candidates, repeats included, on len(caps) generators with
-    exponent caps ``caps``."""
-    return sum(math.prod(map(len, c)) for _, c in _fep_recipes(len(caps), caps))
+    exponent caps ``caps``, in O(m^2): with k bases among the indices below
+    j, a free index j multiplies the choices by (caps[j-1] + 1)^k."""
+    ways = [1]  # ways[k]: the choices over the indices so far with k bases
+    for c in caps:
+        free = [w * (c + 1) ** k for k, w in enumerate(ways)]
+        ways = [a + b for a, b in zip(free + [0], [0] + ways)]
+    return sum(ways[1:])
 
 
 def fep_values(caps: Tuple[int, ...], xs, cap: int = DEFAULT_ELEMENT_CAP) -> Iterable:

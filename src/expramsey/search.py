@@ -106,12 +106,12 @@ class InstanceFamily:
 
     A row is the (values, generators) pair of one instance. Each family
     gives ``_row(i)``, the row at index i, in closed form or by bisecting a
-    cumulative count, and may override ``rows()`` with a cheaper walk in
-    the same order. ``instances()`` and ``nth`` give value tuples with role
-    labels; scans read ``scan_rows()`` and ``_scan_row(i)``, whose values
-    may be a lazy iterable over the instance's, and an Instance is built
-    only for a witness. ``_search`` gives ``_window_scan``'s search, or None
-    for the row walk; ``_upto(m)`` counts the rows up to m of its order.
+    cumulative count; that is the one definition of its order. ``nth``
+    gives the instance at an index with role labels; the row walk reads
+    ``_scan_row(i)``, whose values may be a lazy iterable over the
+    instance's, and an Instance is built only for a witness. ``_search``
+    gives ``_window_scan``'s search, or None for the row walk; ``_upto(m)``
+    counts the rows up to m of its order.
 
     ``params`` declares the parameters besides the bound, in constructor
     order; each is kept as the attribute of its descriptor key, from which
@@ -128,17 +128,8 @@ class InstanceFamily:
     def count(self) -> int:
         return self._upto(self.bound)
 
-    def rows(self) -> Iterator[Row]:
-        """Every row in enumeration order; families with a cheaper
-        sequential walk than ``_row`` at each index override this."""
-        for i in range(self.count()):
-            yield self._row(i)
-
     def _row(self, i: int) -> Row:
         raise NotImplementedError
-
-    def scan_rows(self) -> Iterator[Row]:
-        return self.rows()
 
     def _scan_row(self, i: int) -> Row:
         return self._row(i)
@@ -148,13 +139,11 @@ class InstanceFamily:
         return Instance(self.roles, values, generators)
 
     def instances(self) -> Iterator[Instance]:
-        for values, generators in self.rows():
-            yield self._instance(values, generators)
+        return map(self.nth, range(self.count()))
 
     def nth(self, i: int) -> Instance:
-        """The instance at index i of the enumeration order, the same as
-        the i-th of ``instances()``, found through ``_row`` without walking
-        the enumeration."""
+        """The instance at index i of the enumeration order, built from
+        ``_row(i)``; IndexError outside [0, count())."""
         if not 0 <= i < self.count():
             raise IndexError(i)
         return self._instance(*self._row(i))
@@ -184,10 +173,6 @@ class _BuiltFamily(InstanceFamily):
     values as a tuple. The class search lists only the tuples of M inside
     M's colour class, ``_with_max`` over the class's members up to M."""
 
-    def _tuples(self) -> Iterator[Tuple[int, ...]]:
-        return (g for M in range(2, self.bound + 1)
-                for g in self._with_max(range(2, M + 1)))
-
     def _search(self, colouring: Colouring) -> Optional[WindowSearch]:
         return _class_search(colouring, self)
 
@@ -196,9 +181,6 @@ class _BuiltFamily(InstanceFamily):
 
     def _row(self, i: int) -> Row:
         return self._elements(g := self._tuple(i)), g
-
-    def scan_rows(self) -> Iterator[Row]:
-        return ((self._lazy(g), g) for g in self._tuples())
 
     def _scan_row(self, i: int) -> Row:
         return self._lazy(g := self._tuple(i)), g
@@ -327,11 +309,6 @@ class SchurFamily(_TranslateFamily):
 
     _upto = staticmethod(_schur_upto)
 
-    def rows(self) -> Iterator[Row]:
-        for s in range(2, self.bound + 1):
-            for y in range((s + 1) // 2, s):
-                yield (s - y, y, s), (s - y, y)
-
     def _shifts(self, hi: int) -> List[Shift]:
         # {x, s - x, s} for fixed x is a translate of (x, 0) with x's class
         # pinned; y >= x needs s >= 2x, and y ascends as x descends
@@ -351,7 +328,8 @@ class SchurPlusExpFamily(InstanceFamily):
     sum below m (in their order), each with every power triple of power m,
     come first; then the sum triples with sum m, each with every power
     triple of power <= m. The instance count is the product of the two
-    family counts.
+    family counts. ``_row(i)`` bisects ``_upto`` for m and decodes i by
+    the split ``index`` encodes.
     """
 
     kind = "schurplusexp"
@@ -363,14 +341,6 @@ class SchurPlusExpFamily(InstanceFamily):
         self.exp = ExpTripleFamily(bound, False, cap=cap)
         self.roles = self.schur.roles + self.exp.roles
         self._powers = [p for p, _, _ in self.exp._pairs]
-        # The number of power triples of power <= m is constant from one
-        # distinct power q up to the next. Per such segment: q, the power
-        # triples of power below q and up to q (_counts[g], _counts[g + 1]),
-        # and the joint instances with max element at most the segment's end.
-        self._starts = sorted(set(self._powers))
-        self._counts = [0] + [self._exp_upto(q) for q in self._starts]
-        ends = [q - 1 for q in self._starts[1:]] + [bound]
-        self._ends = [_schur_upto(m) * e for m, e in zip(ends, self._counts[1:])]
 
     def _exp_upto(self, m: int) -> int:
         return bisect.bisect_right(self._powers, m)
@@ -382,33 +352,18 @@ class SchurPlusExpFamily(InstanceFamily):
         """Number of joint instances with max element <= m."""
         return _schur_upto(m) * self._exp_upto(m)
 
-    def rows(self) -> Iterator[Row]:
-        exps = list(self.exp.rows())
-        for m in range(2, self.bound + 1):
-            lo, hi = self._exp_upto(m - 1), self._exp_upto(m)
-            s_lt = _schur_upto(m - 1)
-            for si in range(0 if hi > lo else s_lt, _schur_upto(m)):
-                sv, sg = self.schur._row(si)
-                for ev, eg in exps[lo:hi] if si < s_lt else exps[:hi]:
-                    yield sv + ev, sg + eg
-
     def _row(self, i: int) -> Row:
-        # The max element m is the least with more than i instances of max
-        # element <= m. In i's segment the power count e_le is fixed, so m is
-        # the least with more than i // e_le sum triples of sum <= m; only
-        # m = q has power triples of power m.
-        g = bisect.bisect_right(self._ends, i)
-        q, e_le = self._starts[g], self._counts[g + 1]
-        m = max(q, math.isqrt(4 * (i // e_le) + 3) + 1)
-        e_lt = self._counts[g] if m == q else e_le
-        s_lt, e_eq = _schur_upto(m - 1), e_le - e_lt
+        # the max element m is the least with more than i instances of max
+        # element <= m; then i is decoded by the two cases of ``index``
+        m = bisect.bisect_right(range(self.bound + 1), i, key=self._upto)
+        s_lt, e_lt = _schur_upto(m - 1), self._exp_upto(m - 1)
+        e_eq = self._exp_upto(m) - e_lt
         j = i - s_lt * e_lt
         if j < s_lt * e_eq:
             si, k = divmod(j, e_eq)
             ei = e_lt + k
         else:
-            si, ei = divmod(j - s_lt * e_eq, e_le)
-            si += s_lt
+            si, ei = divmod(i, e_lt + e_eq)
         sv, sg = self.schur._row(si)
         ev, eg = self.exp._row(ei)
         return sv + ev, sg + eg
@@ -616,14 +571,6 @@ class DifferencePairFamily(_TranslateFamily):
         j = bisect.bisect_left(self._ascending, m)
         return j * m - self._sums[j]
 
-    def rows(self) -> Iterator[Row]:
-        diffs = self._diffs
-        for m in range(2, self.bound + 1):
-            for n, v in diffs:
-                x = m - v
-                if x >= 1:
-                    yield (x, m), (n, x)
-
     def _row(self, i: int) -> Row:
         # i from breaks[j - 1] to below breaks[j] (or the count) puts j
         # differences below the least m with j*m - sums[j] > i; the pairs
@@ -650,7 +597,9 @@ class GridFamily(_TranslateFamily):
             raise ValueError("grid length must be >= 1")
         self.len = length
         self.bound = bound
-        self.roles = tuple(f"s+{i}d" for i in range(length + 1))
+
+    # built per instance, so an empty family of long grids costs nothing
+    roles = property(lambda self: tuple(f"s+{i}d" for i in range(self.len + 1)))
 
     def _upto(self, m: int) -> int:
         """Number of progressions with largest element <= m: the largest
@@ -662,12 +611,6 @@ class GridFamily(_TranslateFamily):
     def _progression(self, m: int, d: int) -> Row:
         s = m - self.len * d
         return tuple(s + i * d for i in range(self.len + 1)), (s, d)
-
-    def rows(self) -> Iterator[Row]:
-        L = self.len
-        for m in range(L + 1, self.bound + 1):
-            for d in range((m - 1) // L, 0, -1):
-                yield self._progression(m, d)
 
     def _row(self, i: int) -> Row:
         # the L*q progressions of largest element in [qL + 1, qL + L], q of
@@ -788,11 +731,13 @@ def _mono_rows(colouring: Colouring, rows: Iterator[Row], budget: _Budget
             yield j, generators, c
 
 
-def _walk(colouring: Colouring, family: InstanceFamily, budget: _Budget
-          ) -> Optional[int]:
-    """Index of the first monochromatic row, or None."""
-    for i, _, _ in _mono_rows(colouring, family.scan_rows(), budget):
-        return i
+def _walk(colouring: Colouring, family: InstanceFamily, budget: _Budget,
+          start: int = 0) -> Optional[int]:
+    """Index of the first monochromatic row from index ``start`` on, or
+    None: the row walk, which reads each row by its index."""
+    rows = map(family._scan_row, range(start, family.count()))
+    for j, _, _ in _mono_rows(colouring, rows, budget):
+        return start + j
     return None
 
 
@@ -969,7 +914,7 @@ def _class_search(colouring: Colouring, family: _BuiltFamily) -> WindowSearch:
     def search(carr, ranks, lo, hi, budget):
         members: Dict[int, List[int]] = {}  # class rank -> its ints in [2, M]
 
-        def rows():
+        def one_class_rows():
             for M in range(2, hi + 1):
                 digits = members.setdefault(carr[M], [])
                 digits.append(M)
@@ -977,7 +922,7 @@ def _class_search(colouring: Colouring, family: _BuiltFamily) -> WindowSearch:
                     for g in family._with_max(digits):
                         yield family._lazy(g), g
 
-        for _, g, _ in _mono_rows(colouring, rows(), budget):
+        for _, g, _ in _mono_rows(colouring, one_class_rows(), budget):
             return family._rank(g)
         return None
     return search
@@ -1000,8 +945,8 @@ def _window_scan(colouring: Colouring, family: InstanceFamily, budget: _Budget,
 
     A value whose colouring raises (its block ends short), or whose colour
     would be a 256th class, ends the windows: the rows whose m is below it
-    are searched, and the rows from there on are walked by ``_mono_rows``,
-    so what raises or returns is what the row walk raises or returns."""
+    are searched, and the rows from there on are walked by ``_walk``, so
+    what raises or returns is what the row walk raises or returns."""
     if family.count() == 0:
         return None
     carr, ranks = bytearray(1), {}
@@ -1026,11 +971,7 @@ def _window_scan(colouring: Colouring, family: InstanceFamily, budget: _Budget,
         if got is not None:
             return got
         if end < top:
-            start = family._upto(end)
-            rows = map(family._scan_row, range(start, family.count()))
-            for j, _, _ in _mono_rows(colouring, rows, budget):
-                return start + j
-            return None
+            return _walk(colouring, family, budget, family._upto(end))
         lo, hi = top + 1, 2 * hi
     return None
 

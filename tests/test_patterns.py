@@ -2,11 +2,13 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from expramsey import patterns
 from expramsey.errors import (
     ArityMismatch,
     BudgetExceeded,
@@ -251,6 +253,86 @@ def test_fep_matches_its_first_definition(xs, W, cap):
         return
     ps = fep(W, xs, cap=cap)
     assert (ps.elements, ps.provenance) == want
+
+
+def _listed_fep_candidates(caps, xs):
+    """fep's candidates as once enumerated: every base set's exponent
+    choices listed as a recipe table first, then each base's factors, then
+    their products."""
+    m, recipes = len(xs), []
+    for size in range(1, m + 1):
+        for B in itertools.combinations(range(1, m + 1), size):
+            choices = []
+            for i in B:
+                support = [j for j in range(i + 1, m + 1) if j not in B]
+                choices.append(tuple(
+                    tuple(zip(support, ps)) for ps in
+                    itertools.product(*(range(caps[j - 1] + 1) for j in support))))
+            recipes.append((B, tuple(choices)))
+    out = []
+    for B, choices in recipes:
+        pools = [[power(xs[i - 1], product(*(power(xs[j - 1], p) for j, p in exps if p)))
+                  for exps in pool] for i, pool in zip(B, choices)]
+        for terms, choice in zip(itertools.product(*pools), itertools.product(*choices)):
+            out.append((product(*terms), (B, choice)))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=4).flatmap(
+    lambda caps: st.tuples(st.just(tuple(caps)), st.lists(
+        st.integers(2, 9), min_size=len(caps), max_size=len(caps)))))
+def test_fep_candidates_are_the_listed_enumeration(caps_xs):
+    """The lazy candidates and the closed-form count against the recipe
+    table as first listed: the same candidates and recipes in the same
+    order, and as many."""
+    caps, xs = caps_xs
+    xs = tuple(map(as_term, xs))
+    want = _listed_fep_candidates(caps, xs)
+    got = list(patterns._fep_candidates(caps, xs))
+    assert [r for _, r in got] == [r for _, r in want]
+    assert [dedup_key(t) for t, _ in got] == [dedup_key(t) for t, _ in want]
+    assert patterns.fep_candidate_count(caps) == len(want)
+
+
+def _traced_peak(fn):
+    """The tracemalloc peak, in bytes, of calling fn with the pattern
+    module's caches emptied first, so that an earlier call's tables count."""
+    for f in vars(patterns).values():
+        getattr(f, "cache_clear", lambda: None)()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fep_cap_stops_generation_before_the_recipes_grow():
+    """Eleven generators of constant weight 1 give 2^11 - 1 base sets and
+    8,933,488,743 candidates, counted without listing them: with k bases
+    below a free index, its two exponents double the choices k times. The
+    cap of 10 stops the generation at the eleventh distinct element."""
+    def capped():
+        with pytest.raises(BudgetExceeded, match="element cap 10"):
+            fep(WeightFn.constant(1), range(2, 13), cap=10)
+
+    assert _traced_peak(capped) < 2 * 2**20
+    assert _traced_peak(lambda: patterns.fep_candidate_count((1,) * 11)) < 2**16
+    assert patterns.fep_candidate_count((1,) * 11) == sum(
+        2 ** sum(sum(i < j for i in B) for j in range(11) if j not in B)
+        for k in range(1, 12) for B in itertools.combinations(range(11), k))
+
+
+def test_empty_fep_family_costs_nothing_in_its_generators():
+    """A family with no rows decides its scan by the candidate count of
+    one row of eleven generators, which lists no recipe."""
+    from expramsey.search import find_monochromatic
+    certs = []
+    peak = _traced_peak(lambda: certs.append(
+        find_monochromatic("logstar:r=1", "fep:m=11,w=1", 1)))
+    assert peak < 2 * 2**20
+    assert certs[0].verified and certs[0].instances_checked == 0
 
 
 @settings(max_examples=100, deadline=None)

@@ -21,6 +21,7 @@ from expramsey.colourings import (
     SchurExpColouring,
     TableColouring,
     parse_colouring,
+    parse_seq,
 )
 from expramsey.errors import (
     BudgetExceeded, ExpRamseyError, OutOfDomain, ParseError, WeightUndefined,
@@ -102,17 +103,115 @@ SMALL_FAMILIES = [
     ("fep:m=2,w=1", 5), ("diffpair:seq=5^n,nmax=2", 40),
     ("diffpair:seq=n*2^n,nmax=5", 200), ("grid:len=3", 12), ("grid:len=1", 9),
 ]
+# the order test's families, at least one of each kind: empty ones, and ones
+# past a few blocks of their order
+ORDER_FAMILIES = [
+    ("exptriple", 3), ("exptriple", 300), ("exptriple-logcond:r=0", 600),
+    ("exptriple-logcond:r=3", 2**10), ("expquad", 1), ("expquad", 16), ("schur", 1),
+    ("schur", 30), ("schurplusexp", 3), ("schurplusexp", 80),
+    ("shape:m=3,edges=1-2;2-3", 5), ("shape:m=1", 9), ("fep:m=3,w=1", 4),
+    ("fep:m=1,w=2", 9), ("diffpair:seq=3^n,nmax=0", 30), ("diffpair:seq=2^n,nmax=8", 300),
+    ("grid:len=2", 1), ("grid:len=5", 40),
+]
+
+
+def _int(v):
+    return v if isinstance(v, int) else eval_exact(v, cutoff=1 << 4096).exact
+
+
+def _exp_triples(bound, keep=lambda a, b: True):
+    """(p, a, b) for a, b >= 2 with p = a^b <= bound, by (p, max(a, b), a)."""
+    return sorted(((a**b, a, b) for a in range(2, bound + 1)
+                   for b in range(2, bound.bit_length() + 1)
+                   if a**b <= bound and keep(a, b)),
+                  key=lambda t: (t[0], max(t[1:]), t[1]))
+
+
+def _schur_triples(bound):
+    """(x, y, x + y) for 1 <= x <= y with x + y <= bound, by (s, y)."""
+    return sorted(((x, s - x, s) for s in range(2, bound + 1)
+                   for x in range(1, s // 2 + 1)), key=lambda t: (t[2], t[1]))
+
+
+def _tuple_rows(fam, pattern):
+    """Rows of every tuple in [2, bound]^m by (max, tuple), its elements
+    those of ``pattern`` on the tuple."""
+    order = sorted(itertools.product(range(2, fam.bound + 1), repeat=fam.m),
+                   key=lambda t: (max(t), t))
+    return [(tuple(pattern(xs).elements), xs) for xs in order]
+
+
+def _schurplusexp_rows(fam):
+    sums, exps = _schur_triples(fam.bound), _exp_triples(fam.bound)
+    joint = sorted(((max(s[2], e[0]), s[2] == max(s[2], e[0]), si, ei)
+                    for si, s in enumerate(sums) for ei, e in enumerate(exps)))
+    return [(sums[si] + (exps[ei][1], exps[ei][2], exps[ei][0]),
+             sums[si][:2] + exps[ei][1:]) for _, _, si, ei in joint]
+
+
+def _diffpair_rows(fam):
+    seq = parse_seq(fam.seq)
+    pairs = [(x, x + seq.exact(n), n) for n in range(seq.start, fam.nmax + 1)
+             for x in range(1, fam.bound - seq.exact(n) + 1)]
+    return [((x, m), (n, x)) for x, m, n in sorted(pairs, key=lambda t: (t[1], t[0]))]
+
+
+def _grid_rows(fam):
+    L = fam.len
+    grids = [(s, d) for d in range(1, fam.bound) for s in range(1, fam.bound - L * d + 1)]
+    grids.sort(key=lambda g: (g[0] + L * g[1], -g[1]))
+    return [(tuple(s + i * d for i in range(L + 1)), (s, d)) for s, d in grids]
+
+
+# each kind's rows (values, generators) listed from its definition and
+# sorted by the key its order documents; expquad's powers as ints
+DEFINED_ORDERS = {
+    "exptriple": lambda fam: [((a, b, p), (a, b)) for p, a, b in
+                              _exp_triples(fam.bound, lambda a, b: not fam.strict or a != b)],
+    "exptriple-logcond": lambda fam: [((b, p), (a, b)) for p, a, b in _exp_triples(
+        fam.bound, lambda a, b: compare_iter_log(a, fam.r, b))],
+    "expquad": lambda fam: [((a, b, a**b, b**a), (a, b)) for b in range(2, fam.bound + 1)
+                            for a in range(2, b + 1)],
+    "schur": lambda fam: [(t, t[:2]) for t in _schur_triples(fam.bound)],
+    "schurplusexp": _schurplusexp_rows,
+    "shape": lambda fam: _tuple_rows(fam, lambda xs: shape_pattern(fam.relation, xs)),
+    "fep": lambda fam: _tuple_rows(
+        fam, lambda xs: fep(WeightFn.from_json(fam.weight), xs, cap=fam.cap)),
+    "diffpair": _diffpair_rows,
+    "grid": _grid_rows,
+}
+
+
+def _nth_rows(fam, indices):
+    """The rows of ``nth`` at ``indices``, expquad's powers as ints."""
+    return [((tuple(map(_int, inst.values)) if fam.kind == "expquad" else inst.values),
+             inst.generators) for inst in map(fam.nth, indices)]
+
+
+@pytest.mark.parametrize("kind", sorted(search.FAMILIES))
+def test_nth_is_the_order_as_first_defined(kind):
+    """For every kind: the rows listed from the definition at small bounds,
+    sorted by the documented key, are ``nth`` over the whole index range.
+    A kind with no entry in DEFINED_ORDERS fails here."""
+    specs = [(spec, bound) for spec, bound in ORDER_FAMILIES
+             if spec.split(":")[0] == kind]
+    assert kind in DEFINED_ORDERS and specs, kind
+    for spec, bound in specs:
+        fam = parse_family(spec, bound)
+        want = DEFINED_ORDERS[fam.kind](fam)
+        assert fam.count() == len(want), (spec, bound)
+        assert _nth_rows(fam, range(fam.count())) == want, (spec, bound)
 
 
 def test_counts_match_enumeration_everywhere():
     for spec, bound in SMALL_FAMILIES:
         fam = parse_family(spec, bound)
-        insts = list(fam.instances())
-        assert fam.count() == len(insts), spec
+        want = DEFINED_ORDERS[fam.kind](fam)
+        assert fam.count() == len(want), spec
         # nth is random access in enumeration order, at every index
-        for i, inst in enumerate(insts):
-            assert fam.nth(i) == inst, (spec, bound, i)
-        for i in (-1, len(insts)):
+        assert _nth_rows(fam, range(len(want))) == want, (spec, bound)
+        assert list(fam.instances()) == list(map(fam.nth, range(len(want))))
+        for i in (-1, len(want)):
             with pytest.raises(IndexError):
                 fam.nth(i)
 
@@ -194,7 +293,7 @@ def test_family_descriptor_round_trip(desc):
     assert parse_family(fam.spec, fam.bound).descriptor() == fam.descriptor()
     clone = family_from_descriptor(json.loads(json.dumps(fam.descriptor())))
     assert clone.descriptor() == fam.descriptor()
-    assert [r[1] for r in clone.rows()] == [r[1] for r in fam.rows()]
+    assert [i.generators for i in clone.instances()] == [i.generators for i in fam.instances()]
 
 
 def test_shape_specs_with_several_edges_round_trip():
@@ -244,9 +343,9 @@ def test_iroot_is_exact(n, k):
        st.integers(min_value=1, max_value=70))
 def test_nth_is_the_enumeration_order(spec, bound):
     fam = parse_family(spec, bound)
-    insts = list(fam.instances())
-    assert fam.count() == len(insts)
-    assert [fam.nth(i) for i in range(len(insts))] == insts
+    want = DEFINED_ORDERS[fam.kind](fam)
+    assert fam.count() == len(want)
+    assert _nth_rows(fam, range(len(want))) == want
 
 
 def test_grid_rows_past_a_machine_word():
@@ -255,6 +354,24 @@ def test_grid_rows_past_a_machine_word():
     fam = parse_family("grid:len=3", 10**30)
     assert fam.nth(0).values == (1, 2, 3, 4)
     assert fam.nth(fam.count() - 1).generators == (10**30 - 3, 1)
+
+
+def test_grid_builds_no_roles_until_an_instance_is_built():
+    """An empty family of long grids costs no memory in its length: the
+    roles are built with an instance, and those of small grids are the
+    same."""
+    tracemalloc.start()
+    try:
+        fam = parse_family("grid:len=1000000", 10)
+        cert = find_monochromatic(LogStarColouring(1), fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.verified and cert.instances_checked == fam.count() == 0
+    assert peak < 2**20
+    assert parse_family("grid:len=2", 9).nth(0).roles == ("s+0d", "s+1d", "s+2d")
+    wit = find_monochromatic("const:k=1", "grid:len=1", 9).result["witness"]
+    assert [e["role"] for e in wit["elements"]] == ["s+0d", "s+1d"]
 
 
 DIFF_SEQS = {"n*2^n": lambda n: n << n, "2^n": lambda n: 2**n, "3^n": lambda n: 3**n}
@@ -273,15 +390,16 @@ NEAR_DIFFS = sorted({f(n) + d for f in DIFF_SEQS.values() for n in range(1, 13)
 @example("3^n", 12, 4, random.Random(0))     # one above it: a single pair
 @example("n*2^n", 12, 5 * 10**4, random.Random(0))
 def test_diffpair_nth_matches_rows(seq, nmax, bound, rnd):
-    """nth in closed form against the row walk, at the first and last index
-    of every larger-element block and at sampled indices."""
+    """nth in closed form against the rows listed from the definition by
+    (larger element, x), at the first and last index of every
+    larger-element block and at sampled indices."""
     fam = parse_family(f"diffpair:seq={seq},nmax={nmax}", bound)
     diffs = [f for f in map(DIFF_SEQS[seq], range(1, nmax + 1)) if f < bound]
     assert fam.count() == sum(bound - v for v in diffs)
     total = fam.count()
     sampled = set(rnd.sample(range(total), min(total, 200)))
     prev_m, prev_row, seen = None, None, 0
-    for i, row in enumerate(fam.rows()):
+    for i, row in enumerate(DEFINED_ORDERS[fam.kind](fam)):
         m = row[0][1]
         checks = [(i, row)] if i in sampled or m != prev_m else []
         if m != prev_m and prev_row is not None:
@@ -318,7 +436,7 @@ def test_diffpair_build_stops_at_the_bound(monkeypatch):
     long = parse_family("diffpair:seq=3^n,nmax=10000", 100)
     assert calls == [1, 2, 3, 4, 5]
     assert long.count() == short.count() == 280
-    assert list(long.rows()) == list(short.rows())
+    assert list(long.instances()) == list(short.instances())
 
 
 @pytest.mark.parametrize("seq", ["n*2^n", "3^n", "n^n*log2n"])
@@ -391,7 +509,6 @@ def test_shape_and_fep_rows_are_the_patterns_in_max_then_tuple_order(data):
         ps = fep(WeightFn.from_json(desc["weight"]), xs, cap=cap)
         return ps.elements, tuple(to_text(e) for e in ps.elements)
 
-    rows, walking = fam.rows(), True
     for i, xs in enumerate(order):
         ok, want = _outcome(lambda: pattern(xs))
         got_ok, got = _outcome(lambda: fam.nth(i))
@@ -400,25 +517,18 @@ def test_shape_and_fep_rows_are_the_patterns_in_max_then_tuple_order(data):
             assert (got.generators, got.values, got.roles) == (xs, *want)
         else:
             assert got == want
-        if walking:
-            # the walk raises where the pattern does, and stops there
-            row_ok, row = _outcome(lambda: next(rows))
-            assert (row_ok, row) == ((True, (want[0], xs)) if ok else (False, want))
-            walking = ok
-    if walking:
-        assert next(rows, None) is None
 
 
 def test_shape_rows_start_without_listing_every_tuple():
     tracemalloc.start()
     try:
         fam = parse_family("shape:m=2,edges=1-2", 1000)
-        first = list(itertools.islice(fam.rows(), 241))
+        first = list(itertools.islice(fam.instances(), 241))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert fam.count() == 999**2 and len(first) == 241
-    assert first[-1][1] == (17, 2)
+    assert first[-1].generators == (17, 2)
     assert peak < 10 * 2**20
 
 
@@ -883,7 +993,7 @@ def test_walk_colours_each_row_value_once(spec, bound):
     fam = parse_family(spec, bound)
     idx = search._walk(colouring, fam, search._Budget(None))
     assert colouring.seen and set(colouring.seen.values()) == {1}, spec
-    read = itertools.islice(fam.scan_rows(), None if idx is None else idx + 1)
+    read = map(fam._scan_row, range(fam.count() if idx is None else idx + 1))
     assert set(colouring.seen) <= {v for values, _ in read for v in values}
 
 
@@ -1099,7 +1209,8 @@ def test_expquad_builds_no_power_past_a_generator_mismatch(monkeypatch):
     cert = find_monochromatic(colouring, fam)
     assert cert.verified and verify_certificate(cert)
     rows = {(min(p), max(p)) for p in built}
-    assert rows and any(colouring(a) != colouring(b) for a, b in fam._tuples())
+    assert rows and any(colouring(a) != colouring(b)
+                        for a, b in map(fam._tuple, range(fam.count())))
     for a, b in rows:
         assert colouring(a) == colouring(b), (a, b)
     for base, exp in built:
@@ -1288,7 +1399,7 @@ def test_class_rows_in_order_are_the_rows():
     ``_rank`` and ``_upto`` index them."""
     for spec in ("shape:m=1", "shape:m=3", "expquad"):
         fam = parse_family(spec, 9)
-        tuples = list(fam._tuples())
+        tuples = [g for M in range(2, 10) for g in fam._with_max(range(2, M + 1))]
         assert tuples == [fam._tuple(i) for i in range(fam.count())]
         assert [fam._rank(g) for g in tuples] == list(range(fam.count()))
         assert [fam._upto(M) for M in range(10)] == [
@@ -1603,7 +1714,7 @@ def test_verify_matches_the_instance_check(tmp_path):
     for spec, bound in VERIFY_FAMILIES:
         fam = parse_family(spec, bound)
         top = max(v if isinstance(v, int) else eval_exact(v).exact
-                  for values, _ in fam.rows() for v in values)
+                  for inst in fam.instances() for v in inst.values)
         # a colour per value, which no instance of two values meets in one
         # colour, then random tables, which some instance nearly always does
         tables = [(top, list(range(1, top + 1)))]
