@@ -21,6 +21,12 @@ Facts this module relies on (each is load-bearing and tested):
   against integers terminate at finite precision, and so does the retry that
   tightens ``log2_scaled_bounds`` to one unit: 2**prec * log2(n) is never an
   integer, so enough guard bits put both rounded ends in one unit interval.
+- For integers a, b >= 1 and r >= 0, log2^(r)(a) <= b iff a <= T_r(b),
+  where T_0(b) = b and T_{j+1}(b) = 2**T_j(b): for x > 0, log2 x <= y iff
+  x <= 2**y, which peels one log at a time while the iterates are
+  positive. Once an iterate log2^(j)(a), j < r, is 1 or less, the next is
+  at most 0 and the answer is True; so is the rule's, as then
+  a <= T_j(1) <= T_j(b) <= T_r(b) (T grows in b and in j).
 - ln m = 2**r * ln(m**(1/2**r)) for m > 0, and for x > 0 with
   z = (x - 1)/(x + 1), ln x = 2 atanh(z) = 2 * sum_{j>=0} z**(2j+1)/(2j+1).
   For 0 <= z <= 1/3 the terms after the first N sum to at most
@@ -33,8 +39,6 @@ from bisect import bisect_left
 from functools import lru_cache
 from math import isqrt
 from typing import Optional, Tuple
-
-from .errors import UncertifiableComparison
 
 # towers of 2: t_5 = 2**65536 is an 8 KiB integer, cheap to keep around;
 # t_6 onward are handled by logarithmic descent instead of materialization
@@ -153,56 +157,28 @@ def log_star_scaled(lo: int, hi: int, prec: int) -> Optional[int]:
     return jlo if jlo == jhi else None
 
 
-def _log2_iterated(lo: int, hi: int, prec: int, j: int):
-    """Apply log2 j times to the real enclosed by [lo, hi]/2**prec.
-
-    Returns the new enclosure; True when the value is certainly <= 1 on the
-    way (later logs only shrink it); None when an enclosure straddles 1, so
-    that only a higher precision can go on.
-    """
-    one = 1 << prec
+def _log2_step(lo: int, hi: int, prec: int) -> Tuple[int, int]:
+    """Enclosure of log2 of the real enclosed by [lo, hi]/2**prec, lo >= 1."""
     shift = prec << prec
-    for _ in range(j):
-        if hi <= one:
-            return True
-        if lo <= one:
-            return None
-        lo = log2_scaled_bounds(lo, prec)[0] - shift
-        hi = log2_scaled_bounds(hi, prec)[1] - shift
-    return lo, hi
+    return (log2_scaled_bounds(lo, prec)[0] - shift,
+            log2_scaled_bounds(hi, prec)[1] - shift)
+
+
+def tower_upto(b: int, r: int, top: int) -> int:
+    """min(T_r(b), top), for T_0(b) = b and T_{j+1}(b) = 2**T_j(b). Once an
+    exponent reaches top's bit length the next tower exceeds top, so no
+    tower larger than top is built."""
+    t = b
+    for _ in range(r):
+        if t >= top.bit_length():
+            return top
+        t = 1 << t
+    return min(t, top)
 
 
 def iter_log_le(a: int, r: int, b: int) -> bool:
-    """Certified decision of log2^(r)(a) <= b for integers a >= 1, b >= 1.
-
-    Walks the exact power-of-two track as far as it goes (ties live there and
-    only there), then switches to interval iteration; the remaining value is
-    irrational so widening always terminates.
-    """
+    """Exact decision of log2^(r)(a) <= b for integers a >= 1, b >= 1:
+    a <= T_r(b)."""
     if r < 0:
         raise ValueError("r must be non-negative")
-    cur = a
-    steps = 0
-    while steps < r:
-        if cur <= 1:
-            # the next log is <= 0 and everything after stays below 1 <= b
-            return True
-        if cur & (cur - 1) == 0:
-            cur = cur.bit_length() - 1
-            steps += 1
-            continue
-        break
-    if steps == r:
-        return cur <= b
-    rem = r - steps
-    for prec in PREC_SCHEDULE:
-        got = _log2_iterated(*log2_scaled_bounds(cur, prec), prec, rem - 1)
-        if got is None:
-            continue
-        if got is True or got[1] <= b << prec:
-            return True
-        if got[0] > b << prec:
-            return False
-    raise UncertifiableComparison(
-        f"iterated log comparison undecided at precision {PREC_SCHEDULE[-1]}"
-    )
+    return a <= tower_upto(b, r, a)

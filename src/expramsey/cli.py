@@ -309,6 +309,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "cap", 0) < 0:
+            parser.error(f"argument --cap: must be at least 0, got {args.cap}")
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_PARSE
     try:

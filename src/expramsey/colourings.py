@@ -1,4 +1,4 @@
-"""Counterexample colourings as total, deterministic evaluators.
+"""Counterexample colourings as deterministic evaluators.
 
 Each construction is a class with a colour count ``k``, a machine-readable
 ``rule`` descriptor, and a ``colour`` method accepting plain integers or
@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ._intlog import (
     PREC_SCHEDULE,
-    _log2_iterated,
+    _log2_step,
     log2_scaled_bounds,
     log_star_int,
     log_star_scaled,
@@ -65,8 +65,11 @@ Value = Union[int, ExpTerm]
 
 
 class Colouring:
-    """Total deterministic map from integers / tower terms to [1, k]; see
-    the module docstring for what a subclass declares and implements."""
+    """Deterministic map from integers / tower terms to [1, k]; see the
+    module docstring for what a subclass declares and implements. It is not
+    total: ``colour`` may raise an EvaluationError, where a value lies
+    outside its domain or no strategy certifies its colour, as
+    ``logstar:r=1`` does on ``3^3^3^3^3^3`` (the CLI exits 4)."""
 
     kind: str
     params: Tuple[Param, ...] = ()
@@ -527,7 +530,7 @@ class AbbbColouring(Colouring):
                 l2 = _log2_term_scaled(e, prec)
             else:
                 # x >= 3, so log2 x > 1 and one more log2 gives an enclosure
-                l2 = _log2_iterated(*_log2_term_scaled(t, prec), prec, 1)
+                l2 = _log2_step(*_log2_term_scaled(t, prec), prec)
             got = self.inner.colour_scaled(l2[0], l2[1], prec)
             if got is not None:
                 return got

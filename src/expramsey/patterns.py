@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ._spec import _Struct
 from .errors import (
@@ -311,14 +311,18 @@ def _fep_candidates(caps: Tuple[int, ...], xs) -> Iterator[tuple]:
             yield product(*terms), (B, choice)
 
 
-def fep_row(caps: Tuple[int, ...], xs, cap: int = DEFAULT_ELEMENT_CAP
+def fep_row(caps: Tuple[int, ...], xs, cap: int = DEFAULT_ELEMENT_CAP,
+            check: Optional[Callable[[], None]] = None
             ) -> Tuple[Tuple[ExpTerm, ...], tuple]:
     """fep's deduplicated elements on generators xs (ints or terms, each
     > 1) with exponent caps ``caps``, and the recipe (B, exponent choice per
     base) of each. A new distinct element past the ``cap``-th raises
-    BudgetExceeded."""
+    BudgetExceeded. ``check``, a scan's budget, is called every 4,096
+    candidates: the cap never stops a row whose candidates coincide."""
     first: dict = {}  # dedup key -> (element, recipe), in insertion order
-    for t, recipe in _fep_candidates(caps, xs):
+    for n, (t, recipe) in enumerate(_fep_candidates(caps, xs)):
+        if check is not None and n & 4095 == 0:
+            check()
         key = dedup_key(t)
         if key not in first:
             if len(first) >= cap:
@@ -339,12 +343,13 @@ def fep_candidate_count(caps: Tuple[int, ...]) -> int:
     return sum(ways[1:])
 
 
-def fep_values(caps: Tuple[int, ...], xs, cap: int = DEFAULT_ELEMENT_CAP) -> Iterable:
+def fep_values(caps: Tuple[int, ...], xs, cap: int = DEFAULT_ELEMENT_CAP,
+               check: Optional[Callable[[], None]] = None) -> Iterable:
     """fep's elements on xs, built when asked for: the generators as given,
     then the candidates of ``fep_row`` in order, repeats included. A row of
-    more than ``cap`` candidates is built by ``fep_row``, which may raise."""
+    more than ``cap`` candidates is built by ``fep_row`` with ``check``."""
     if fep_candidate_count(caps) > cap:
-        return fep_row(caps, xs, cap)[0]
+        return fep_row(caps, xs, cap, check)[0]
     return itertools.chain(xs, (t for t, _ in _fep_candidates(caps, xs)))
 
 

@@ -27,14 +27,15 @@ from typing import (
 
 from . import _lazy_attributes
 from ._arith import _exp_pairs, iroot
+from ._intlog import tower_upto
 from ._spec import (
     BOOL, INT, STR, Param, ParamType, _Record, _Struct, read_spec, write_spec,
 )
 from .colourings import Colouring, LogStarColouring, parse_colouring, parse_seq
 from .errors import BudgetExceeded, ParseError
 # not called here: bench/spans.py traces compare_iter_log and eval_exact
-# through these bindings (_last_a solves compare_iter_log's condition, and
-# terms carry their exact value)
+# through these bindings (exptriple-logcond decides compare_iter_log's
+# condition by its int rule, and terms carry their exact value)
 from .tower import compare_iter_log, eval_exact  # noqa: F401
 from .tower import ExpTerm, power, to_text
 
@@ -108,10 +109,11 @@ class InstanceFamily:
     gives ``_row(i)``, the row at index i, in closed form or by bisecting a
     cumulative count; that is the one definition of its order. ``nth``
     gives the instance at an index with role labels; the row walk reads
-    ``_scan_row(i)``, whose values may be a lazy iterable over the
-    instance's, and an Instance is built only for a witness. ``_search``
-    gives ``_window_scan``'s search, or None for the row walk; ``_upto(m)``
-    counts the rows up to m of its order.
+    ``_scan_row(i, check)``, whose values may be a lazy iterable over the
+    instance's (a long build calls the budget's ``check``), and an Instance
+    is built only for a witness. ``_search`` gives ``_window_scan``'s
+    search, or None for the row walk; ``_upto(m)`` counts the rows up to m
+    of its order.
 
     ``params`` declares the parameters besides the bound, in constructor
     order; each is kept as the attribute of its descriptor key, from which
@@ -131,7 +133,7 @@ class InstanceFamily:
     def _row(self, i: int) -> Row:
         raise NotImplementedError
 
-    def _scan_row(self, i: int) -> Row:
+    def _scan_row(self, i: int, check=None) -> Row:
         return self._row(i)
 
     def _instance(self, values: Tuple[Value, ...],
@@ -182,7 +184,7 @@ class _BuiltFamily(InstanceFamily):
     def _row(self, i: int) -> Row:
         return self._elements(g := self._tuple(i)), g
 
-    def _scan_row(self, i: int) -> Row:
+    def _scan_row(self, i: int, check=None) -> Row:
         return self._lazy(g := self._tuple(i)), g
 
 
@@ -235,14 +237,8 @@ class ExpTripleLogCondFamily(InstanceFamily):
         self._pairs = _exp_pairs(bound, cap=cap, last_a=self._last_a)
 
     def _last_a(self, b: int, top: int) -> int:
-        """Largest a in [1, top] with log_(r) a <= b. log2 increases, so
-        that is a <= 2^2^...^b with r twos, built only while below top."""
-        t = b
-        for _ in range(self.r):
-            if t >= top.bit_length():
-                return top
-            t = 1 << t
-        return min(t, top)
+        """Largest a in [1, top] with log_(r) a <= b: a <= 2^2^...^b."""
+        return tower_upto(b, self.r, top)
 
     def count(self) -> int:
         return len(self._pairs)
@@ -513,8 +509,12 @@ class FepFamily(_TupleFamily):
     def _elements(self, xs: Tuple[int, ...]) -> Tuple[Value, ...]:
         return self._fep_row(self._caps(self._weight, xs), xs, self.cap)[0]
 
-    def _lazy(self, xs: Tuple[int, ...]) -> Iterable[Value]:
-        return self._fep_values(self._caps(self._weight, xs), xs, self.cap)
+    def _lazy(self, xs: Tuple[int, ...], check=None) -> Iterable[Value]:
+        return self._fep_values(self._caps(self._weight, xs), xs, self.cap, check)
+
+    def _scan_row(self, i: int, check=None) -> Row:
+        # a row over the cap is built whole, calling the scan's budget check
+        return self._lazy(g := self._tuple(i), check), g
 
     def _search(self, colouring: Colouring) -> Optional[WindowSearch]:
         # the walk looks up a table weight and builds a row over the cap on
@@ -735,7 +735,8 @@ def _walk(colouring: Colouring, family: InstanceFamily, budget: _Budget,
           start: int = 0) -> Optional[int]:
     """Index of the first monochromatic row from index ``start`` on, or
     None: the row walk, which reads each row by its index."""
-    rows = map(family._scan_row, range(start, family.count()))
+    rows = map(family._scan_row, range(start, family.count()),
+               itertools.repeat(budget.check))
     for j, _, _ in _mono_rows(colouring, rows, budget):
         return start + j
     return None

@@ -41,11 +41,12 @@ from typing import Optional, Tuple, Union
 from ._arith import factorint, nu, root_exponent, totient  # noqa: F401
 from ._intlog import (
     PREC_SCHEDULE,
-    _log2_iterated,
+    _log2_step,
     iter_log_le,
     log2_scaled_bounds,
     log_star_int,
     log_star_scaled,
+    tower_upto,
 )
 from ._spec import _Struct
 from .errors import (
@@ -623,77 +624,51 @@ def nu_p(t: ExpTerm, p: int) -> int:
 def compare_iter_log(a: ExpTerm, r: int, b: ExpTerm) -> bool:
     """Decide log2 applied r times to a, compared <= b; certified or raised.
 
-    Exact on the power-of-two track (the only place ties can occur);
-    elsewhere log2 is applied r times to a certified enclosure of a, widened
-    on demand. A power a = c^E whose exponent cannot be materialized has no
-    enclosure; there the comparison runs r - 1 times on the two sandwich
-    terms around log2 a (see ``_log2_sandwich``).
+    Ints and literals of any size take the exact rule a <= T_r(b) of
+    :func:`iter_log_le`. A huge a = 2^E compares E with r - 1 logs; any
+    other huge a compares an enclosure of log2 a, widened on demand, with
+    the int T_(r-1)(b), or with log2 b (after one more log2 at r = 1). An
+    a = c^E with no enclosure compares the sandwich terms around log2 a
+    with r - 1 logs (see ``_log2_sandwich``).
     """
     if r < 0:
         raise ValueError("r must be non-negative")
     a = as_term(a)
     b = as_term(b)
-    av, bv = a.exact, b.exact
+    av = a.value if isinstance(a, Literal) else a.exact
+    bv = b.value if isinstance(b, Literal) else b.exact
     if av is not None and bv is not None:
         return iter_log_le(av, r, bv)
-    if r == 0:
-        if av is not None:
-            return True  # a <= cutoff < b
-        if bv is not None:
-            return False  # a > cutoff >= b
-        if a == b:
-            return True
-        for prec in PREC_SCHEDULE:
-            try:
-                alo, ahi = _log2_term_scaled(a, prec)
-                blo, bhi = _log2_term_scaled(b, prec)
-            except UncertifiableLogStar:
-                break
-            if ahi <= blo:
-                return True
-            if alo > bhi:
-                return False
-        raise UncertifiableComparison(
-            "cannot order two huge terms"
-        )
-    if av is not None:
-        # iterated logs never exceed the start value, which is <= cutoff < b
+    if a == b or a.exact is not None or r and av is not None:
+        # log2^(r)(a) <= a = b; or a <= cutoff < b; or r >= 1 and log2 a
+        # is below the bit length of the int a, far below the huge b
         return True
-    e = _pow2_exponent_term(a)
+    if r == 0 and b.exact is not None:
+        return False  # a > cutoff >= b
+    e = _pow2_exponent_term(a) if r else None
     if e is not None:
         return compare_iter_log(e, r - 1, b)
-    sandwich = None
     for prec in PREC_SCHEDULE:
         try:
             lo, hi = _log2_term_scaled(a, prec)
-        except UncertifiableLogStar:
-            sandwich = _log2_sandwich(a)
-            break
-        got = _log2_iterated(lo, hi, prec, r - 1)
-        if got is None:
-            continue
-        if got is True:
-            return True
-        lo, hi = got
-        if bv is not None:
-            if hi <= bv << prec:
+            if r and bv is not None:
+                # log2 a <= T_(r-1)(b), built no further than past hi
+                blo = bhi = tower_upto(bv, r - 1, (hi >> prec) + 1) << prec
+            elif r > 1 or r and hi <= DEFAULT_CUTOFF << prec:
+                # b > cutoff: at r = 1 log2 a <= hi is at most the cutoff,
+                # and past it T_(r-1)(b) >= 2^b exceeds every int, hi too
                 return True
-            if lo > bv << prec:
-                return False
-        elif hi <= DEFAULT_CUTOFF << prec:
-            return True  # <= cutoff < b
-        else:
-            # huge symbolic b: take one more log of both sides
-            try:
-                tlo, thi = _log2_term_scaled(b, prec)
-            except UncertifiableLogStar:
-                continue
-            got = _log2_iterated(lo, hi, prec, 1)
-            if got is not None:
-                if got[1] <= tlo:
-                    return True
-                if got[0] > thi:
-                    return False
+            else:
+                blo, bhi = _log2_term_scaled(b, prec)
+                if r:
+                    lo, hi = _log2_step(lo, hi, prec)
+        except UncertifiableLogStar:
+            break  # a term's shape, not the precision, refuses an enclosure
+        if hi <= blo:
+            return True
+        if lo > bhi:
+            return False
+    sandwich = _log2_sandwich(a) if r else None
     if sandwich is not None:
         # log2 a lies strictly inside the sandwich and iterated logs are
         # monotone: the upper term below b, or the lower one above it, decides
@@ -703,6 +678,4 @@ def compare_iter_log(a: ExpTerm, r: int, b: ExpTerm) -> bool:
                     return answer
             except UncertifiableComparison:
                 pass
-    raise UncertifiableComparison(
-        f"cannot certify iterated-log comparison of {to_text(a)} against {to_text(b)}"
-    )
+    raise UncertifiableComparison("cannot certify the iterated-log comparison")

@@ -339,6 +339,30 @@ def test_threads_flag_output_identical(capsys):
     assert one == two
 
 
+# cap 0 keeps its meaning: no element or tuple fits (exit 3), and the
+# schur family has no cap to exceed (its first counterexample, exit 1)
+@pytest.mark.parametrize("argv, at_zero", [
+    (["gen", "fs", "2", "3"], EXIT_BUDGET),
+    (["verify", "logstar:r=1", "shape:m=2", "--bound", "5"], EXIT_BUDGET),
+    (["search", "logstar:r=1", "schur", "--bound", "10"], EXIT_COUNTEREXAMPLE),
+])
+def test_cap_below_zero_exits_parse(capsys, argv, at_zero):
+    for cap in ("-1", "-5"):
+        code, out, err = run(capsys, *argv, "--cap", cap)
+        assert code == EXIT_PARSE and out == "" and "--cap" in err
+    assert run(capsys, *argv, "--cap", "0")[0] == at_zero
+
+
+def test_verify_fep_row_over_the_cap_stops_at_the_budget(capsys):
+    # one row, all generators 2: its candidates coincide, so the cap never
+    # stops its build; the time budget does
+    start = time.monotonic()
+    code, out, err = run(capsys, "verify", "logstar:r=1", "fep:m=14,w=1",
+                         "--bound", "2", "--budget-secs", "0.5")
+    assert code == EXIT_BUDGET and out == "" and "time budget" in err
+    assert time.monotonic() - start < 2
+
+
 def test_threads_below_one_exit_parse(capsys):
     for cmd, threads in (("verify", "0"), ("search", "-3")):
         code, out, err = run(capsys, cmd, "logstar:r=1", "exptriple",

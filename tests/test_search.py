@@ -232,8 +232,9 @@ def test_schurplusexp_order_is_max_element_then_sum_triple():
 
 
 def test_logcond_cutoff_matches_filtering_every_pair():
+    # 2^32 = T_2(5) = T_1(32) puts a tie of the exact rule at the bound
     for r in (0, 1, 2, 3):
-        for bound in (16, 1000, 2**16):
+        for bound in (16, 1000, 2**16, 2**32):
             fam = parse_family(f"exptriple-logcond:r={r}", bound)
             want = [t for t in _arith._exp_pairs(bound)
                     if compare_iter_log(t[1], r, t[2])]

@@ -6,6 +6,7 @@ import itertools
 import pickle
 import random
 import sys
+import time
 from decimal import Decimal, localcontext
 
 import pytest
@@ -27,11 +28,17 @@ from expramsey.errors import (
     ExpRamseyError,
     FactorizationBudgetExceeded,
     ParseError,
+    UncertifiableComparison,
+    UncertifiableLogStar,
 )
 from expramsey.tower import (
+    DEFAULT_CUTOFF,
     Literal,
     Power,
     Product,
+    _log2_sandwich,
+    _log2_term_scaled,
+    _pow2_exponent_term,
     as_term,
     compare_iter_log,
     dedup_key,
@@ -864,6 +871,234 @@ def test_callers_agree_with_the_reference_kernel(monkeypatch):
     # the corpus reaches both kinds of reference enclosure
     assert straddles
     assert sum(w[2][0] == "ok" for w in want) > len(want) // 2
+
+
+# ---------------------------------------------------------------------------
+# the exact iterated-log rule against the interval decisions it replaced
+
+def _interval_log2_iterated(lo: int, hi: int, prec: int, j: int):
+    """The interval iteration the exact rule replaced, kept as an oracle."""
+    one = 1 << prec
+    shift = prec << prec
+    for _ in range(j):
+        if hi <= one:
+            return True
+        if lo <= one:
+            return None
+        lo = log2_scaled_bounds(lo, prec)[0] - shift
+        hi = log2_scaled_bounds(hi, prec)[1] - shift
+    return lo, hi
+
+
+def _interval_iter_log_le(a: int, r: int, b: int) -> bool:
+    """The power-of-two track and interval iteration the exact rule
+    replaced, kept as an oracle: it refuses some near ties and takes
+    minutes near powers of two."""
+    if r < 0:
+        raise ValueError("r must be non-negative")
+    cur = a
+    steps = 0
+    while steps < r:
+        if cur <= 1:
+            # the next log is <= 0 and everything after stays below 1 <= b
+            return True
+        if cur & (cur - 1) == 0:
+            cur = cur.bit_length() - 1
+            steps += 1
+            continue
+        break
+    if steps == r:
+        return cur <= b
+    rem = r - steps
+    for prec in PREC_SCHEDULE:
+        got = _interval_log2_iterated(*log2_scaled_bounds(cur, prec), prec, rem - 1)
+        if got is None:
+            continue
+        if got is True or got[1] <= b << prec:
+            return True
+        if got[0] > b << prec:
+            return False
+    raise UncertifiableComparison(
+        f"iterated log comparison undecided at precision {PREC_SCHEDULE[-1]}"
+    )
+
+
+def _interval_compare_iter_log(a, r: int, b) -> bool:
+    """compare_iter_log as it was before the exact rule, kept as an oracle:
+    r - 1 interval logs of log2 a."""
+    if r < 0:
+        raise ValueError("r must be non-negative")
+    a = as_term(a)
+    b = as_term(b)
+    av, bv = a.exact, b.exact
+    if av is not None and bv is not None:
+        return _interval_iter_log_le(av, r, bv)
+    if r == 0:
+        if av is not None:
+            return True  # a <= cutoff < b
+        if bv is not None:
+            return False  # a > cutoff >= b
+        if a == b:
+            return True
+        for prec in PREC_SCHEDULE:
+            try:
+                alo, ahi = _log2_term_scaled(a, prec)
+                blo, bhi = _log2_term_scaled(b, prec)
+            except UncertifiableLogStar:
+                break
+            if ahi <= blo:
+                return True
+            if alo > bhi:
+                return False
+        raise UncertifiableComparison(
+            "cannot order two huge terms"
+        )
+    if av is not None:
+        # iterated logs never exceed the start value, which is <= cutoff < b
+        return True
+    e = _pow2_exponent_term(a)
+    if e is not None:
+        return _interval_compare_iter_log(e, r - 1, b)
+    sandwich = None
+    for prec in PREC_SCHEDULE:
+        try:
+            lo, hi = _log2_term_scaled(a, prec)
+        except UncertifiableLogStar:
+            sandwich = _log2_sandwich(a)
+            break
+        got = _interval_log2_iterated(lo, hi, prec, r - 1)
+        if got is None:
+            continue
+        if got is True:
+            return True
+        lo, hi = got
+        if bv is not None:
+            if hi <= bv << prec:
+                return True
+            if lo > bv << prec:
+                return False
+        elif hi <= DEFAULT_CUTOFF << prec:
+            return True  # <= cutoff < b
+        else:
+            # huge symbolic b: take one more log of both sides
+            try:
+                tlo, thi = _log2_term_scaled(b, prec)
+            except UncertifiableLogStar:
+                continue
+            got = _interval_log2_iterated(lo, hi, prec, 1)
+            if got is not None:
+                if got[1] <= tlo:
+                    return True
+                if got[0] > thi:
+                    return False
+    if sandwich is not None:
+        # log2 a lies strictly inside the sandwich and iterated logs are
+        # monotone: the upper term below b, or the lower one above it, decides
+        for term, answer in ((sandwich[1], True), (sandwich[0], False)):
+            try:
+                if _interval_compare_iter_log(term, r - 1, b) == answer:
+                    return answer
+            except UncertifiableComparison:
+                pass
+    raise UncertifiableComparison(
+        f"cannot certify iterated-log comparison of {to_text(a)} against {to_text(b)}"
+    )
+
+
+def _bits_iter_log_le(a: int, r: int, b: int) -> bool:
+    """log2^(r)(a) <= b read off bit lengths: a <= 2^x iff
+    bit_length(a - 1) <= x, for integers a >= 1."""
+    for _ in range(r):
+        if a <= 1:
+            return True
+        a = (a - 1).bit_length()
+    return a <= b
+
+
+def _agrees_with_oracle(new, old, *args) -> None:
+    """``new`` gives ``old``'s verdict wherever ``old`` answers, so it never
+    refuses there; where ``old`` raises, ``new`` may answer."""
+    try:
+        want = old(*args)
+    except (ExpRamseyError, ValueError):  # refused, or failed to say why
+        return
+    assert new(*args) is want, args
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_exact_rule_agrees_with_the_interval_decisions_on_the_kernel_corpus(seed):
+    texts, compares, ints = _kernel_corpus(seed)
+    # and towers of height 3 to 6 over 3 and 6, 3^3^3^3^3^3 among them
+    texts += ["^".join(bs) for h in range(3, 7) for bs in itertools.product("36", repeat=h)]
+    terms = list(map(parse_term, texts))
+    rng = random.Random(seed)
+    for t in terms:
+        for r, b in [rng.choice(compares), (rng.randint(0, 4), rng.randint(1, 80))]:
+            _agrees_with_oracle(compare_iter_log, _interval_compare_iter_log,
+                                t, r, literal(b))
+        # a huge symbolic right side, and the r = 0 ordering
+        _agrees_with_oracle(compare_iter_log, _interval_compare_iter_log,
+                            t, rng.randint(0, 3), rng.choice(terms))
+    for a, r, b in ints:
+        _agrees_with_oracle(iter_log_le, _interval_iter_log_le, a, r, b)
+        _agrees_with_oracle(compare_iter_log, _interval_compare_iter_log,
+                            literal(a), r, literal(b))
+
+
+@st.composite
+def _huge_ints(draw, min_bits=1, max_bits=70000):
+    """Ints of ``min_bits`` to ``max_bits`` bits, their low bits from a
+    seeded random source: ints drawn whole past a few thousand bits exceed
+    hypothesis's entropy limit."""
+    n = draw(st.integers(min_bits, max_bits))
+    return 1 << (n - 1) | draw(st.randoms(use_true_random=False)).getrandbits(n - 1)
+
+
+@st.composite
+def _near_ties(draw):
+    """(a, r, b) with a up to 2^70000 off a power of two by a relative gap
+    of at least 2^-600, which keeps the interval oracle to a few
+    milliseconds, and b within a unit or two of the integer part of
+    log2^(r)(a)."""
+    k = draw(st.integers(2, 70000))
+    d = draw(_huge_ints(max(1, k - 599), k))
+    a = (1 << k) + d if draw(st.booleans()) else (1 << k) - d
+    r = draw(st.integers(1, 3))
+    near = a
+    for _ in range(r):
+        near = near.bit_length()
+    return a, r, draw(st.integers(max(1, near - 2), near + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_near_ties())
+def test_exact_rule_agrees_with_the_interval_decisions_on_near_ties(case):
+    _agrees_with_oracle(iter_log_le, _interval_iter_log_le, *case)
+    a, r, b = case
+    _agrees_with_oracle(compare_iter_log, _interval_compare_iter_log,
+                        literal(a), r, literal(b))
+    assert iter_log_le(a, r, b) is _bits_iter_log_le(a, r, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_huge_ints(), st.integers(0, 6), st.integers(1, 2**20))
+def test_iter_log_le_never_raises_and_matches_bit_lengths(a, r, b):
+    assert iter_log_le(a, r, b) is _bits_iter_log_le(a, r, b)
+    assert compare_iter_log(literal(a), r, literal(b)) is _bits_iter_log_le(a, r, b)
+
+
+def test_exact_rule_decides_what_the_interval_decisions_could_not():
+    # log2(2^5000 + 1) exceeds 5000 by about 2^-4999, past 4096 bits
+    assert not iter_log_le(2**5000 + 1, 1, 5000)
+    with pytest.raises(UncertifiableComparison):
+        _interval_iter_log_le(2**5000 + 1, 1, 5000)
+    # just below T_2(16) = 2^65536, whose enclosures took minutes to narrow
+    start = time.perf_counter()
+    assert not iter_log_le(2**65536 - 1, 2, 15)
+    assert time.perf_counter() - start < 0.1
+    # a literal past str()'s digit limit: the refusal's message raised
+    assert not compare_iter_log(literal(2**65536 + 1), 2, literal(16))
+    assert compare_iter_log(literal(2**65536), 2, literal(16))
 
 
 # ---------------------------------------------------------------------------
