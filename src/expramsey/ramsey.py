@@ -63,11 +63,16 @@ def _backtrack_colouring(values: List[int],
     whatever order the fixpoint is reached in.
 
     The state is ``assign`` (colour per position, 0 if none), ``forbid`` (bit
-    c-1 set when c is ruled out) and the trail of both, in order. Each
-    position keeps, per constraint it lies in, the tuple of the other
-    members; placing c there reads their colours off ``assign``. No state is
-    kept per constraint, so undoing pops the trail and visits no constraint,
-    and memory grows with the total membership.
+    c-1 set when c is ruled out) and two trails: the positions placed, in
+    order, which from a placement's mark on are its propagation queue, and
+    (position, forbid mask before) pairs, which undo writes back. Each
+    position p keeps, per constraint it lies in, ``(o1, o2, more)``: the next
+    two members going round the constraint, then the rest of them, up to p
+    (a two-member constraint comes round to p as o2, which holds the colour
+    being placed). Placing c at p reads ``assign`` at o1 and o2 and walks
+    ``more`` only when both hold c or one is open and the other holds c. No
+    state is kept per constraint, so undoing pops the trails and visits no
+    constraint, and memory grows with the total membership.
 
     ``alternate`` is a second, independent order for cross-checking a
     refutation: descending degree, ties to the largest value, no value
@@ -77,38 +82,49 @@ def _backtrack_colouring(values: List[int],
     if m == 0:
         return {}
     k = min(k, m)  # first-use order never opens more than m classes
-    index = dict(zip(values, range(m)))
-    others: List[List[Tuple[int, ...]]] = [[] for _ in range(m)]
-    for c in set(map(frozenset, constraints)):
-        if len(c) == 1:
+    position = dict(zip(values, range(m))).__getitem__
+    rounds: List[List[Tuple[int, int, Tuple[int, ...]]]] = [[] for _ in range(m)]
+    for c in {frozenset(map(position, c)) for c in constraints}:
+        n = len(c)
+        if n == 1:
             return None
-        pos = tuple([index[v] for v in c])
-        for i, p in enumerate(pos):
-            others[p].append(pos[:i] + pos[i + 1:])
+        pos = (*c,) * 2
+        for i in range(n):
+            rounds[pos[i]].append((pos[i + 1], pos[i + 2], pos[i + 3:i + n]))
+    # sorted() is stable, also in reverse: ties keep the order of the range
+    degree = list(map(len, rounds)).__getitem__
     if alternate:
-        order = sorted(range(m), key=lambda p: (-len(others[p]), -p))
+        order = sorted(range(m - 1, -1, -1), key=degree, reverse=True)
     else:
-        order = sorted(range(m), key=lambda p: (p != 0, -len(others[p]), p))
+        order = [0, *sorted(range(1, m), key=degree, reverse=True)]
     k1, full = k + 1, (1 << k) - 1
     forbid, assign = [0] * m, [0] * m
-    # positions assigned (p >= 0) and colours forbidden (~(q*(k+1) + c)), in
-    # order; the positions from a placement's mark on are its queue
-    trail: List[int] = []
+    placed: List[int] = []
+    masks: List[Tuple[int, int]] = []
 
     def place(p: int, c: int) -> bool:
         """Assign c at p and propagate; on a dead end undo all, return False."""
-        mark = i = len(trail)
+        mark = i = len(placed)
+        mask_mark = len(masks)
         assign[p] = c
-        trail.append(p)
-        while i < len(trail):
-            p, i = trail[i], i + 1
-            if p < 0:
-                continue
+        placed.append(p)
+        while i < len(placed):
+            p, i = placed[i], i + 1
             c = assign[p]
             bit = 1 << (c - 1)
-            for rest in others[p]:
-                q = -1
-                for o in rest:
+            for o1, o2, more in rounds[p]:
+                a, b = assign[o1], assign[o2]
+                if a != c:
+                    if a or b != c:
+                        continue
+                    q = o1
+                elif b != c:
+                    if b:
+                        continue
+                    q = o2
+                else:
+                    q = -1
+                for o in more:
                     a = assign[o]
                     if a != c:
                         if a or q >= 0:
@@ -116,35 +132,34 @@ def _backtrack_colouring(values: List[int],
                         q = o
                 else:  # every member but q (if any) has colour c
                     if q < 0:
-                        undo(mark)
+                        undo(mark, mask_mark)
                         return False
                     f = forbid[q]
                     if f & bit:
                         continue
+                    masks.append((q, f))
                     f = forbid[q] = f | bit
-                    trail.append(~(q * k1 + c))
                     left = full ^ f
                     if not left:
-                        undo(mark)
+                        undo(mark, mask_mark)
                         return False
                     if not left & (left - 1):
                         assign[q] = left.bit_length()
-                        trail.append(q)
+                        placed.append(q)
         return True
 
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            e = trail.pop()
-            if e < 0:
-                q, c = divmod(~e, k1)
-                forbid[q] ^= 1 << (c - 1)
-            else:
-                assign[e] = 0
+    def undo(mark: int, mask_mark: int) -> None:
+        for p in placed[mark:]:
+            assign[p] = 0
+        del placed[mark:]
+        for q, f in reversed(masks[mask_mark:]):
+            forbid[q] = f
+        del masks[mask_mark:]
 
     # Depth-first search over `order`. Depth r holds the colour last tried at
     # order[r] (0 on entering, which counts one node; k+1 once forced), the
-    # trail length on entering and the colour classes used above it.
-    tried, marks, used = [0] * m, [0] * m, [0] * (m + 1)
+    # lengths of both trails on entering and the colour classes used above it.
+    tried, marks, used = [0] * m, [(0, 0)] * m, [0] * (m + 1)
     nodes, r = 0, 0
     while True:
         p, u, c = order[r], used[r], tried[r]
@@ -152,7 +167,7 @@ def _backtrack_colouring(values: List[int],
             nodes += 1
             if nodes > node_cap:
                 raise BudgetExceeded("colouring search exceeded the node budget")
-            marks[r] = len(trail)
+            marks[r] = len(placed), len(masks)
         if c == 0 and assign[p]:  # forced: one colour, if first-use allows it
             c, top, tried[r] = assign[p], u + 1, k1
         else:
@@ -171,7 +186,7 @@ def _backtrack_colouring(values: List[int],
             return None
         else:
             r -= 1
-            undo(marks[r])
+            undo(*marks[r])
 
 
 def _core(constraints: List[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
@@ -181,10 +196,11 @@ def _core(constraints: List[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
     colour unlike another's), so the core, the constraints and every family
     between them are k-colourable together. The core is unique."""
     # held[v] xors the indices of v's kept constraints: at degree 1, that index
+    members = [tuple(set(c)) for c in constraints]
     degree: Dict[int, int] = {}
     held: Dict[int, int] = {}
-    for i, c in enumerate(constraints):
-        for v in set(c):
+    for i, c in enumerate(members):
+        for v in c:
             degree[v] = degree.get(v, 0) + 1
             held[v] = held.get(v, 0) ^ i
     kept = [True] * len(constraints)
@@ -192,10 +208,10 @@ def _core(constraints: List[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
     while lone:
         v = lone.pop()
         i = held[v]
-        if degree[v] != 1 or len(set(constraints[i])) < 2:
+        if degree[v] != 1 or len(members[i]) < 2:
             continue
         kept[i] = False
-        for v in set(constraints[i]):
+        for v in members[i]:
             degree[v] -= 1
             held[v] ^= i
             if degree[v] == 1:

@@ -539,9 +539,8 @@ def log_star(t: ExpTerm) -> int:
         # means k = 1, a = 3: the sandwiched value is strictly above it
         if jhi == jlo + 1 and _is_tower_term(sandwich[0]):
             return 1 + jhi
-    raise UncertifiableLogStar(
-        f"cannot certify log_star of {to_text(t)}"
-    )
+    # no term text: to_text raises ValueError past 4,300 digits
+    raise UncertifiableLogStar("cannot certify log_star of the term")
 
 
 # ---------------------------------------------------------------------------

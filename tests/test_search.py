@@ -1992,10 +1992,11 @@ def _reference_backtrack(values: List[int],
 
 @st.composite
 def colouring_problems(draw):
-    """Up to 14 values and constraints of 1 to 4 members, repeats allowed."""
+    """Up to 14 values and constraints of 1 to 6 members, repeats allowed:
+    past three distinct members the solver walks a tail per constraint."""
     values = draw(st.lists(st.integers(1, 40), unique=True, max_size=14))
     member = st.sampled_from(values) if values else st.nothing()
-    cons = draw(st.lists(st.lists(member, min_size=1, max_size=4).map(tuple),
+    cons = draw(st.lists(st.lists(member, min_size=1, max_size=6).map(tuple),
                          max_size=30 if values else 0))
     return values, cons
 
@@ -2005,6 +2006,9 @@ def colouring_problems(draw):
 @example((list(range(1, 9)), _ap_constraints(8, 3)), 2, False)
 @example((list(range(1, 10)), _ap_constraints(9, 3)), 2, True)
 @example((list(range(1, 15)), _ap_constraints(14, 3)), 3, False)
+@example(([2, 4, 8], [(2, 4), (4, 8), (2, 8)]), 2, False)  # two members
+@example(([2, 4, 8], [(2, 2, 4), (4, 8, 8)]), 2, True)  # a repeated member
+@example((list(range(1, 8)), [(1, 2, 3, 4, 5), (3, 4, 5, 6, 7), (1, 7)]), 2, False)  # tails
 def test_backtrack_returns_what_plain_branching_returns(problem, k, alternate):
     values, cons = problem
     assert (_backtrack_colouring(values, cons, k, alternate=alternate)

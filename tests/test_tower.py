@@ -429,6 +429,16 @@ def test_log_star_shift_law_symbolic():
     assert log_star(power(2, power(3, 1000))) == log_star(power(3, 1000)) + 1
 
 
+def test_log_star_refuses_a_term_with_a_literal_past_the_digit_limit():
+    # the refusal's message must not print the term: str() of a literal
+    # past 4,300 digits raises ValueError, which is no EvaluationError
+    t = product(literal(3**10000), parse_term("3^3^3^3^3^3"))
+    with pytest.raises(UncertifiableLogStar):
+        log_star(t)
+    with pytest.raises(UncertifiableLogStar):
+        parse_colouring("logstar:r=1").colour(t)
+
+
 def test_log_star_reads_a_literal_of_any_size_by_bit_inspection(monkeypatch):
     def refuse(n, prec):
         raise AssertionError("a literal needs no certified interval")
