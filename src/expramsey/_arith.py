@@ -262,6 +262,8 @@ def nu(n: int, p: int) -> int:
     """Multiplicity of the prime p in n >= 1."""
     if n < 1:
         raise ValueError("valuation of a non-positive integer")
+    if p < 2:
+        raise ValueError("valuation needs a base of at least 2")
     e = 0
     while n % p == 0:
         n //= p

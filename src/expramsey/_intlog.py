@@ -18,9 +18,9 @@ Facts this module relies on (each is load-bearing and tested):
   x >= 1 and its ceiling have the same count: an enclosure's ends are
   counted as the integers ceil(lo / 2**prec) and ceil(hi / 2**prec).
 - log2 of a non-power-of-two integer is irrational, so certified comparisons
-  against integers terminate at finite precision, and so does the retry that
-  tightens ``log2_scaled_bounds`` to one unit: 2**prec * log2(n) is never an
-  integer, so enough guard bits put both rounded ends in one unit interval.
+  against integers terminate at finite precision, and the ends of
+  ``log2_scaled_bounds`` are strict and so at least one unit apart; its
+  fixed guard bits keep them at most two apart (tested, not relied on).
 - For integers a, b >= 1 and r >= 0, log2^(r)(a) <= b iff a <= T_r(b),
   where T_0(b) = b and T_{j+1}(b) = 2**T_j(b): for x > 0, log2 x <= y iff
   x <= 2**y, which peels one log at a time while the iterates are
@@ -114,15 +114,15 @@ def _ln_scaled(n: int, k: int, r: int, w: int) -> Tuple[int, int]:
 
 @lru_cache(maxsize=1 << 16)
 def log2_scaled_bounds(n: int, prec: int) -> Tuple[int, int]:
-    """Certified dyadic bounds on log2(n): the tightest ones at ``prec``.
+    """Certified dyadic bounds on log2(n) at ``prec``, computed once.
 
     Returns (lo, hi) with lo <= 2**prec * log2(n) <= hi. For a power of two
-    lo == hi, the exact value; otherwise lo = floor(2**prec * log2(n)) and
-    hi = lo + 1, and the inequalities are strict.
+    lo == hi, the exact value; otherwise the inequalities are strict,
+    hi - lo is 1 or 2, and both ends lie in [k, k + 1] * 2**prec for
+    k = floor(log2(n)).
 
     log2(n) = k + ln(n / 2**k) / ln 2, both logarithms enclosed at ``prec``
-    plus guard bits; an enclosure wider than one unit is computed again with
-    twice the guard bits.
+    plus guard bits, the quotient rounded outward.
     """
     if n < 1:
         raise ValueError("log2 of a non-positive integer")
@@ -131,16 +131,13 @@ def log2_scaled_bounds(n: int, prec: int) -> Tuple[int, int]:
         return (k << prec, k << prec)
     # about sqrt(prec)/4 roots balance the roots against the series terms
     r = (isqrt(prec) >> 2) + 1
-    guard = r + prec.bit_length() + 8
-    while True:
-        w = prec + guard
-        lnlo, lnhi = _ln_scaled(n, k, r, w)
-        l2lo, l2hi = _ln2_scaled(w)
-        flo = (lnlo << prec) // l2hi
-        fhi = -((-lnhi << prec) // l2lo)
-        if fhi - flo == 1:
-            return ((k << prec) + flo, (k << prec) + fhi)
-        guard <<= 1
+    w = prec + r + prec.bit_length() + 8
+    lnlo, lnhi = _ln_scaled(n, k, r, w)
+    l2lo, l2hi = _ln2_scaled(w)
+    flo = (lnlo << prec) // l2hi
+    fhi = -((-lnhi << prec) // l2lo)
+    # k < log2(n) < k + 1: fixes the end no guard could place near 2**k
+    return ((k << prec) + max(flo, 0), (k << prec) + min(fhi, 1 << prec))
 
 
 def log_star_scaled(lo: int, hi: int, prec: int) -> Optional[int]:

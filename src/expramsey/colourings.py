@@ -19,13 +19,14 @@ rule that bypasses it.
 The lacunary constructions keep alpha as an exact rational, so every
 fractional-part test on integer inputs is exact integer arithmetic. Real
 inputs (the double-log colouring) go through certified dyadic intervals,
-widened until decisive.
+whose precision is raised until decisive.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ._intlog import (
@@ -243,9 +244,7 @@ class NPowNLog2Sequence(DifferenceSequence):
         return None
 
     def bounds(self, n: int, prec: int) -> Tuple[int, int]:
-        v = self.exact(n)
-        if v is not None:
-            return (v << prec, v << prec)
+        # exact on powers of two, as log2_scaled_bounds is
         lo, hi = log2_scaled_bounds(n, prec)
         m = n**n
         return (m * lo, m * hi)
@@ -268,24 +267,18 @@ def parse_seq(text: str) -> DifferenceSequence:
 
 def _rat_bounds(seq: DifferenceSequence, n: int, prec: int) -> Tuple[Fraction, Fraction]:
     from fractions import Fraction
-    v = seq.exact(n)
-    if v is not None:
-        f = Fraction(v)
-        return f, f
     lo, hi = seq.bounds(n, prec)
     d = 1 << prec
     return Fraction(lo, d), Fraction(hi, d)
 
 
-def _check_four_lacunary(seq: DifferenceSequence, indices: Sequence[int]) -> None:
+def _check_four_lacunary(seq: DifferenceSequence, indices: Sequence[int], bounds) -> None:
     for a, b in zip(indices, indices[1:]):
         for prec in PREC_SCHEDULE:
-            _, ahi = _rat_bounds(seq, a, prec)
-            blo, _ = _rat_bounds(seq, b, prec)
+            alo, ahi = bounds(a, prec)
+            blo, bhi = bounds(b, prec)
             if blo > 4 * ahi:
                 break
-            bhi = _rat_bounds(seq, b, prec)[1]
-            alo = _rat_bounds(seq, a, prec)[0]
             if bhi <= 4 * alo:
                 raise SequenceNotSufficientlyLacunary(
                     f"b_{b} <= 4*b_{a} for sequence {seq.name}"
@@ -294,6 +287,19 @@ def _check_four_lacunary(seq: DifferenceSequence, indices: Sequence[int]) -> Non
             raise SequenceNotSufficientlyLacunary(
                 f"could not certify b_{b} > 4*b_{a} for sequence {seq.name}"
             )
+
+
+def _alpha_step(lo: Fraction, hi: Fraction, blo: Fraction,
+                bhi: Fraction) -> Optional[Tuple[Fraction, Fraction]]:
+    """The first admissible component ((j+1/4)/blo, (j+3/4)/bhi) inside
+    [lo, hi], less an eighth of it at each end, or None if there is none
+    (see build_lacunary_alpha)."""
+    j = max(0, -((1 - 4 * lo * blo) // 4))
+    clo, chi = (4 * j + 1) / (4 * blo), (4 * j + 3) / (4 * bhi)
+    if not clo < chi <= hi:
+        return None
+    w = chi - clo
+    return clo + w / 8, chi - w / 8
 
 
 class LacunaryAlpha(_Struct):
@@ -321,6 +327,12 @@ def build_lacunary_alpha(
     width invariant (>= 3/8 of a period), which the ratio bound > 4 turns
     into the existence of the next component; partial overlaps could leave
     an arbitrarily thin sliver and strand the construction later.
+
+    One candidate is checked per precision: j0 = max(0, ceil(lo*blo - 1/4)),
+    the least j whose left end (j+1/4)/blo is not below lo. From j0 on the
+    right end (j+3/4)/bhi rises with j and the width does not (blo <= bhi),
+    so j0 is the first admissible component or none is, and then the step
+    raises the precision.
     """
     from fractions import Fraction
     if isinstance(seq, str):
@@ -331,29 +343,16 @@ def build_lacunary_alpha(
         indices = list(indices)
     if not indices:
         raise ValueError("need at least one sequence index")
-    _check_four_lacunary(seq, indices)
+    bounds = lru_cache(maxsize=None)(partial(_rat_bounds, seq))
+    _check_four_lacunary(seq, indices, bounds)
     lo, hi = Fraction(0), Fraction(1)
-    quarter, three_quarters = Fraction(1, 4), Fraction(3, 4)
     for n in indices:
-        placed = False
         for prec in PREC_SCHEDULE:
-            blo, bhi = _rat_bounds(seq, n, prec)
-            if blo <= 0:
-                continue
-            j = max(0, (lo * blo - quarter).__floor__())
-            j_stop = (hi * bhi).__ceil__() + 1
-            while j <= j_stop:
-                clo = (j + quarter) / blo
-                chi = (j + three_quarters) / bhi
-                if clo >= lo and chi <= hi and chi > clo:
-                    w = chi - clo
-                    lo, hi = clo + w / 8, chi - w / 8
-                    placed = True
-                    break
-                j += 1
-            if placed:
+            step = _alpha_step(lo, hi, *bounds(n, prec))  # blo > 0: every b_n >= 2
+            if step is not None:
+                lo, hi = step
                 break
-        if not placed:
+        else:
             raise SequenceNotSufficientlyLacunary(
                 f"no admissible interval at index {n} of {seq.name}"
             )
@@ -541,10 +540,10 @@ class AbbbColouring(Colouring):
         y = log2 log2 x = log2 e, for x = 2^e with e not exact.
 
         For e = b^E with b not a power of two and E materializable to v, the
-        enclosure of y at precision p is (lo*v, (lo + 1)*v) / 2^p, as
-        log2_scaled_bounds(b, p) is exactly one unit wide: v units at every
-        p. colour_scaled certifies only when, for each alpha = a/q, both
-        ends of a*y/q lie in one quarter of one unit, which needs
+        enclosure of y at precision p is (lo*v, hi*v) / 2^p, and
+        log2_scaled_bounds(b, p) is at least one unit wide: at least v units
+        at every p. colour_scaled certifies only when, for each alpha = a/q,
+        both ends of a*y/q lie in one quarter of one unit, which needs
         4*a*v < q*2^p. The right side grows with p, so once
         4*a*v >= q*2^P at the top precision P it fails at every p."""
         if not isinstance(e, Power):

@@ -38,7 +38,7 @@ import re
 from typing import Optional, Tuple, Union
 
 # factorint is not called here; bench/spans.py traces it through this binding
-from ._arith import factorint, nu, root_exponent, totient  # noqa: F401
+from ._arith import factorint, is_probable_prime, nu, root_exponent, totient  # noqa: F401
 from ._intlog import (
     PREC_SCHEDULE,
     _log2_step,
@@ -601,13 +601,19 @@ def max_root_exponent_mod(t: ExpTerm, n: int) -> int:
 # p-adic valuation
 
 def nu_p(t: ExpTerm, p: int) -> int:
-    """Multiplicity of the prime p in the denoted value."""
-    t = as_term(t)
+    """Multiplicity of p in the denoted value; ValueError unless p is prime."""
+    # pow2abb asks for p = 2 on every colour: spare it the primality test
+    if p != 2 and not is_probable_prime(p):
+        raise ValueError(f"nu_p needs a prime, got {p}")
+    return _nu_p(as_term(t), p)
+
+
+def _nu_p(t: ExpTerm, p: int) -> int:
     if isinstance(t, Literal):
         return nu(t.value, p)
     if isinstance(t, Product):
-        return sum(nu_p(f, p) for f in t.factors)
-    c = nu_p(t.base, p)
+        return sum(_nu_p(f, p) for f in t.factors)
+    c = _nu_p(t.base, p)
     if c == 0:
         return 0
     if t.exponent.exact is None:

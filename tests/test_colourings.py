@@ -5,6 +5,7 @@ import itertools
 import json
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -138,6 +139,93 @@ def test_build_lacunary_alpha_single_step():
 def test_build_lacunary_alpha_ratio_too_small():
     with pytest.raises(SequenceNotSufficientlyLacunary):
         build_lacunary_alpha("3^n", 4)  # ratio 3 < 4
+
+
+def _scanned_step(lo, hi, blo, bhi):
+    """The step build_lacunary_alpha once took, kept as an oracle: every j
+    from below the first left end inside [lo, hi] to past hi * bhi, and the
+    first admissible component less an eighth at each end."""
+    quarter, three_quarters = Fraction(1, 4), Fraction(3, 4)
+    j = max(0, (lo * blo - quarter).__floor__())
+    j_stop = (hi * bhi).__ceil__() + 1
+    while j <= j_stop:
+        clo = (j + quarter) / blo
+        chi = (j + three_quarters) / bhi
+        if clo >= lo and chi <= hi and chi > clo:
+            w = chi - clo
+            return clo + w / 8, chi - w / 8
+        j += 1
+    return None
+
+
+_fractions = st.fractions(min_value=0, max_value=2, max_denominator=1000)
+_bounds = st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_fractions, _fractions, _bounds, _bounds, st.integers(0, 3))
+def test_one_candidate_step_matches_the_j_scan(a, b, c, d, spread):
+    """The single check at j0 = max(0, ceil(lo*blo - 1/4)) picks the
+    component the scan over every j picked, or none when the scan found
+    none; one draw in four puts bhi a hair above blo, as certified bounds
+    on one b_n are."""
+    lo, hi = min(a, b), max(a, b)
+    blo, bhi = min(c, d), max(c, d)
+    if spread == 0:
+        bhi = blo + (bhi - blo) / 10**6
+    assert colourings._alpha_step(lo, hi, blo, bhi) == _scanned_step(lo, hi, blo, bhi)
+
+
+# SHA-256 of the newline-joined "p/q" alphas of each lacunary colouring, as
+# the j scan built them
+LACUNARY_ALPHAS = {
+    "lacunary:seq=n^n*log2n,nmax=2": "52e90ae24326591c8161e2e05a8f3b9b57287ca13aba3be7e84043691e160ba6",
+    "lacunary:seq=n^n*log2n,nmax=3": "c8d8c238e9787e681d19469bea25a235eb4c672d255b44a85101c55047284587",
+    "lacunary:seq=n^n*log2n,nmax=4": "820049b7cee3786f31a80869c3b2e17d196fe8a3799efe2b59b5ceeb3068f3b3",
+    "lacunary:seq=n^n*log2n,nmax=5": "5205bcbf23bf566f577fa819090cf71e5fbb6c10226c923c6a7a933e335fb61e",
+    "lacunary:seq=n^n*log2n,nmax=6": "5dff483f1a7c1ab7aaef26aa407da51fd33b5fcb54d68270de9e54925186f8de",
+    "lacunary:seq=n^n*log2n,nmax=7": "2f8ae56ba4e2581ec2ed7a4d7962c30f14c87f752b8509cdbbf24a0ccc8ea9e1",
+    "lacunary:seq=n^n*log2n,nmax=8": "e66acd7c0e241901ab0a92823dd6bbf063c2ecd325ebe172b8a7e07c3eb130fc",
+    "lacunary:seq=n^n*log2n,nmax=9": "a7b83aa8c90508c2bfc4f102f403a77e1f92e8dd242914636d6093dc4c41cc9f",
+    "lacunary:seq=n^n*log2n,nmax=10": "2efb9922025828cda05365090a0d116925e0e4053ecf8c945c746e668781556e",
+    "lacunary:seq=n^n*log2n,nmax=11": "c5e6ef23fc33b62200c5423a8d15de9d21757fd5f8cb0cd1a5e7a209e21d57e2",
+    "lacunary:seq=n^n*log2n,nmax=12": "036863fa05b871d22f9c5e060c5e1b87e08a2352591af8b98832538d40fac390",
+    "lacunary:seq=n*2^n,nmax=12": "33e8bf7df70839bdcc53340ec54e752b320b6afb71a6df6e132e7776d7c10c19",
+    "lacunary:seq=5^n,nmax=12": "9d5d5c10c5dfaa296101bfabcab5d27d45675232f717d055b60662578d31e64c",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(LACUNARY_ALPHAS))
+def test_lacunary_alphas_are_pinned(spec):
+    alphas = parse_colouring(spec).alphas
+    text = "\n".join(f"{a.alpha.numerator}/{a.alpha.denominator}" for a in alphas)
+    assert hashlib.sha256(text.encode()).hexdigest() == LACUNARY_ALPHAS[spec]
+
+
+def test_build_lacunary_alpha_reads_each_bound_once(monkeypatch):
+    """At most one _rat_bounds call per (index, precision), shared by the
+    lacunarity check and the alpha steps."""
+    calls = []
+    real = colourings._rat_bounds
+    monkeypatch.setattr(colourings, "_rat_bounds",
+                        lambda seq, n, prec: calls.append((n, prec)) or real(seq, n, prec))
+    for seq, indices in (("n^n*log2n", None), ("n*2^n", range(1, 13, 2)), ("5^n", None)):
+        del calls[:]
+        build_lacunary_alpha(seq, 12, indices)
+        assert calls and len(calls) == len(set(calls)), seq
+
+
+def test_abbb_is_fast_near_huge_powers_of_two():
+    """2^k - 3 takes one enclosure per precision, not guard bits as many as
+    it has; the colours are those the tightest enclosures gave."""
+    start = time.perf_counter()
+    f = parse_colouring("abbb:nmax=12")
+    assert time.perf_counter() - start < 1
+    f = parse_colouring("abbb:nmax=8")
+    for k, want in ((8192, 2), (16384, 2), (65536, 3)):
+        start = time.perf_counter()
+        assert f.colour(literal(2**k - 3)) == want
+        assert time.perf_counter() - start < 1, k
 
 
 def test_lacunary_colouring_single_class_geometric():
