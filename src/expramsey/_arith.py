@@ -1,7 +1,8 @@
 """Exact integer roots, the maximal-root exponent, and budgeted factorization.
 
 l(n) = max{b : n = a^b} comes from exact k-th roots for prime k (Bernstein,
-"Detecting perfect powers in essentially linear time", Math. Comp. 1998).
+"Detecting perfect powers in essentially linear time", Math. Comp. 1998);
+over a block of ints it comes from listing the powers a^b the block holds.
 Factorization serves only ``totient`` (for ``eval_mod``) and the reference
 ``gcd_of_exponents``: trial division up to 10**6, then Brent's variant of
 Pollard's rho under an iteration budget whose exhaustion raises
@@ -121,6 +122,19 @@ def root_exponent(n: int) -> int:
                 tests = _root_tests(n.bit_length())
                 continue
         i += 1
+    return out
+
+
+def root_exponents(lo: int, hi: int) -> List[int]:
+    """l(v) for each v in [lo, hi], lo >= 1: 1 everywhere and 0 at v = 1,
+    then for each b with 2**b <= hi, ascending, b at every a**b in the
+    block, so the largest exponent of each perfect power is kept."""
+    out = [1] * (hi - lo + 1)
+    if lo == 1 <= hi:
+        out[0] = 0
+    for b in range(2, hi.bit_length()):
+        for a in range(max(2, iroot(lo - 1, b) + 1), iroot(hi, b) + 1):
+            out[a**b - lo] = b
     return out
 
 

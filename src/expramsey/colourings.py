@@ -12,9 +12,12 @@ that colours a value many times keeps its own table for the length of one
 call (``search._mono_rows``, or the colour array of a window scan).
 
 ``colour_range`` colours an int range for the window scan: ``colour`` per
-value by default, one exact closed form where a class has one (lacunary). A
-subclass that overrides ``colour`` gets the default back, never a range
-rule that bypasses it.
+value by default, and a block kernel where the ints have structure:
+schurexp reads l(x) off the perfect powers the block holds
+(``_arith.root_exponents``), logstar emits one run per level between the
+tower numbers, lacunary takes floor(4p * x / q) mod 4 for each alpha = p/q,
+and a product combines its parts' lists. A subclass that overrides
+``colour`` gets the default back, never a range rule that bypasses it.
 
 The lacunary constructions keep alpha as an exact rational, so every
 fractional-part test on integer inputs is exact integer arithmetic. Real
@@ -29,8 +32,10 @@ import re
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
+from ._arith import root_exponents
 from ._intlog import (
     PREC_SCHEDULE,
+    TOWERS,
     _log2_step,
     log2_scaled_bounds,
     log_star_int,
@@ -84,7 +89,8 @@ class Colouring:
 
     def colour_range(self, lo: int, hi: int) -> List[int]:
         """``colour(v)`` for the ints v in [lo, hi], lo >= 1, stopping
-        before the first v whose colour raises."""
+        before the first v whose colour raises; [] when lo > hi. The block
+        kernels of schurexp, logstar, lacunary and product give the same."""
         colour, out = self.colour, []
         try:
             for v in range(lo, hi + 1):
@@ -145,6 +151,17 @@ class LogStarColouring(Colouring):
             return self.colour(t.exact)
         return self._of_count(log_star(t))
 
+    def colour_range(self, lo: int, hi: int) -> List[int]:
+        # one run per level: L(x) = L on (t_{L-1}, t_L], and past the last tower
+        out = [self.k] if lo == 1 <= hi else []
+        x = max(lo, 2)
+        while x <= hi:
+            L = log_star_int(x)
+            end = min(hi, TOWERS[L]) if L < len(TOWERS) else hi
+            out += [self._of_count(L)] * (end - x + 1)
+            x = end + 1
+        return out
+
     def level_power(self, a: int, b: int) -> int:
         """L(a^b) for plain integers a, b >= 2, without building a^b.
 
@@ -180,6 +197,10 @@ class SchurExpColouring(Colouring):
     def colour(self, x: Value) -> int:
         p = self.pair(x)
         return 4 * p[0] + p[1] + 1
+
+    def colour_range(self, lo: int, hi: int) -> List[int]:
+        return [1 + 4 * (x & 3) + (l & 3)
+                for x, l in zip(range(lo, hi + 1), root_exponents(lo, hi))]
 
 
 # ---------------------------------------------------------------------------
@@ -443,11 +464,11 @@ class LacunaryColouring(Colouring):
         return out
 
     def colour_range(self, lo: int, hi: int) -> List[int]:
-        xs = range(lo, hi + 1)
-        out = [1] * len(xs)
+        out = [1] * (hi - lo + 1)
         for p, q, w in self._quarters:
-            p4, q4 = 4 * p, 4 * q  # 4 * (p * x mod q) = 4p * x mod 4q
-            out = [c + w * (p4 * x % q4 // q) for c, x in zip(out, xs)]
+            # 4 * (p * x mod q) // q is floor(4p * x / q) mod 4
+            ys = range(4 * p * lo, 4 * p * (hi + 1), 4 * p)
+            out = [c + w * (y // q & 3) for c, y in zip(out, ys)]
         return out
 
     def colour_scaled(self, ylo: int, yhi: int, prec: int) -> Optional[int]:
@@ -611,6 +632,15 @@ class ProductColouring(Colouring):
             out += (p.colour(x) - 1) * base
             base *= p.k
         return out + 1
+
+    def colour_range(self, lo: int, hi: int) -> List[int]:
+        # a part's list ends where its colour raises, and so the product's
+        out, base = [1] * (hi - lo + 1), 1
+        for p in self.parts:
+            cs = p.colour_range(lo, lo + len(out) - 1)
+            out = [c + (d - 1) * base for c, d in zip(out, cs)]
+            base *= p.k
+        return out
 
     @property
     def rule(self) -> dict:

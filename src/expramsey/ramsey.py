@@ -38,8 +38,9 @@ def _exp_triples_upto(n: int, cap: Optional[int] = None) -> List[Tuple[int, int,
 
 def _lifted_constraints(m: int) -> List[Tuple[int, int, int]]:
     """{l, l(b), l*b} for l >= 1, b >= 2 and l*b <= m: the lifted system."""
-    from ._arith import root_exponent
-    return [(l, root_exponent(b), l * b) for b in range(2, m + 1)
+    from ._arith import root_exponents
+    ls = root_exponents(1, m)
+    return [(l, ls[b - 1], l * b) for b in range(2, m + 1)
             for l in range(1, m // b + 1)]
 
 

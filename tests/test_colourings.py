@@ -472,9 +472,11 @@ def test_spec_reads_back_to_the_same_colouring(f):
 
 # where a range rule could slip: a scan block of 4096, the denominators of
 # the two alphas of lacunary:seq=n*2^n,nmax=12 (45,056 and 98,304, so a
-# range past them wraps each residue), and the towers 2, 4, 16 and 65536,
-# where log* steps
-RANGE_EDGES = [1, 4096, 45056, 98304, 2 * 98304, 4, 16, 65536]
+# range past them wraps each residue), the towers 2, 4, 16 and 65536,
+# where log* steps, and the perfect powers 3^10, 7^6, 2^17 and 2^18, where
+# the schurexp sieve marks l
+RANGE_EDGES = [1, 4096, 45056, 98304, 2 * 98304, 4, 16, 65536,
+               59049, 117649, 131072, 262144]
 
 
 @settings(max_examples=120, deadline=None)
@@ -501,6 +503,34 @@ def test_colour_range_stops_before_the_first_value_that_raises():
     assert g.colour_range(1, 4100) == [g(v) for v in range(1, 6)]
     with pytest.raises(OutOfDomain):
         g(6)
+
+
+def test_block_kernels_never_call_colour(monkeypatch):
+    # a kernel routed back through per-value colouring would stop at once
+    def refuse(x):
+        raise AssertionError("a block kernel called colour")
+
+    for spec in ("schurexp", "logstar:r=1", "lacunary:seq=n*2^n,nmax=12",
+                 "product:logstar:r=1+schurexp"):
+        f = parse_colouring(spec)
+        want = f.colour_range(1, 5000)
+        assert want == [f(v) for v in range(1, 5001)], spec
+        for g in (f, *getattr(f, "parts", ())):
+            monkeypatch.setattr(g, "colour", refuse)
+        assert f.colour_range(1, 5000) == want, spec
+
+
+def test_colour_range_of_an_empty_and_a_one_value_range(tmp_path):
+    table = tmp_path / "t.json"
+    table.write_text(json.dumps({"k": 3, "map": [3, 1, 2]}))
+    for spec in ("const:k=2", "logstar:r=1", "logstar:r=4", "schurexp",
+                 "lacunary:seq=n*2^n,nmax=12", "pow2abb:nmax=6", "abbb:nmax=6",
+                 f"table:{table}", "product:logstar:r=1+schurexp",
+                 "product:schurexp+lacunary:seq=5^n,nmax=6"):
+        f = parse_colouring(spec)
+        assert f.colour_range(1, 1) == [f(1)], spec
+        for v in (1, 2, 17, 4096, 65537):
+            assert f.colour_range(v, v - 1) == [], spec
 
 
 def test_a_colour_override_drops_an_inherited_range_rule():

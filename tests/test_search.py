@@ -2189,6 +2189,12 @@ def test_lifted_constraints():
     assert _lifted_constraints(1) == []
 
 
+@pytest.mark.parametrize("m", [2, 3, 16, 17, 1000, 4095, 4096])
+def test_lifted_constraints_read_l_from_one_sieve(m):
+    assert _lifted_constraints(m) == [(l, root_exponent(b), l * b) for b in range(2, m + 1)
+                                      for l in range(1, m // b + 1)]
+
+
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("n_max", [100, 4095, 4096, 10**5, 10**7])
 def test_exp_ramsey_records_are_those_without_the_lift(monkeypatch, k, n_max):

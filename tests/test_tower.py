@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expramsey import _arith, _intlog, colourings, tower
-from expramsey._arith import factorint, gcd_of_exponents, root_exponent
+from expramsey._arith import factorint, gcd_of_exponents, root_exponent, root_exponents
 from expramsey._intlog import (
     PREC_SCHEDULE,
     TOWERS,
@@ -543,6 +543,30 @@ def test_root_exponent_matches_factorization(n):
        st.integers(min_value=2, max_value=64))
 def test_root_exponent_of_constructed_powers(r, k):
     assert root_exponent(r**k) == k * gcd_of_exponents(r)
+
+
+# blocks the window scan colours: from 1, and across a power 2^k, 3^k or
+# p^2, where the sieve's first base iroot(lo - 1, b) + 1 could be off by one
+_PRIMES = [2, 3, 5, 7, 11, 13, 251, 257, 4093, 4099, 65521, 65537, 1000003]
+_CENTRES = st.one_of(st.just(1), st.integers(1, 30).map(lambda k: 2**k),
+                     st.integers(1, 19).map(lambda k: 3**k),
+                     st.sampled_from(_PRIMES).map(lambda p: p * p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CENTRES, st.integers(0, 5000), st.integers(-3, 5001))
+def test_root_exponents_is_root_exponent_of_each_value(centre, back, width):
+    lo = max(1, centre - back)
+    hi = lo + width - 1  # width 0 is empty, below 0 gives lo > hi
+    assert root_exponents(lo, hi) == [root_exponent(v) for v in range(lo, hi + 1)]
+
+
+def test_root_exponents_at_perfect_power_edges():
+    assert root_exponents(1, 1) == [0]
+    for v, l in ((59049, 10), (117649, 6), (131072, 17), (262144, 18), (2**30, 30)):
+        assert root_exponents(v, v) == [l]
+        assert root_exponents(v - 1, v + 1) == [1, l, 1]
+    assert root_exponents(5, 4) == [] and root_exponents(1, 0) == []
 
 
 def test_max_root_exponent_of_huge_literal_products():
