@@ -41,8 +41,10 @@ _HOMES = {
         "parse_colouring", "parse_seq", "product_colouring",
     ), "colourings"),
     **dict.fromkeys((
-        "Certificate", "Instance", "InstanceFamily", "family_from_descriptor",
-        "find_monochromatic", "parse_family", "verify_certificate",
+        "Instance", "InstanceFamily", "family_from_descriptor", "parse_family",
+    ), "families"),
+    **dict.fromkeys((
+        "Certificate", "find_monochromatic", "verify_certificate",
     ), "search"),
     **dict.fromkeys((
         "RamseyComputation", "exp_ramsey_number", "vdw_number",

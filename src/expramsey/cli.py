@@ -11,8 +11,9 @@ A subcommand imports the modules it calls when it runs, so a process
 compiles only those: ``colour`` loads ``colourings`` and ``tower``, ``gen``
 loads ``patterns`` and ``tower``, the ``ramsey`` subcommand loads the
 ``ramsey`` module (not ``tower`` or the scan; ``_arith`` only for
-``exptriple``), and ``verify`` and ``search`` load ``search``, which imports
-``colourings`` and ``tower``, and ``patterns`` only for a shape or fep family.
+``exptriple``), and ``verify`` and ``search`` load ``search`` and
+``families``, which import ``colourings`` and ``tower``, and ``patterns``
+only for a shape or fep family.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ finite_exponentials = _Lazy("patterns", "finite_exponentials")
 shape_pattern = _Lazy("patterns", "shape_pattern")
 find_monochromatic = _Lazy("search", "find_monochromatic")
 # not called here: bench/spans.py traces parse_family through this binding
-parse_family = _Lazy("search", "parse_family")
+parse_family = _Lazy("families", "parse_family")
 exp_ramsey_number = _Lazy("ramsey", "exp_ramsey_number")
 vdw_number = _Lazy("ramsey", "vdw_number")
 

@@ -77,28 +77,23 @@ class PatternSet(_Struct):
         }
 
 
-class _Builder:
-    """Accumulates elements, keeping the first provenance per distinct value."""
-
-    def __init__(self, family: str, generators: Tuple[ExpTerm, ...]):
-        self.family = family
-        self.generators = generators
-        self.seen: dict = {}
-        self.elements: List[ExpTerm] = []
-        self.provenance: List[dict] = []
-
-    def add(self, t: ExpTerm, prov: dict) -> None:
+def _distinct(items: Iterable[tuple], cap: Optional[int] = None,
+              check: Optional[Callable[[], None]] = None) -> Tuple[tuple, tuple]:
+    """The (element, recipe) pairs of ``items`` whose element's dedup key
+    is new, in order, as (elements, recipes). A new distinct element past
+    the ``cap``-th (only fep passes one) raises BudgetExceeded. ``check``,
+    a scan's budget, is called every 4,096 items: the cap never stops a row
+    whose items coincide."""
+    first: dict = {}  # dedup key -> (element, recipe), in insertion order
+    for n, (t, recipe) in enumerate(items):
+        if check is not None and n & 4095 == 0:
+            check()
         key = dedup_key(t)
-        if key in self.seen:
-            return
-        self.seen[key] = len(self.elements)
-        self.elements.append(t)
-        self.provenance.append(prov)
-
-    def done(self) -> PatternSet:
-        return PatternSet(
-            self.family, self.generators, tuple(self.elements), tuple(self.provenance)
-        )
+        if key not in first:
+            if cap is not None and len(first) >= cap:
+                raise BudgetExceeded(f"fep generation exceeded the element cap {cap}")
+            first[key] = t, recipe
+    return tuple(zip(*first.values())) if first else ((), ())
 
 
 def _check_candidates(family: str, n: int, cap: int) -> None:
@@ -123,11 +118,9 @@ def finite_sums(xs, cap: int = DEFAULT_ELEMENT_CAP) -> PatternSet:
     for x in xs:
         if not isinstance(x, Literal):
             raise SymbolicUnsupported("subset sums of symbolic towers are not defined")
-    b = _Builder("fs", xs)
-    for idx in _nonempty_subsets(len(xs)):
-        s = sum(xs[i].value for i in idx)
-        b.add(Literal(s), {"indices": [i + 1 for i in idx]})
-    return b.done()
+    return PatternSet("fs", xs, *_distinct(
+        (Literal(sum(xs[i].value for i in idx)), {"indices": [i + 1 for i in idx]})
+        for idx in _nonempty_subsets(len(xs))))
 
 
 def finite_products(xs, cap: int = DEFAULT_ELEMENT_CAP) -> PatternSet:
@@ -135,11 +128,9 @@ def finite_products(xs, cap: int = DEFAULT_ELEMENT_CAP) -> PatternSet:
     ``cap`` subsets raise BudgetExceeded."""
     xs = _as_terms(xs)
     _check_candidates("fp", (1 << len(xs)) - 1, cap)
-    b = _Builder("fp", xs)
-    for idx in _nonempty_subsets(len(xs)):
-        t = product(*(xs[i] for i in idx))
-        b.add(t, {"indices": [i + 1 for i in idx]})
-    return b.done()
+    return PatternSet("fp", xs, *_distinct(
+        (product(*(xs[i] for i in idx)), {"indices": [i + 1 for i in idx]})
+        for idx in _nonempty_subsets(len(xs))))
 
 
 def finite_exponentials(xs, cap: int = DEFAULT_ELEMENT_CAP) -> PatternSet:
@@ -176,11 +167,7 @@ def finite_exponentials(xs, cap: int = DEFAULT_ELEMENT_CAP) -> PatternSet:
             block.append((t, prov))
         blocks[i] = block
         suffix[i] = block + (suffix[i + 1] if i + 1 < m else [])
-    b = _Builder("fe", xs)
-    for i in range(m):
-        for t, prov in blocks[i]:
-            b.add(t, prov)
-    return b.done()
+    return PatternSet("fe", xs, *_distinct(itertools.chain.from_iterable(blocks)))
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +256,10 @@ def weighted_products(S, W: WeightFn, xs, cap: int = DEFAULT_ELEMENT_CAP) -> Pat
             raise ValueError(f"index {i} outside [1, {m}]")
     caps = {i: W.lookup(frozenset(map(_exact, xs[i:]))) for i in S}
     _check_candidates("fpw", math.prod(caps[i] + 1 for i in S), cap)
-    b = _Builder("fpw", xs)
-    for ps in itertools.product(*(range(caps[i] + 1) for i in S)):
-        factors = [power(xs[i - 1], p) for i, p in zip(S, ps) if p >= 1]
-        t = product(*factors) if factors else Literal(1)
-        b.add(t, {"exponents": {str(i): p for i, p in zip(S, ps)}})
-    return b.done()
+    choices = itertools.product(*(range(caps[i] + 1) for i in S))
+    return PatternSet("fpw", xs, *_distinct(
+        (product(*(power(xs[i - 1], p) for i, p in zip(S, ps) if p >= 1)),
+         {"exponents": {str(i): p for i, p in zip(S, ps)}}) for ps in choices))
 
 
 def fep_caps(W: WeightFn, xs) -> Tuple[int, ...]:
@@ -317,18 +302,8 @@ def fep_row(caps: Tuple[int, ...], xs, cap: int = DEFAULT_ELEMENT_CAP,
     """fep's deduplicated elements on generators xs (ints or terms, each
     > 1) with exponent caps ``caps``, and the recipe (B, exponent choice per
     base) of each. A new distinct element past the ``cap``-th raises
-    BudgetExceeded. ``check``, a scan's budget, is called every 4,096
-    candidates: the cap never stops a row whose candidates coincide."""
-    first: dict = {}  # dedup key -> (element, recipe), in insertion order
-    for n, (t, recipe) in enumerate(_fep_candidates(caps, xs)):
-        if check is not None and n & 4095 == 0:
-            check()
-        key = dedup_key(t)
-        if key not in first:
-            if len(first) >= cap:
-                raise BudgetExceeded(f"fep generation exceeded the element cap {cap}")
-            first[key] = t, recipe
-    return tuple(zip(*first.values())) if first else ((), ())
+    BudgetExceeded; ``check`` is called as ``_distinct`` calls it."""
+    return _distinct(_fep_candidates(caps, xs), cap, check)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -419,12 +394,8 @@ def shape_row(edges: Sequence[Tuple[int, int]], xs
     terms, each > 1) over ``edges`` in sorted order: ``shape_values`` by
     first occurrence, with the source of each, a generator's 1-based index
     or an edge (i, j)."""
-    first: dict = {}  # dedup key -> (element, source), in insertion order
     sources = itertools.chain(range(1, len(xs) + 1), edges)
-    for src, x in zip(sources, shape_values(edges, xs)):
-        t = _keyed(x)
-        first.setdefault(dedup_key(t), (t, src))
-    return tuple(zip(*first.values()))
+    return _distinct(zip(map(_keyed, shape_values(edges, xs)), sources))
 
 
 def shape_pattern(R: ShapeRelation, xs, cap: int = DEFAULT_ELEMENT_CAP) -> PatternSet:

@@ -30,11 +30,8 @@ from expramsey.patterns import (
     has_directed_cycle,
 )
 from expramsey.ramsey import _exp_triples_upto, exp_ramsey_number, vdw_number
-from expramsey.search import (
-    find_monochromatic,
-    parse_family,
-    verify_certificate,
-)
+from expramsey.families import parse_family
+from expramsey.search import find_monochromatic, verify_certificate
 from expramsey.tower import (
     compare_iter_log,
     eval_exact,

@@ -157,6 +157,13 @@ def test_the_import_graph():
     assert package_imports("cli", module_level=True) <= {"errors"}
     # the check sees the imports a subcommand makes when it runs
     assert "tower" in package_imports("cli", module_level=False)
+    # the families know no scan, solver or front end
+    assert not {"search", "ramsey", "cli"} & package_imports("families", module_level=False)
+
+
+def test_the_families_load_without_the_scan():
+    loaded = _python("import sys, expramsey.families; print(*sys.modules)").split()
+    assert "expramsey.families" in loaded and "expramsey.search" not in loaded
 
 
 # a fresh interpreter runs ``python -m expramsey.cli`` on the arguments
@@ -196,18 +203,20 @@ def bare_modules() -> set:
 
 
 @pytest.mark.parametrize("argv, needs, leaves_out, on_demand", [
-    ([], set(), {"errors", "tower", "patterns", "colourings", "search", "ramsey"}, set()),
+    ([], set(), {"errors", "tower", "patterns", "colourings", "families", "search", "ramsey"},
+     set()),
     (["colour", "logstar:r=1", "2", "4", "16"], {"colourings", "tower"},
-     {"search", "patterns", "ramsey"}, set()),
-    (["gen", "fe", "2", "3"], {"patterns", "tower"}, {"search", "colourings", "ramsey"}, set()),
+     {"families", "search", "patterns", "ramsey"}, set()),
+    (["gen", "fe", "2", "3"], {"patterns", "tower"},
+     {"families", "search", "colourings", "ramsey"}, set()),
     (["ramsey", "vdw", "--k", "2", "--len", "3"], {"ramsey"},
-     {"search", "colourings", "patterns", "tower", "_arith"}, set()),
+     {"families", "search", "colourings", "patterns", "tower", "_arith"}, set()),
     (["ramsey", "exptriple", "--k", "1", "--nmax", "16"], {"ramsey", "_arith"},
-     {"search", "colourings", "patterns", "tower"}, set()),
-    (["verify", "logstar:r=1", "exptriple", "--bound", "16"], {"search"},
+     {"families", "search", "colourings", "patterns", "tower"}, set()),
+    (["verify", "logstar:r=1", "exptriple", "--bound", "16"], {"families", "search"},
      {"patterns", "ramsey"}, set()),
-    (["verify", "logstar:r=1", "shape:m=2,edges=1-2", "--bound", "6"], {"search", "patterns"},
-     {"ramsey"}, set()),
+    (["verify", "logstar:r=1", "shape:m=2,edges=1-2", "--bound", "6"],
+     {"families", "search", "patterns"}, {"ramsey"}, set()),
     # the check sees what a process asks for
     (["colour", "logstar:r=1", "2", "--format", "csv"], {"colourings"}, {"search"}, {"csv"}),
     (["colour", "lacunary:seq=n*2^n,nmax=8", "2"], {"colourings"}, {"search"},

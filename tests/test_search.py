@@ -38,14 +38,9 @@ from expramsey.ramsey import (
     exp_ramsey_number,
     vdw_number,
 )
-from expramsey.search import (
-    Certificate,
-    family_from_descriptor,
-    find_monochromatic,
-    parse_family,
-    verify_certificate,
-)
-from expramsey import _arith, _spec, ramsey, search
+from expramsey.families import family_from_descriptor, parse_family
+from expramsey.search import Certificate, find_monochromatic, verify_certificate
+from expramsey import _arith, _spec, families, ramsey, search
 from expramsey._arith import iroot, root_exponent
 from expramsey.tower import (
     compare_iter_log, dedup_key, eval_exact, eval_mod, log_star, parse_term,
@@ -188,7 +183,7 @@ def _nth_rows(fam, indices):
              inst.generators) for inst in map(fam.nth, indices)]
 
 
-@pytest.mark.parametrize("kind", sorted(search.FAMILIES))
+@pytest.mark.parametrize("kind", sorted(families.FAMILIES))
 def test_nth_is_the_order_as_first_defined(kind):
     """For every kind: the rows listed from the definition at small bounds,
     sorted by the documented key, are ``nth`` over the whole index range.
@@ -280,8 +275,8 @@ FAMILY_PARAMS = {
 
 
 def test_family_params_cover_every_kind():
-    assert set(FAMILY_PARAMS) == set(search.FAMILIES)
-    for kind, cls in search.FAMILIES.items():
+    assert set(FAMILY_PARAMS) == set(families.FAMILIES)
+    for kind, cls in families.FAMILIES.items():
         assert cls.kind == kind
 
 
@@ -1204,8 +1199,8 @@ def test_expquad_builds_no_power_past_a_generator_mismatch(monkeypatch):
         built.append((base, exp))
         return materialize(base, exp)
 
-    materialize = search._materialize
-    monkeypatch.setattr(search, "_materialize", counted)
+    materialize = families._materialize
+    monkeypatch.setattr(families, "_materialize", counted)
     fam = parse_family("expquad", 40)
     cert = find_monochromatic(colouring, fam)
     assert cert.verified and verify_certificate(cert)
@@ -1292,11 +1287,11 @@ def test_fep_takes_the_class_search_with_a_constant_weight_within_the_cap():
     colouring = TableColouring([1] * 10)
     table = family_from_descriptor({"kind": "fep", "bound": 10, "m": 2,
                                     "weight": {"table": {"": 1}}})
-    assert table._search(colouring) is None
+    assert search._search(table, colouring) is None
     # fep:m=2,w=2 has five candidates per row
     for cap, walked in ((4, True), (5, False)):
         fam = parse_family("fep:m=2,w=2", 3, cap=cap)
-        assert (fam._search(colouring) is None) == walked
+        assert (search._search(fam, colouring) is None) == walked
 
 
 class _TableThenResidues(TableColouring):
@@ -1342,7 +1337,7 @@ def test_class_search_matches_the_row_walk(spec_top, data):
                                    data.draw(st.integers(n, max(n, bound)))),
     ]))()
     fam = parse_family(spec, bound)
-    assert fam._search(f) is not None
+    assert search._search(fam, f) is not None
     assert _scan_outcome(f, fam) == _walk_outcome(f, fam)
 
 
@@ -1373,13 +1368,13 @@ def test_class_search_builds_only_one_class_rows(monkeypatch):
     """Of the 4-cycle's 810,000 generator tuples at 31, the 86,288 whose
     generators share a log-star class are built, and no other."""
     built = []
-    lazy = search.ShapeFamily._lazy
+    lazy = families.ShapeFamily._lazy
 
     def counted(self, xs):
         built.append(xs)
         return lazy(self, xs)
 
-    monkeypatch.setattr(search.ShapeFamily, "_lazy", counted)
+    monkeypatch.setattr(families.ShapeFamily, "_lazy", counted)
     colouring = LogStarColouring(1)
     cert = find_monochromatic(colouring, "shape:m=4,edges=1-2;2-3;3-4;4-1", 31)
     assert cert.verified and cert.instances_checked == 810_000
@@ -1390,9 +1385,9 @@ def test_class_search_builds_only_one_class_rows(monkeypatch):
 @given(st.integers(1, 4), st.data())
 def test_tuple_rank_inverts_nth_tuple(m, data):
     g = tuple(data.draw(st.lists(st.integers(2, 60), min_size=m, max_size=m)))
-    i = search._tuple_rank(g)
-    assert search._nth_tuple(i, m) == g
-    assert search._tuple_rank(search._nth_tuple(i + 1, m)) == i + 1
+    i = families._tuple_rank(g)
+    assert families._nth_tuple(i, m) == g
+    assert families._tuple_rank(families._nth_tuple(i + 1, m)) == i + 1
 
 
 def test_class_rows_in_order_are_the_rows():
@@ -1423,7 +1418,7 @@ def test_class_search_checks_the_budget_every_4096_rows():
 
     fam, budget = parse_family("shape:m=3,edges=1-2", 40), Counting()
     carr = bytearray([0] + [1] * 40)
-    assert search._class_search(IntsOnly(), fam)(carr, {1: 1}, 1, 40, budget) is None
+    assert search._search(fam, IntsOnly())(carr, {1: 1}, 1, 40, budget) is None
     assert fam.count() == 39**3 and budget.calls == -(-39**3 // 4096)
 
 
@@ -1668,7 +1663,7 @@ def test_every_avoidance_verifies():
     """Avoidance is replayed: the count must be the family's, and the
     colouring text the canonical spec the replay writes."""
     certs = [c for c in _certificates() if c.verified]
-    assert {c.family["kind"] for c in certs} == set(search.FAMILIES)
+    assert {c.family["kind"] for c in certs} == set(families.FAMILIES)
     assert parse_colouring("logstar").spec == "logstar:r=1"
     for cert in certs:
         assert verify_certificate(_round_trip(cert)), cert.to_json()
@@ -1709,7 +1704,7 @@ VERIFY_FAMILIES = [
 def test_verify_matches_the_instance_check(tmp_path):
     """A claimed avoidance is accepted exactly when no instance has all its
     distinct values in one colour."""
-    assert {parse_family(spec, 4).kind for spec, _ in VERIFY_FAMILIES} == set(search.FAMILIES)
+    assert {parse_family(spec, 4).kind for spec, _ in VERIFY_FAMILIES} == set(families.FAMILIES)
     rng = random.Random(2024)
     verdicts: Dict[str, List[bool]] = {}
     for spec, bound in VERIFY_FAMILIES:
