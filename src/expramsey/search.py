@@ -122,41 +122,42 @@ def _first_translates(carr: bytearray, classes: Sequence[int],
     ``carr[v]`` is the class rank of v for v in [1, hi] and 0 at v = 0.
 
     Bit-parallel shift-and matching (Baeza-Yates and Gonnet, CACM 35(10),
-    1992) over one-bit lanes: bit v of the lane int of c is set iff carr[v]
-    is c, so the lane shifted left by o has bit m set iff m - o is in c. The
-    AND of the lane with its shifts by a pattern's offsets marks each m
-    whose translate lies in c, m - o <= 0 included as no bit is set there;
-    the lowest marked bit from the pattern's least m on is its first. The
-    budget is checked every 256 patterns."""
+    1992). A free pattern's mask, of one byte per m in [lo, hi] (w = 8),
+    ANDs its offsets' byte-equality masks, so its cost does not grow with
+    the classes: for A the bytes of carr[lo..hi] and B those o back (0
+    before index 0), the SWAR zero-byte test of A ^ B sets bit 8(m - lo) + 7
+    iff carr[m] is carr[m - o]. It is walked lowest bit first, clearing each
+    class found. A pinned group ANDs its class's lane (w = 1, bit m set iff
+    carr[m] is c) with its shifts. The budget is checked every 256 patterns."""
+    wanted, first, n = set(classes), {}, 0
     todo: Dict[Optional[int], List[Tuple[int, int, Tuple[int, ...]]]] = {}
     for j, (m_min, offsets, pin) in enumerate(shifts):
         start = max(lo, m_min)
-        if start <= hi:
-            key = None if pin is None else carr[pin]
-            todo.setdefault(key, []).append((start, j, offsets))
-    free = todo.pop(None, [])
-    # a translate has at least its offsets' count plus one distinct
-    # elements, so a class with fewer members holds none
-    fewest = 1 + min((len(offsets) for _, offsets, _ in shifts), default=0)
-    first: Dict[int, Tuple[int, int]] = {}
-    for c in classes:
-        # the digits of v = len(carr) - 1 down to 0, 1 where carr[v] is c
-        lane = int(carr.translate(b"0" * c + b"1" + b"0" * (255 - c))[::-1], 2)
-        if lane.bit_count() < fewest:
-            continue
-        for n, (start, j, offsets) in enumerate(free + todo.get(c, [])):
+        if start <= hi and (pin is None or carr[pin] in wanted):
+            todo.setdefault(None if pin is None else carr[pin], []).append((start, j, offsets))
+    if not todo:
+        return first
+    H = int.from_bytes(b"\x80" * (hi - lo + 1), "little")
+    L7, A = H - (H >> 7), int.from_bytes(carr[lo:hi + 1], "little")
+
+    def zeros(d):  # bit 8k + 7 set iff byte k of d is 0, for k <= hi - lo
+        return ~(((d & L7) + L7) | d) & H
+    for c, group in todo.items():
+        w, base, cmask = (8, lo, H) if c is None else (
+            1, 0, int(carr.translate(b"0" * c + b"1" + b"0" * (255 - c))[::-1], 2))
+        for start, j, offsets in group:
             if n % 256 == 0:
                 budget.check()
-            mask = lane
-            for o in offsets:
-                if not mask:
-                    break
-                mask &= lane << o
-            mask >>= start
-            if mask:
-                m = start + (mask & -mask).bit_length() - 1
-                if c not in first or (m, j) < first[c]:
-                    first[c] = m, j
+            n, mask = n + 1, cmask >> w * (start - base) << w * (start - base)
+            for o in offsets:  # m - o < 1 matches nothing: carr[0] is 0, and 0 before it
+                mask &= mask and (cmask << o if c is not None else zeros(A ^ int.from_bytes(
+                    carr[max(0, lo - o):max(0, hi + 1 - o)], "little") << 8 * max(0, o - lo)))
+            while mask:
+                m = base + ((mask & -mask).bit_length() - 1) // w
+                d = carr[m] if c is None else c
+                if d in wanted and (m, j) < first.get(d, (hi + 1, 0)):
+                    first[d] = m, j
+                mask = 0 if c is not None else mask & ~zeros(A ^ d * (H >> 7))
     return first
 
 
@@ -374,12 +375,11 @@ def find_monochromatic(colouring: Union[Colouring, str],
 
     The result is a certificate; its wall_time attribute is measured but not
     serialized. ``_search`` picks ``_window_scan``'s search, or the row
-    walk. Either gives the first monochromatic row's index, from which ``_certificate`` writes the certificate, the witness
-    read from ``nth``; ``verify_certificate`` rebuilds it the same way.
-    ``threads`` is checked but changes neither the certificate nor the
-    speed: every search runs in this process. ``threads`` < 1 or a NaN
-    ``budget_secs`` raises ValueError.
-    """
+    walk. Either gives the first monochromatic row's index, from which
+    ``_certificate`` writes the certificate, the witness read from ``nth``;
+    ``verify_certificate`` rebuilds it the same way. ``threads`` is checked
+    but changes neither the certificate nor the speed: every search runs in
+    this process. ``threads`` < 1 or a NaN ``budget_secs`` raises ValueError."""
     t0 = time.perf_counter()
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
